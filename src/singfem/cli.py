@@ -58,10 +58,14 @@ def substream_seed(seed, label):
     return int.from_bytes(digest[:8], "big")
 
 
+def _reject_constant(name):
+    raise ConfigError(f"config: non-finite number {name} is not allowed")
+
+
 def _load_file_config(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -88,6 +92,8 @@ def _float_field(cfg, key, default, minimum=None, strict=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
     val = float(raw)
+    if not math.isfinite(val):
+        raise ConfigError(f"{key}: must be finite, got {val}")
     if minimum is not None and (val <= minimum if strict else val < minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"{key}: must be {op} {minimum}, got {val}")
@@ -248,8 +254,10 @@ def _write_json_artifact(path, payload, cfg_hash):
     payload = dict(payload)
     payload["config_hash"] = cfg_hash
     _guard_overwrite(path, cfg_hash)
+    # json.dumps runs the C encoder; json.dump streams through the pure-
+    # Python one.  The bytes are the same.
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
     print(f"wrote {path}")
 
 

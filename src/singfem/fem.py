@@ -333,15 +333,15 @@ def ibp_residual(partition, u, beta, div_beta, region):
 
 def field_json_dict(field):
     if isinstance(field, ScalarField):
-        kind, values = "scalar", [float(v) for v in field.values]
+        kind, values = "scalar", field.values.tolist()
         mesh = field.mesh
     elif isinstance(field, VectorField):
         kind = "vector"
-        values = [[float(a), float(b)] for a, b in field.values]
+        values = field.values.tolist()
         mesh = field.mesh
     elif isinstance(field, BoundaryTrace):
         kind = "trace"
-        values = [float(v) for v in field.values]
+        values = field.values.tolist()
         mesh = field.partition.mesh
     else:
         raise FieldError(f"cannot serialize {type(field).__name__}")
@@ -350,7 +350,7 @@ def field_json_dict(field):
 
 def write_field(field, path):
     with open(path, "w") as fh:
-        json.dump(field_json_dict(field), fh, sort_keys=True)
+        fh.write(json.dumps(field_json_dict(field), sort_keys=True))
 
 
 def read_scalar_field(path, mesh):

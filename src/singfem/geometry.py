@@ -39,6 +39,31 @@ def _triangle_areas(vertices, triangles):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
+def _edge_midpoint_order(triangles):
+    """Unique undirected triangle edges in first-appearance order.
+
+    Returns (pairs, edge_of): pairs[e] = (lo, hi) is the e-th distinct
+    edge in triangle-major, local-edge-minor order (local edges (0,1),
+    (1,2), (2,0)), and edge_of[t, j] is the index in pairs of local
+    edge j of triangle t.  The ordering fixes the indices of the
+    midpoint vertices appended by `refine`, so `prolong` can reproduce
+    them without storing parent links.
+    """
+    tri_edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    nv = int(triangles.max()) + 1 if triangles.size else 0
+    lo = np.minimum(tri_edges[:, 0], tri_edges[:, 1]).astype(np.int64)
+    hi = np.maximum(tri_edges[:, 0], tri_edges[:, 1]).astype(np.int64)
+    _, first, inverse = np.unique(lo * np.int64(nv) + hi, return_index=True,
+                                  return_inverse=True)
+    # np.unique sorts by key; rank the distinct edges by first appearance.
+    by_appearance = np.argsort(first, kind="stable")
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(by_appearance))
+    first = first[by_appearance]
+    pairs = np.column_stack((lo[first], hi[first]))
+    return pairs, rank[inverse.ravel()].reshape(-1, 3)
+
+
 def _discover_boundary(triangles):
     """Directed boundary edges in triangle-major, local-edge-minor order.
 
@@ -47,12 +72,9 @@ def _discover_boundary(triangles):
     lies on its left.
     """
     tri_edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    nv = int(triangles.max()) + 1 if triangles.size else 0
-    lo = np.minimum(tri_edges[:, 0], tri_edges[:, 1]).astype(np.int64)
-    hi = np.maximum(tri_edges[:, 0], tri_edges[:, 1]).astype(np.int64)
-    key = lo * np.int64(nv) + hi
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    on_boundary = counts[inverse] == 1
+    _, edge_of = _edge_midpoint_order(triangles)
+    edge_of = edge_of.ravel()
+    on_boundary = np.bincount(edge_of)[edge_of] == 1
     tri_index = np.repeat(np.arange(len(triangles)), 3)[on_boundary]
     return tri_edges[on_boundary], tri_index
 
@@ -75,8 +97,9 @@ class Mesh:
         Vertex indices declared as singular frontier points.
 
     Derived arrays (areas, barycentric gradients, boundary normals,
-    lengths and adjacent triangles) are computed at construction and
-    all arrays are frozen afterwards.
+    lengths and adjacent triangles) are computed at construction; all
+    arrays are frozen and no attribute can be reassigned afterwards, so
+    the content hash is computed at most once.
     """
 
     vertices: np.ndarray
@@ -89,6 +112,12 @@ class Mesh:
     boundary_lengths: np.ndarray = field(init=False, repr=False)
     boundary_normals: np.ndarray = field(init=False, repr=False)
     boundary_tri: np.ndarray = field(init=False, repr=False)
+    _hash: str | None = field(default=None, init=False, repr=False)
+
+    def __setattr__(self, name, value):
+        if self.__dict__.get("_sealed"):
+            raise AttributeError(f"Mesh is immutable; cannot set {name!r}")
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -178,6 +207,7 @@ class Mesh:
             self.boundary_tri,
         ):
             arr.setflags(write=False)
+        self._sealed = True
 
     @classmethod
     def from_triangulation(cls, vertices, triangles, edge_tag, singular_vertices=()):
@@ -218,11 +248,11 @@ class Mesh:
 
     def to_json_dict(self):
         return {
-            "vertices": [[float(x), float(y)] for x, y in self.vertices],
-            "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
+            "vertices": self.vertices.tolist(),
+            "triangles": self.triangles.tolist(),
             "boundary_edges": [
-                [int(a), int(b), tag]
-                for (a, b), tag in zip(self.boundary_edges, self.boundary_tags)
+                [a, b, tag]
+                for (a, b), tag in zip(self.boundary_edges.tolist(), self.boundary_tags)
             ],
             "singular_vertices": sorted(self.singular_vertices),
         }
@@ -232,8 +262,12 @@ class Mesh:
 
     def content_hash(self):
         """Hex digest identifying the mesh content (vertex coordinates
-        round-trip exactly through their decimal representation)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        round-trip exactly through their decimal representation).
+        Computed on the first call and kept: the mesh is immutable."""
+        if self._hash is None:
+            digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return self._hash
 
     def write_json(self, path):
         with open(path, "w") as fh:
@@ -267,6 +301,13 @@ class Mesh:
 # -- structured generators ----------------------------------------------
 
 
+def _split_quads(a, b, c, d):
+    """Triangles (a, b, c), (a, c, d) of each counterclockwise quad,
+    interleaved quad by quad."""
+    return np.stack((np.column_stack((a, b, c)), np.column_stack((a, c, d))),
+                    axis=1).reshape(-1, 3)
+
+
 def build_rectangle(width, height, nx, ny):
     """Structured triangulation of (0,width) x (0,height).
 
@@ -283,16 +324,11 @@ def build_rectangle(width, height, nx, ny):
     xg, yg = np.meshgrid(xs, ys)  # row-major: index = iy*(nx+1)+ix
     vertices = np.column_stack((xg.ravel(), yg.ravel()))
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = iy * (nx + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (nx + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10 = v00 + 1
+    v01 = v00 + (nx + 1)
+    v11 = v01 + 1
+    triangles = _split_quads(v00, v10, v11, v01)
 
     ix_of = np.tile(np.arange(nx + 1), ny + 1)
     iy_of = np.repeat(np.arange(ny + 1), nx + 1)
@@ -341,19 +377,11 @@ def build_annulus(r_in, r_out, n_radial, n_angular):
     tt = np.tile(theta, n_radial + 1)
     vertices = np.column_stack((rr * np.cos(tt), rr * np.sin(tt)))
 
-    def vid(ring, j):
-        return ring * n_angular + (j % n_angular)
-
-    tris = []
-    for i in range(n_radial):
-        for j in range(n_angular):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.asarray(tris, dtype=np.int64)
+    ring = np.arange(n_radial)[:, None] * n_angular
+    j = np.arange(n_angular)
+    a = (ring + j).ravel()
+    d = (ring + (j + 1) % n_angular).ravel()
+    triangles = _split_quads(a, a + n_angular, d + n_angular, d)
 
     inner = frozenset(range(n_angular))
     outer = frozenset(range(n_radial * n_angular, (n_radial + 1) * n_angular))
@@ -391,28 +419,24 @@ def build_cusp(k, n, ratio=0.7):
     xs[-1] = 1.0
     m = n  # cross-stream intervals per column
 
-    vertices = [(0.0, 0.0)]  # tip
-    for x in xs:
-        half = 0.5 * x**k
-        for r in range(m + 1):
-            vertices.append((x, -half + (2.0 * half) * r / m))
-    vertices = np.asarray(vertices, dtype=np.float64)
+    # Scalar powers on purpose: the array power xs**k differs in the last
+    # bit for some (x, k), which would move vertices and the mesh hash.
+    half = np.asarray([0.5 * x**k for x in xs])[:, None]
+    rows = np.arange(m + 1)
+    vertices = np.vstack((
+        [(0.0, 0.0)],  # tip
+        np.column_stack((
+            np.repeat(xs, m + 1), (-half + (2.0 * half) * rows / m).ravel()
+        )),
+    ))
 
     def vid(col, row):
         return 1 + col * (m + 1) + row
 
-    tris = []
-    for r in range(m):  # tip fan
-        tris.append((0, vid(0, r), vid(0, r + 1)))
-    for c in range(n_stations - 1):
-        for r in range(m):
-            a = vid(c, r)
-            b = vid(c + 1, r)
-            cc = vid(c + 1, r + 1)
-            d = vid(c, r + 1)
-            tris.append((a, b, cc))
-            tris.append((a, cc, d))
-    triangles = np.asarray(tris, dtype=np.int64)
+    r = np.arange(m)
+    fan = np.column_stack((np.zeros(m, dtype=np.int64), vid(0, r), vid(0, r + 1)))
+    a = vid(np.arange(n_stations - 1)[:, None], r).ravel()
+    triangles = np.vstack((fan, _split_quads(a, a + m + 1, a + m + 2, a + 1)))
 
     lower = {0} | {vid(c, 0) for c in range(n_stations)}
     upper = {0} | {vid(c, m) for c in range(n_stations)}
@@ -477,66 +501,44 @@ def build_domain(spec):
 # -- refinement -----------------------------------------------------------
 
 
-def _edge_midpoint_order(mesh):
-    """Unique undirected triangle edges in first-appearance order.
-
-    The ordering (triangle-major, local edges (0,1),(1,2),(2,0)) fixes
-    the indices of the midpoint vertices appended by `refine`, so
-    `prolong` can reproduce them without storing parent links.
-    """
-    order = {}
-    for tri in mesh.triangles:
-        a, b, c = int(tri[0]), int(tri[1]), int(tri[2])
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            if key not in order:
-                order[key] = len(order)
-    return order
-
-
 def refine(mesh):
     """Uniform red refinement: every triangle splits into 4 similar
     children, every boundary edge into 2 edges inheriting its tag.
 
-    Original vertices keep their indices; midpoints are appended, so
-    coarse nodal fields prolong exactly (see `prolong`).  The polygonal
-    domain, hence the total area, is preserved exactly.
+    Original vertices keep their indices; the midpoints of the distinct
+    edges are appended in first-appearance order (triangle-major, local
+    edges (0,1), (1,2), (2,0)), and triangle t's children occupy rows
+    4t..4t+3 as (v0, m01, m20), (v1, m12, m01), (v2, m20, m12),
+    (m01, m12, m20).  Coarse nodal fields therefore prolong exactly
+    (see `prolong`).  The polygonal domain, hence the total area, is
+    preserved exactly.
     """
-    order = _edge_midpoint_order(mesh)
+    pairs, edge_of = _edge_midpoint_order(mesh.triangles)
     nv = mesh.num_vertices
-    pairs = np.asarray(list(order.keys()), dtype=np.int64)
     mids = 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])
     vertices = np.vstack((mesh.vertices, mids))
 
-    def mid(a, b):
-        return nv + order[(a, b) if a < b else (b, a)]
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (nv + edge_of).T
+    triangles = np.stack((
+        np.column_stack((v0, m01, m20)),
+        np.column_stack((v1, m12, m01)),
+        np.column_stack((v2, m20, m12)),
+        np.column_stack((m01, m12, m20)),
+    ), axis=1).reshape(-1, 3)
 
-    tris = []
-    for tri in mesh.triangles:
-        v0, v1, v2 = (int(x) for x in tri)
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        tris.append((v0, m01, m20))
-        tris.append((v1, m12, m01))
-        tris.append((v2, m20, m12))
-        tris.append((m01, m12, m20))
-    triangles = np.asarray(tris, dtype=np.int64)
-
-    parent_tag = {}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        a, b = int(a), int(b)
-        parent_tag[(a, b) if a < b else (b, a)] = tag
-    midpoint_parent = {nv + idx: key for key, idx in order.items()}
-
-    def edge_tag(a, b):
-        m = a if a >= nv else b
-        old = a + b - m
-        pa, pb = midpoint_parent[m]
-        if old not in (pa, pb):  # pragma: no cover - structural guarantee
-            raise MeshError(f"child boundary edge ({a}, {b}) has no parent")
-        return parent_tag[(pa, pb)]
-
-    return Mesh.from_triangulation(vertices, triangles, edge_tag,
-                                   singular_vertices=mesh.singular_vertices)
+    # The coarse boundary edges are the edges seen once, in the same
+    # triangle-major order as mesh.boundary_edges.
+    flat = edge_of.ravel()
+    parent_of_edge = np.full(len(pairs), -1, dtype=np.int64)
+    parent_of_edge[flat[np.bincount(flat)[flat] == 1]] = np.arange(mesh.num_boundary_edges)
+    # Each child boundary edge joins an old vertex to a midpoint.
+    edges, _ = _discover_boundary(triangles)
+    parent = parent_of_edge[edges.max(axis=1) - nv]
+    if np.any(parent < 0):  # pragma: no cover - structural guarantee
+        raise MeshError("child boundary edge has no parent boundary edge")
+    tags = tuple(mesh.boundary_tags[i] for i in parent.tolist())
+    return Mesh(vertices, triangles, edges, tags, mesh.singular_vertices)
 
 
 def prolong(mesh, values):
@@ -548,8 +550,7 @@ def prolong(mesh, values):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.num_vertices,):
         raise MeshError("values must be nodal on the coarse mesh")
-    order = _edge_midpoint_order(mesh)
-    pairs = np.asarray(list(order.keys()), dtype=np.int64)
+    pairs, _ = _edge_midpoint_order(mesh.triangles)
     return np.concatenate((values, 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])))
 
 
@@ -557,8 +558,7 @@ def prolong(mesh, values):
 
 
 def _edge_graph(mesh):
-    order = _edge_midpoint_order(mesh)
-    pairs = np.asarray(list(order.keys()), dtype=np.int64)
+    pairs, _ = _edge_midpoint_order(mesh.triangles)
     d = mesh.vertices[pairs[:, 0]] - mesh.vertices[pairs[:, 1]]
     w = np.hypot(d[:, 0], d[:, 1])
     nv = mesh.num_vertices

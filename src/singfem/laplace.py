@@ -41,7 +41,9 @@ def conjugate_gradient(A, b, x0=None, rtol=1e-12, maxiter=None, project=None):
     residual satisfies ||b - A x|| <= rtol * ||b||.  `project`, when
     given, is applied to the initial iterate and to every residual to
     keep the iteration inside the range of a semidefinite A.  Returns
-    (x, iterations); raises SolverError past the iteration cap.
+    (x, iterations); raises SolverError past the iteration cap, on
+    breakdown (a search direction with d.Ad <= 0, so A is not positive
+    definite on the iteration space) and on a non-finite residual.
     """
     n = A.shape[0]
     if maxiter is None:
@@ -65,12 +67,25 @@ def conjugate_gradient(A, b, x0=None, rtol=1e-12, maxiter=None, project=None):
     rz = float(r @ z)
     for it in range(1, maxiter + 1):
         q = A @ d
-        alpha = rz / float(d @ q)
+        dq = float(d @ q)
+        if not dq > 0.0:
+            raise SolverError(
+                f"conjugate gradients broke down at iteration {it}: d.Ad = {dq!r} "
+                "is not positive",
+                iterations=it,
+            )
+        alpha = rz / dq
         x += alpha * d
         r -= alpha * q
         if project is not None:
             r = project(r)
-        if np.linalg.norm(r) <= rtol * bnorm:
+        rnorm = np.linalg.norm(r)
+        if not np.isfinite(rnorm):
+            raise SolverError(
+                f"conjugate gradients produced a non-finite residual at iteration {it}",
+                iterations=it,
+            )
+        if rnorm <= rtol * bnorm:
             return x, it
         z = dinv * r
         rz_new = float(r @ z)
@@ -157,8 +172,13 @@ def weak_residual(partition, u, g, theta=None):
     ||u||_{W^{1,2}} + ||g||_{L^2} + 1.
     """
     mesh = partition.mesh
-    K = fem.stiffness_matrix(mesh)
-    M = fem.mass_matrix(mesh)
+    return _weak_residual(fem.stiffness_matrix(mesh), fem.mass_matrix(mesh),
+                          partition, u, g, theta)
+
+
+def _weak_residual(K, M, partition, u, g, theta):
+    """`weak_residual` with the stiffness and mass matrices supplied."""
+    mesh = partition.mesh
     r = K @ u.values + M @ g.values - _theta_vector(partition, theta)
     fixed = partition.region_vertices("dirichlet")
     mask = np.ones(mesh.num_vertices, dtype=bool)
@@ -203,7 +223,7 @@ def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL
         u[free] = sol
 
     field = fem.ScalarField(mesh, u)
-    res = weak_residual(partition, field, problem.g, problem.theta)
+    res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
     if res > residual_tol:
         raise SolverError(
             f"mixed solve left weak residual {res:.3e} > {residual_tol:.1e}",
@@ -267,7 +287,7 @@ def solve_neumann(problem, gauge="mean", x0=None, rtol=1e-12,
         raise ValueError(f"unknown gauge {gauge!r}")
 
     field = fem.ScalarField(mesh, u)
-    res = weak_residual(partition, field, problem.g, problem.theta)
+    res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
     # The consistency defect spreads over all hat functions; admit it
     # on top of the solver tolerance.
     if res > residual_tol + abs(defect):

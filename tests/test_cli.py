@@ -127,6 +127,37 @@ def test_invalid_seed_is_a_usage_error(tmp_path):
                  "--seed", "-3"]) == 2
 
 
+def test_nan_rtol_in_config_is_a_usage_error(tmp_path):
+    cfg = laplace_config(tmp_path, extra={"rtol": float("nan")})
+    out = tmp_path / "run"
+    assert main(["solve-laplace", "--config", cfg, "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert "NaN" in record["message"]
+    assert not (out / "solution.json").exists()
+
+
+def test_nan_p_in_config_is_a_usage_error(tmp_path):
+    base = {
+        "domain": {"kind": "unit_square", "n": 3},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "x"},
+    }
+    cfg = write_config(tmp_path / "nan.json", {**base, "p": float("nan")})
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", cfg, "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert not (out / "solution.json").exists()
+
+    cfg = write_config(tmp_path / "p.json", base)
+    out = tmp_path / "flag"
+    assert main(["solve-plap", "--config", cfg, "--out", str(out), "--p", "inf"]) == 2
+    assert "p: must be finite" in json.loads((out / "error.json").read_text())["message"]
+
+
 def test_incompatible_neumann_data_exits_1(tmp_path):
     cfg = write_config(tmp_path / "n.json", {
         "domain": {"kind": "unit_square", "n": 4},

@@ -88,6 +88,25 @@ def test_cusp_area_oracle(k):
     assert abs(float(m.areas.sum()) - exact) < 0.01 * exact
 
 
+@pytest.mark.parametrize("k, n, ratio", [(1, 2, 0.7), (2.5, 4, 0.6), (3, 6, 0.7), (7.3, 5, 0.5)])
+def test_cusp_matches_loop_reference(k, n, ratio):
+    q = ratio ** (1.0 / n)
+    xs = q ** np.arange(n * n + 1)[::-1]
+    xs[-1] = 1.0
+    verts = [(0.0, 0.0)]
+    for x in xs:
+        half = 0.5 * x**k
+        verts += [(x, -half + (2.0 * half) * r / n) for r in range(n + 1)]
+    tris = [(0, 1 + r, 2 + r) for r in range(n)]
+    for c in range(n * n):
+        for r in range(n):
+            a = 1 + c * (n + 1) + r
+            tris += [(a, a + n + 1, a + n + 2), (a, a + n + 2, a + 1)]
+    m = build_cusp(k, n, ratio)
+    assert np.array_equal(m.vertices, np.asarray(verts))
+    assert np.array_equal(m.triangles, np.asarray(tris))
+
+
 def test_cusp_tip_is_singular():
     m = build_cusp(2.0, 4)
     assert len(m.singular_vertices) == 1
@@ -143,6 +162,27 @@ def test_mesh_arrays_are_frozen():
         m.triangles[0, 0] = 7
 
 
+def test_mesh_attributes_cannot_be_reassigned():
+    m = build_unit_square(2)
+    digest = m.content_hash()
+    with pytest.raises(AttributeError):
+        m.vertices = m.vertices + 1.0
+    with pytest.raises(AttributeError):
+        m.boundary_tags = ("left",) * m.num_boundary_edges
+    with pytest.raises(AttributeError):
+        m._hash = None
+    assert m.content_hash() == digest == build_unit_square(2).content_hash()
+
+
+def test_canonical_json_literal():
+    m = build_unit_square(1)
+    assert m.canonical_json() == (
+        '{"boundary_edges":[[0,1,"bottom"],[1,3,"right"],[3,2,"top"],[2,0,"left"]],'
+        '"singular_vertices":[],"triangles":[[0,1,3],[0,3,2]],'
+        '"vertices":[[0.0,0.0],[1.0,0.0],[0.0,1.0],[1.0,1.0]]}'
+    )
+
+
 def test_json_round_trip_preserves_content_hash(tmp_path):
     m = build_cusp(2.0, 4)
     path = tmp_path / "mesh.json"
@@ -180,6 +220,52 @@ def test_prolong_reproduces_linear_fields():
     fine = prolong(m, coarse)
     expected = 3.0 * f.vertices[:, 0] - 2.0 * f.vertices[:, 1] + 0.25
     assert np.allclose(fine, expected, atol=1e-13)
+
+
+def _first_appearance_edges(triangles):
+    order = {}
+    for a, b, c in triangles.tolist():
+        for u, v in ((a, b), (b, c), (c, a)):
+            order.setdefault((min(u, v), max(u, v)), len(order))
+    return np.asarray(list(order), dtype=np.int64)
+
+
+def test_refine_and_prolong_follow_first_appearance_edge_order():
+    m = build_cusp(2.0, 3)
+    f = refine(m)
+    nv = m.num_vertices
+    edges = _first_appearance_edges(m.triangles)
+    assert f.num_vertices == nv + len(edges)
+    mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+    assert np.array_equal(f.vertices[nv:], mids)
+
+    values = np.random.default_rng(3).standard_normal(nv)
+    fine = prolong(m, values)
+    assert np.array_equal(fine[:nv], values)
+    assert np.array_equal(fine[nv:], 0.5 * (values[edges[:, 0]] + values[edges[:, 1]]))
+
+    mid = {tuple(e): nv + i for i, e in enumerate(edges.tolist())}
+    for t, (v0, v1, v2) in enumerate(m.triangles.tolist()):
+        m01, m12, m20 = (mid[(min(a, b), max(a, b))]
+                         for a, b in ((v0, v1), (v1, v2), (v2, v0)))
+        assert f.triangles[4 * t:4 * t + 4].tolist() == [
+            [v0, m01, m20], [v1, m12, m01], [v2, m20, m12], [m01, m12, m20]]
+
+
+# Recorded with the original dict-based refinement; any change to vertex,
+# triangle or boundary-edge order under refine changes these digests.
+@pytest.mark.parametrize("build, digest", [
+    (lambda: build_cusp(3, 6),
+     "a33275aa2e65d627670be50555cebfda32e962367776c5faf18a9703ed051a91"),
+    (lambda: build_annulus(0.1, 1.0, 8, 16),
+     "c1892c9c7c7b652a6c0e37d945373a0d74a30289d2163b960f291368160949a9"),
+    (lambda: build_unit_square(8),
+     "af2611558014a2521514a311995b7b58b0d625d456e826cb8eb4553d0e417882"),
+    (lambda: build_rectangle(2.0, 1.0, 16, 8),
+     "b1d6a84c6eb3a2d35a39e3f404b79e694971536aad2582bf0df7d68844ffde02"),
+], ids=["cusp", "annulus", "unit_square", "rectangle"])
+def test_twice_refined_content_hash_is_pinned(build, digest):
+    assert refine(refine(build())).content_hash() == digest
 
 
 def test_prolong_rejects_wrong_length():

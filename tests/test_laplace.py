@@ -70,6 +70,41 @@ def test_cg_iteration_cap_raises():
     assert err.value.residual > 0.0
 
 
+def test_cg_breakdown_raises_instead_of_dividing_by_zero():
+    # indefinite: the first search direction has d.Ad < 0
+    A = sp.diags([1.0, -3.0]).tocsr()
+    with pytest.raises(SolverError, match="broke down"):
+        conjugate_gradient(A, np.ones(2))
+    # a NaN tolerance never stops the loop; the exact solution then
+    # leaves a zero search direction
+    with pytest.raises(SolverError, match="broke down"):
+        conjugate_gradient(sp.identity(3, format="csr"), np.ones(3), rtol=float("nan"))
+
+
+def test_cg_non_finite_iterate_raises():
+    # the Jacobi-scaled residual overflows, so the first step is inf / inf
+    A = sp.diags([1e-300, 1e-300]).tocsr()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError, match="non-finite"):
+        conjugate_gradient(A, np.full(2, 1e10))
+
+
+def test_solves_assemble_the_stiffness_matrix_once(square, mixed_part, neumann_part,
+                                                   monkeypatch):
+    from singfem import fem
+
+    calls = []
+    assemble = fem.stiffness_matrix
+    monkeypatch.setattr(fem, "stiffness_matrix", lambda *a: calls.append(1) or assemble(*a))
+    zero = ScalarField.constant(square, 0.0)
+    f = ScalarField.from_function(square, lambda x, y: x)
+    solve_mixed(MixedProblem(mixed_part, zero, f))
+    assert len(calls) == 1
+    theta = flux_trace_from_function(neumann_part, "boundary", lambda x, y, nx, ny: nx)
+    solve_neumann(NeumannProblem(neumann_part, zero, theta))
+    assert len(calls) == 2
+
+
 # -- mixed problems --------------------------------------------------------------
 
 

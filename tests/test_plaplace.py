@@ -170,6 +170,13 @@ def test_perturbation_margin_zero_direction_is_exact_zero(square):
     assert perturbation_margin(u, zero, 3.0, 1e-2) == 0.0
 
 
+def test_perturbation_margin_accepts_precomputed_energy(square):
+    u = ScalarField.from_function(square, lambda x, y: x * x + y)
+    d = ScalarField.from_function(square, lambda x, y: np.sin(3.0 * x) * y)
+    e0 = p_energy(u, 3.0)
+    assert perturbation_margin(u, d, 3.0, 1e-2, e0) == perturbation_margin(u, d, 3.0, 1e-2)
+
+
 def test_certificate_accepts_minimizer_and_rejects_perturbation(
     square, side_constraints
 ):
