@@ -100,6 +100,15 @@ def _float_field(cfg, key, default, minimum=None, strict=False):
     return val
 
 
+def _p_values_field(cfg, default):
+    """Non-empty list of exponents, each a finite number > 1."""
+    p_values = cfg.get("p_values", default)
+    if not isinstance(p_values, (list, tuple)) or not p_values:
+        raise ConfigError("p_values: expected a non-empty list")
+    return [_float_field({"p_values": p}, "p_values", None, minimum=1.0, strict=True)
+            for p in p_values]
+
+
 def _warn_unknown(extra, where):
     for key in sorted(extra):
         print(f"warning: ignoring unknown config key {where}{key!r}", file=sys.stderr)
@@ -261,6 +270,14 @@ def _write_json_artifact(path, payload, cfg_hash):
     print(f"wrote {path}")
 
 
+def _hashed_mesh_dict(mesh):
+    """mesh.to_json_dict(), also hashed as the mesh's content hash, so a
+    command that writes the mesh builds its dict once."""
+    mesh_dict = mesh.to_json_dict()
+    mesh._keep_content_hash(mesh_dict)
+    return mesh_dict
+
+
 def _mesh_h(mesh):
     """Longest triangle edge (the mesh size h)."""
     p = mesh.vertices[mesh.triangles]
@@ -288,7 +305,8 @@ def _cmd_mesh(args, cfg, out_dir):
     _warn_unknown(set(cfg) - {"domain", "refine", "seed", "threads"}, "")
     effective = {"command": "mesh", "domain": dom, "refine": levels}
     h = config_hash(effective)
-    payload = {"mesh": mesh.to_json_dict(), "mesh_hash": mesh.content_hash()}
+    mesh_dict = _hashed_mesh_dict(mesh)
+    payload = {"mesh": mesh_dict, "mesh_hash": mesh.content_hash()}
     _write_json_artifact(out_dir / "mesh.json", payload, h)
     print(
         f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
@@ -336,9 +354,10 @@ def _cmd_solve_laplace(args, cfg, out_dir):
     except PartitionError as exc:
         raise ConfigError(f"partition: {exc}")
     u, info = solve_mixed(problem, rtol=rtol)
+    mesh_dict = _hashed_mesh_dict(mesh)
     payload = {
         "solution": fem.field_json_dict(u),
-        "mesh": mesh.to_json_dict(),
+        "mesh": mesh_dict,
         "info": {"iterations": int(info["iterations"]),
                  "residual": float(info["residual"])},
     }
@@ -370,9 +389,10 @@ def _cmd_solve_neumann(args, cfg, out_dir):
     }
     h = config_hash(effective)
     u, info = solve_neumann(NeumannProblem(partition, g, theta), gauge=gauge, rtol=rtol)
+    mesh_dict = _hashed_mesh_dict(mesh)
     payload = {
         "solution": fem.field_json_dict(u),
-        "mesh": mesh.to_json_dict(),
+        "mesh": mesh_dict,
         "info": {"iterations": int(info["iterations"]),
                  "residual": float(info["residual"]),
                  "defect": float(info["defect"]),
@@ -424,7 +444,8 @@ def _cmd_solve_plap(args, cfg, out_dir):
             u, p, constraint, seed=substream_seed(seed, "plap:certificate")
         )
         info["certificate"] = cert_report.certificate
-    payload = {"solution": fem.field_json_dict(u), "mesh": mesh.to_json_dict(),
+    mesh_dict = _hashed_mesh_dict(mesh)
+    payload = {"solution": fem.field_json_dict(u), "mesh": mesh_dict,
                "info": info}
     _write_json_artifact(out_dir / "solution.json", payload, h)
     line = (f"solved: p={p:g}, energy {report.energy:.12g}, "
@@ -489,9 +510,7 @@ def _holder_report(cfg):
     n = _int_field(cfg, "n", 6, minimum=2)
     n_pairs = _int_field(cfg, "n_pairs", 4000, minimum=10)
     seed = cfg.get("seed", 0)
-    p_values = cfg.get("p_values", [2.0, 8.0])
-    if not isinstance(p_values, (list, tuple)) or not p_values:
-        raise ConfigError("p_values: expected a non-empty list")
+    p_values = _p_values_field(cfg, [2.0, 8.0])
 
     mesh = build_cusp(k, n)
     partition = partition_by_tags(mesh, dirichlet=("right",),
@@ -501,7 +520,6 @@ def _holder_report(cfg):
 
     rows, meas = [], {"h": [], "p": [], "alpha": [], "fit_quality": []}
     for idx, p in enumerate(p_values):
-        p = float(p)
         u, _ = solve_p_laplace(
             PlapProblem(mesh, constraint, f, p=p, tol=1e-8,
                         seed=substream_seed(seed, f"holder:p={p!r}"))
@@ -520,7 +538,7 @@ def _holder_report(cfg):
     }
     return verify.Report(
         experiment="holder_cusp",
-        params={"k": k, "n": n, "p_values": [float(p) for p in p_values],
+        params={"k": k, "n": n, "p_values": p_values,
                 "n_pairs": n_pairs, "seed": seed},
         levels=rows,
         measurements=meas,
@@ -586,12 +604,7 @@ def _cmd_sweep(args, cfg, out_dir):
                               "levels", "tol", "seed", "threads"}, "")
     _warn_unknown(set(data) - {"f"}, "data.")
     f_expr = data.get("f", "0")
-    p_values = cfg.get("p_values", [2.0, 3.0])
-    if not isinstance(p_values, (list, tuple)) or not p_values:
-        raise ConfigError("p_values: expected a non-empty list")
-    p_values = [float(p) for p in p_values]
-    if any(p <= 1.0 for p in p_values):
-        raise ConfigError("p_values: every exponent must exceed 1")
+    p_values = _p_values_field(cfg, [2.0, 3.0])
     level_list = cfg.get("levels", [0, 1])
     if not isinstance(level_list, (list, tuple)) or not level_list:
         raise ConfigError("levels: expected a non-empty list of refinement counts")

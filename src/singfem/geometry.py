@@ -64,6 +64,10 @@ def _edge_midpoint_order(triangles):
     return pairs, rank[inverse.ravel()].reshape(-1, 3)
 
 
+def _canonical_dumps(json_dict):
+    return json.dumps(json_dict, sort_keys=True, separators=(",", ":"))
+
+
 def _discover_boundary(triangles):
     """Directed boundary edges in triangle-major, local-edge-minor order.
 
@@ -258,16 +262,23 @@ class Mesh:
         }
 
     def canonical_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_dumps(self.to_json_dict())
 
     def content_hash(self):
         """Hex digest identifying the mesh content (vertex coordinates
         round-trip exactly through their decimal representation).
         Computed on the first call and kept: the mesh is immutable."""
         if self._hash is None:
-            digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_hash", digest)
+            self._keep_content_hash(self.to_json_dict())
         return self._hash
+
+    def _keep_content_hash(self, json_dict):
+        """Hash json_dict, which must be this mesh's own to_json_dict(), as
+        the content hash, unless the hash is already kept.  Lets a caller
+        that builds the dict anyway avoid building it a second time."""
+        if self._hash is None:
+            digest = hashlib.sha256(_canonical_dumps(json_dict).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_hash", digest)
 
     def write_json(self, path):
         with open(path, "w") as fh:

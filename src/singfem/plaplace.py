@@ -11,9 +11,13 @@ measure, and a randomized minimality certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import fem
@@ -109,50 +113,182 @@ def _reg_energy(mesh, values, p, eps):
     return float(np.sum(mesh.areas * (mag2 + eps * eps) ** (p / 2.0)))
 
 
-def _stationarity(mesh, values, p, eps, free_mask, hat_norms):
-    """max_i |<sharp_p grad u, grad hat_i>| / ||grad hat_i||_{L^p} over
-    hats vanishing on the constraint set, with eps-regularized
-    magnitudes (eps = 0 reproduces the exact measure)."""
+def _energy_gradient(mesh, values, p, eps):
+    """One pass over the elements at the iterate.  Returns (energy, w, s):
+    the regularized energy sum_T area_T |grad u|_eps^p, the weights
+    w = |grad u|_eps^(p-2) and s_i = <w grad u, grad hat_i>, the energy
+    gradient over p.  w and s are None for a zero or non-finite energy."""
     g = _grad_values(mesh, values)
     mag2 = g[:, 0] ** 2 + g[:, 1] ** 2 + eps * eps
-    normp = float(np.sum(mesh.areas * mag2 ** (p / 2.0))) ** (1.0 / p)
+    energy = float(np.sum(mesh.areas * mag2 ** (p / 2.0)))
+    if energy == 0.0 or not math.isfinite(energy):
+        return energy, None, None
+    with np.errstate(divide="ignore"):
+        w = mag2 ** ((p - 2.0) / 2.0)
+    # For p < 2, w is inf where grad u = 0 (possible only at eps = 0), but
+    # w grad u -> 0 there for every p > 1.
+    w[mag2 == 0.0] = 0.0
+    return energy, w, fem.grad_test_vector(mesh, w[:, None] * g)
+
+
+def _stationarity(energy, s, p, free_mask, hat_norms):
+    """max_i |<sharp_p grad u, grad hat_i>| / ||grad hat_i||_{L^p} over
+    hats vanishing on the constraint set, from the output of
+    _energy_gradient (eps = 0 gives the exact measure)."""
+    normp = energy ** (1.0 / p)
     if normp == 0.0:
         return 0.0
-    w = mag2 ** ((p - 2.0) / 2.0)
-    s = fem.grad_test_vector(mesh, w[:, None] * g) / normp ** (p - 2.0)
-    ratios = np.abs(s[free_mask]) / hat_norms[free_mask]
+    ratios = np.abs(s[free_mask] / normp ** (p - 2.0)) / hat_norms[free_mask]
     return float(ratios.max(initial=0.0))
+
+
+def _hat_norms_or_none(mesh, p):
+    """fem.hat_gradient_p_norms, or None when some norm over- or
+    underflows double precision (p too large for the mesh)."""
+    with np.errstate(over="ignore"):
+        hat_norms = fem.hat_gradient_p_norms(mesh, p)
+    if not (np.all(np.isfinite(hat_norms)) and np.all(hat_norms > 0.0)):
+        return None
+    return hat_norms
 
 
 def p_stationarity(u, p, constraint_vertices):
     """First-order optimality residual of u for the p-Dirichlet energy
-    under constraints on the given vertices."""
+    under constraints on the given vertices.  Raises ValueError when the
+    hat-gradient norms or the energy of u overflow double precision."""
     mesh = u.mesh
     free_mask = np.ones(mesh.num_vertices, dtype=bool)
     free_mask[np.asarray(sorted(constraint_vertices), dtype=np.int64)] = False
-    hat_norms = fem.hat_gradient_p_norms(mesh, p)
-    return _stationarity(mesh, u.values, p, 0.0, free_mask, hat_norms)
+    hat_norms = _hat_norms_or_none(mesh, p)
+    if hat_norms is None:
+        raise ValueError(f"hat-gradient L^{p:g} norms overflow double precision")
+    with np.errstate(over="ignore"):
+        energy, _, s = _energy_gradient(mesh, u.values, p, 0.0)
+    if not math.isfinite(energy):
+        raise ValueError(f"the {p:g}-energy overflows double precision")
+    return _stationarity(energy, s, p, free_mask, hat_norms)
 
 
-def _irls_stage(mesh, values, p, eps, free, free_mask, hat_norms, tol, max_iter):
+class _BandedStiffness:
+    """The reweighted stiffness block K_ff(w) of one mesh and free set,
+    assembled straight into LAPACK lower band storage and solved by band
+    Cholesky.
+
+    The free vertices are numbered by reverse Cuthill-McKee.  The band
+    slot of each element's entries (i, j) with both vertices free, taken
+    on or below the diagonal in that numbering, and the geometric factor
+    (grad lambda_i . grad lambda_j) area_t depend only on the mesh and
+    the free set, so they are computed once.  One Fortran-ordered
+    (bw + 1, n) band is allocated once too: each reweighting refills it
+    and LAPACK factors it in place.
+
+    The band costs O(n bw) memory and O(n bw^2) time, about n^1.5 and n^2
+    on a 2D mesh, against SuperLU's slower-growing fill.  So the band is
+    kept only while it holds at most MAX_FILL entries per structural
+    nonzero of K_ff (and its allocation succeeds); otherwise ab is None
+    and every step goes to SuperLU.  On unit squares with Dirichlet sides
+    the ratio is 18 at n = 128 and 37 at n = 256, where the band still
+    factors 3x faster than SuperLU, whose L + U holds 14 and 19 entries
+    per nonzero; it reaches about 73 at n = 512 (a 1 GB band).
+    """
+
+    MAX_FILL = 40
+
+    def __init__(self, mesh, free):
+        n = len(free)
+        local = np.full(mesh.num_vertices, -1, dtype=np.int64)
+        local[free] = np.arange(n)
+        i, j = np.triu_indices(3)  # the six entries i <= j of an element
+        a = local[mesh.triangles[:, i]].ravel()
+        b = local[mesh.triangles[:, j]].ravel()
+        entries = np.nonzero((a >= 0) & (b >= 0))[0]
+        a, b = a[entries], b[entries]
+        graph = csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])),
+                           shape=(n, n))
+        self.perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.perm] = np.arange(n)
+        lo = np.minimum(rank[a], rank[b])
+        depth = np.abs(rank[a] - rank[b])
+        self.bandwidth = int(depth.max())
+        self.slot = depth + (self.bandwidth + 1) * lo  # ab[depth, lo], Fortran order
+        self.tri = entries // len(i)
+        gl = mesh.grad_lambda
+        geom = np.einsum("tid,tid->ti", gl[:, i], gl[:, j]) * mesh.areas[:, None]
+        self.geom = geom.ravel()[entries]
+        self.ab = None
+        if (self.bandwidth + 1) * n <= self.MAX_FILL * graph.nnz:
+            try:
+                self.ab = np.zeros((self.bandwidth + 1, n), order="F")
+            except MemoryError:
+                pass
+
+    def band(self, weights):
+        """Refill the band with K_ff(weights), permuted, and return it."""
+        self.ab.fill(0.0)
+        np.add.at(self.ab.reshape(-1, order="F"), self.slot,
+                  self.geom * weights[self.tri])
+        return self.ab
+
+    def solve(self, weights, rhs):
+        """K_ff(weights)^-1 rhs; LinAlgError on a non-positive pivot."""
+        cb = cholesky_banded(self.band(weights), lower=True, overwrite_ab=True,
+                             check_finite=False)
+        x = cho_solve_banded((cb, True), rhs[self.perm], overwrite_b=True,
+                             check_finite=False)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+
+def _irls_step(mesh, values, w, s, free, band):
+    """Solve the reweighted system K_ff(w) delta = -s_f by band Cholesky,
+    or by SuperLU when the band was too wide to keep.  A non-positive
+    pivot from rounding is rescued by SuperLU on the same weights;
+    non-finite weights or a SuperLU failure raise PLaplaceError carrying
+    the iterate."""
+    wmax = float(w.max())
+    if not math.isfinite(wmax):
+        raise PLaplaceError("IRLS weights are not finite",
+                            best_field=fem.ScalarField(mesh, values))
+    # Tiny relative floor keeps the reweighted matrix factorable where
+    # the gradient degenerates; the step stays a descent direction
+    # because the floored matrix is still SPD.
+    w = w + 1e-14 * wmax
+    rhs = -s[free]
+    if band.ab is not None:
+        try:
+            return band.solve(w, rhs)
+        except LinAlgError:
+            pass
+    K_ff = fem.stiffness_matrix(mesh, w).tocsc()[free][:, free]
+    try:
+        return splu(K_ff.tocsc()).solve(rhs)
+    except RuntimeError as exc:
+        raise PLaplaceError(f"reweighted IRLS system is singular ({exc})",
+                            best_field=fem.ScalarField(mesh, values)) from exc
+
+
+def _irls_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol,
+                max_iter):
     """Run damped IRLS at fixed (p, eps).  Returns (values, iters, stat,
-    line_search_ok)."""
-    energy = _reg_energy(mesh, values, p, eps)
+    line_search_ok).  Each step makes one pass over the elements for the
+    energy gradient and solves the reweighted system by band Cholesky
+    (see _irls_step)."""
+    with np.errstate(over="ignore"):
+        energy = _reg_energy(mesh, values, p, eps)
+    if not math.isfinite(energy):
+        raise PLaplaceError(
+            f"regularized {p:g}-energy overflows double precision",
+            best_field=fem.ScalarField(mesh, values),
+        )
     for it in range(max_iter):
-        g = _grad_values(mesh, values)
-        mag2 = g[:, 0] ** 2 + g[:, 1] ** 2 + eps * eps
-        stat = _stationarity(mesh, values, p, eps, free_mask, hat_norms)
+        _, w, s = _energy_gradient(mesh, values, p, eps)
+        stat = _stationarity(energy, s, p, free_mask, hat_norms)
         if stat <= tol:
             return values, it, stat, True
 
-        w = mag2 ** ((p - 2.0) / 2.0)
-        s = fem.grad_test_vector(mesh, w[:, None] * g)  # energy gradient / p
-        # Tiny relative floor keeps the reweighted matrix factorable
-        # where the gradient degenerates; the step stays a descent
-        # direction because the floored matrix is still SPD.
-        K = fem.stiffness_matrix(mesh, w + 1e-14 * float(w.max()))
-        K_ff = K.tocsc()[free][:, free]
-        delta = splu(K_ff.tocsc()).solve(-s[free])
+        delta = _irls_step(mesh, values, w, s, free, band)
         slope = p * float(s[free] @ delta)
 
         # A demanding sufficient-decrease constant matters here: for
@@ -173,7 +309,6 @@ def _irls_stage(mesh, values, p, eps, free, free_mask, hat_norms, tol, max_iter)
             t *= 0.5
         if not accepted:
             # No measurable descent left at machine precision.
-            stat = _stationarity(mesh, values, p, eps, free_mask, hat_norms)
             return values, it + 1, stat, False
         if e_trial > energy * (1.0 + 1e-12) + 1e-300:
             raise PLaplaceError(
@@ -182,7 +317,8 @@ def _irls_stage(mesh, values, p, eps, free, free_mask, hat_norms, tol, max_iter)
                 best_field=None,
             )
         values, energy = trial, e_trial
-    stat = _stationarity(mesh, values, p, eps, free_mask, hat_norms)
+    _, _, s = _energy_gradient(mesh, values, p, eps)
+    stat = _stationarity(energy, s, p, free_mask, hat_norms)
     return values, max_iter, stat, True
 
 
@@ -202,9 +338,13 @@ def solve_p_laplace(problem):
     at p = 2, continues multiplicatively in p (steps bounded by the
     problem's step factor), then drives the regularization down a
     decade at a time to eps_final.  The regularized energy never
-    increases along accepted steps.  If the final stationarity misses
-    the problem tolerance a PLaplaceError carrying the best iterate is
-    raised.
+    increases along accepted steps.  The mesh and the free set are fixed
+    throughout, so one band layout under one reverse Cuthill-McKee
+    ordering serves every IRLS factorization of the solve (see
+    _BandedStiffness).  If the final stationarity misses the problem
+    tolerance, the hat-gradient norms or an energy overflow double
+    precision, or a reweighted system cannot be factored, a
+    PLaplaceError carrying the best iterate is raised.
     """
     mesh = problem.mesh
     fixed = np.asarray(sorted(problem.constraint_vertices), dtype=np.int64)
@@ -245,15 +385,25 @@ def solve_p_laplace(problem):
     eps0 = problem.eps_start_factor * scale
     eps_final = problem.eps_final if problem.eps_final is not None else 1e-8 * scale
 
-    hat_norms = fem.hat_gradient_p_norms(mesh, problem.p)
+    def hat_norms_at(p):
+        hat_norms = _hat_norms_or_none(mesh, p)
+        if hat_norms is None:
+            raise PLaplaceError(
+                f"hat-gradient L^{p:g} norms overflow double precision; "
+                f"p is too large for this mesh",
+                best_field=fem.ScalarField(mesh, values),
+            )
+        return hat_norms
+
+    hat_norms = hat_norms_at(problem.p)
     stage_tol = max(problem.tol, 1e-6)
+    band = _BandedStiffness(mesh, free)
 
     if problem.p != 2.0:
         for pk in _continuation_ladder(2.0, problem.p, problem.p_step)[1:]:
-            hn = fem.hat_gradient_p_norms(mesh, pk)
             values, iters, stat, _ = _irls_stage(
-                mesh, values, pk, eps0, free, free_mask, hn, stage_tol,
-                problem.max_inner,
+                mesh, values, pk, eps0, free, free_mask, band, hat_norms_at(pk),
+                stage_tol, problem.max_inner,
             )
             trace_log.append({"stage": "p_ladder", "p": pk, "eps": eps0,
                               "iterations": iters, "stationarity": stat})
@@ -266,15 +416,15 @@ def solve_p_laplace(problem):
     for j, eps in enumerate(eps_ladder):
         tol_here = problem.tol if j == len(eps_ladder) - 1 else stage_tol
         values, iters, stat, _ = _irls_stage(
-            mesh, values, problem.p, eps, free, free_mask, hat_norms, tol_here,
-            problem.max_inner,
+            mesh, values, problem.p, eps, free, free_mask, band, hat_norms,
+            tol_here, problem.max_inner,
         )
         trace_log.append({"stage": "eps_ladder", "p": problem.p, "eps": eps,
                           "iterations": iters, "stationarity": stat})
 
     u = fem.ScalarField(mesh, values)
     stat_true = p_stationarity(u, problem.p, problem.constraint_vertices)
-    if stat_true > problem.tol:
+    if not stat_true <= problem.tol:
         raise PLaplaceError(
             f"p-Laplace solve reached stationarity {stat_true:.3e} "
             f"> tolerance {problem.tol:.1e} within the iteration caps",

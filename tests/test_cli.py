@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from singfem.cli import ConfigError, compile_expression, config_hash, main, substream_seed
+from singfem.geometry import Mesh
 
 
 def write_config(path, payload):
@@ -79,6 +80,29 @@ def test_solve_laplace_end_to_end(tmp_path):
     values = np.asarray(payload["solution"]["values"])
     xs = np.asarray(payload["mesh"]["vertices"])[:, 0]
     assert np.max(np.abs(values - xs)) <= 1e-9
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("mesh", []),
+    ("solve-laplace", []),
+    ("solve-neumann", []),
+    ("solve-plap", ["--p", "3"]),
+])
+def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra):
+    calls = []
+    build = Mesh.to_json_dict
+    monkeypatch.setattr(Mesh, "to_json_dict", lambda self: calls.append(1) or build(self))
+    out = tmp_path / "run"
+    assert main([command, "--config", laplace_config(tmp_path), "--out", str(out),
+                 *extra]) == 0
+    assert len(calls) == 1
+    if command == "mesh":
+        payload = json.loads((out / "mesh.json").read_text())
+        digest = payload["mesh_hash"]
+    else:
+        payload = json.loads((out / "solution.json").read_text())
+        digest = payload["solution"]["mesh_hash"]
+    assert digest == Mesh.from_json_dict(payload["mesh"]).content_hash()
 
 
 def test_solve_laplace_refuses_changed_config_overwrite(tmp_path):
@@ -202,6 +226,35 @@ def test_solve_plap_requires_p_and_runs_certificate(tmp_path):
     assert payload["info"]["stationarity"] <= 1e-8
 
 
+def _plap_config(tmp_path, n, p):
+    return write_config(tmp_path / "plap.json", {
+        "domain": {"kind": "unit_square", "n": n},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "x*y"},
+        "p": p,
+    })
+
+
+@pytest.mark.parametrize("n, p", [(4, 1e300), (8, 1000)])
+def test_solve_plap_with_overflowing_p_exits_1(tmp_path, n, p):
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", _plap_config(tmp_path, n, p),
+                 "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "PLaplaceError" and record["exit_code"] == 1
+    assert not (out / "solution.json").exists()
+
+
+def test_solve_plap_rerun_is_byte_identical(tmp_path):
+    cfg = _plap_config(tmp_path, 6, 3.0)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["solve-plap", "--config", cfg, "--out", str(out),
+                     "--certificate"]) == 0
+    first, second = ((out / "solution.json").read_bytes() for out in runs)
+    assert first == second
+
+
 # -- verify and sweep --------------------------------------------------------------
 
 
@@ -236,3 +289,22 @@ def test_sweep_rerun_is_bit_identical(tmp_path):
 
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["verify", "holder_cusp"]])
+@pytest.mark.parametrize("p_values, message", [
+    ('["x"]', "expected a number"),
+    ("[null]", "expected a number"),
+    ("[1e309]", "must be finite"),
+])
+def test_bad_exponent_lists_are_usage_errors(tmp_path, command, p_values, message):
+    path = tmp_path / "s.json"
+    path.write_text(
+        '{"domain": {"kind": "unit_square", "n": 2}, '
+        '"partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]}, '
+        f'"p_values": {p_values}}}'
+    )
+    out = tmp_path / "run"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and message in record["message"]
