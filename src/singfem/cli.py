@@ -302,7 +302,7 @@ def _print_checks(report):
 
 def _cmd_mesh(args, cfg, out_dir):
     mesh, dom, levels = _domain_from_config(cfg)
-    _warn_unknown(set(cfg) - {"domain", "refine", "seed", "threads"}, "")
+    _warn_unknown(set(cfg) - {"domain", "refine", "seed"}, "")
     effective = {"command": "mesh", "domain": dom, "refine": levels}
     h = config_hash(effective)
     mesh_dict = _hashed_mesh_dict(mesh)
@@ -330,7 +330,7 @@ def _solve_config(args, cfg, needs_dirichlet):
 def _cmd_solve_laplace(args, cfg, out_dir):
     mesh, dom, levels, partition, part_cfg, data = _solve_config(args, cfg, True)
     _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "rtol",
-                              "seed", "threads"}, "")
+                              "seed"}, "")
     _warn_unknown(set(data) - {"f", "g", "theta"}, "data.")
     g = _scalar_from_expr(mesh, data.get("g", "0"), "data.g")
     f = _scalar_from_expr(mesh, data.get("f", "0"), "data.f")
@@ -372,7 +372,7 @@ def _cmd_solve_neumann(args, cfg, out_dir):
     if args.gauge is not None:
         cfg["gauge"] = args.gauge
     _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "gauge",
-                              "rtol", "seed", "threads"}, "")
+                              "rtol", "seed"}, "")
     _warn_unknown(set(data) - {"g", "theta"}, "data.")
     gauge = cfg.get("gauge", "mean")
     if gauge not in ("mean", "vertex"):
@@ -410,7 +410,7 @@ def _cmd_solve_plap(args, cfg, out_dir):
             cfg[flag] = getattr(args, flag)
     mesh, dom, levels, partition, part_cfg, data = _solve_config(args, cfg, True)
     _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "p", "tol",
-                              "certificate", "seed", "threads"}, "")
+                              "certificate", "seed"}, "")
     _warn_unknown(set(data) - {"f"}, "data.")
     if "p" not in cfg:
         raise ConfigError("p: required for solve-plap")
@@ -430,9 +430,7 @@ def _cmd_solve_plap(args, cfg, out_dir):
         "p": p, "tol": tol, "certificate": want_cert, "seed": seed,
     }
     h = config_hash(effective)
-    problem = PlapProblem(mesh, constraint, f, p=p, tol=tol,
-                          seed=substream_seed(seed, "plap:warm_start"))
-    u, report = solve_p_laplace(problem)
+    u, report = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
     info = {
         "energy": float(report.energy),
         "stationarity": float(report.stationarity),
@@ -520,10 +518,7 @@ def _holder_report(cfg):
 
     rows, meas = [], {"h": [], "p": [], "alpha": [], "fit_quality": []}
     for idx, p in enumerate(p_values):
-        u, _ = solve_p_laplace(
-            PlapProblem(mesh, constraint, f, p=p, tol=1e-8,
-                        seed=substream_seed(seed, f"holder:p={p!r}"))
-        )
+        u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=1e-8))
         alpha, r2 = verify.holder_exponent(
             mesh, u, n_pairs=n_pairs, seed=substream_seed(seed, "holder:pairs")
         )
@@ -552,7 +547,7 @@ def _holder_report(cfg):
 def _cmd_verify(args, cfg, out_dir):
     name = args.experiment
     _warn_unknown(set(cfg) - {"levels", "base_n", "p", "p_values", "k", "n",
-                              "n_pairs", "r_in_schedule", "seed", "threads"}, "")
+                              "n_pairs", "r_in_schedule", "seed"}, "")
     effective = {"command": "verify", "experiment": name,
                  "config": {k: cfg[k] for k in sorted(cfg)}}
     h = config_hash(effective)
@@ -601,7 +596,7 @@ def _cmd_sweep(args, cfg, out_dir):
     if not isinstance(data, dict):
         raise ConfigError("data: expected an object")
     _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "p_values",
-                              "levels", "tol", "seed", "threads"}, "")
+                              "levels", "tol", "seed"}, "")
     _warn_unknown(set(data) - {"f"}, "data.")
     f_expr = data.get("f", "0")
     p_values = _p_values_field(cfg, [2.0, 3.0])
@@ -639,11 +634,8 @@ def _cmd_sweep(args, cfg, out_dir):
                                "neumann": part_cfg["neumann"]}}, mesh)
             f = _scalar_from_expr(mesh, f_expr, "data.f")
             constraint = frozenset(int(v) for v in part.region_vertices("dirichlet"))
-            cell_seed = substream_seed(seed, f"sweep:p={p!r}:level={lev}")
             try:
-                u, rep = solve_p_laplace(
-                    PlapProblem(mesh, constraint, f, p=p, tol=tol, seed=cell_seed)
-                )
+                u, rep = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
                 energy, stat, status = rep.energy, rep.stationarity, "ok"
                 alpha, fit = verify.holder_exponent(
                     mesh, u, n_pairs=1200,
@@ -683,8 +675,6 @@ def _build_parser():
                         help="output directory (default: current directory)")
     common.add_argument("--seed", type=int, default=None,
                         help="base seed for all random substreams")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (reserved; execution is serial)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -746,20 +736,17 @@ def main(argv=None):
         cfg = _load_file_config(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.threads is not None:
-            cfg["threads"] = args.threads
         seed = cfg.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
-        threads = cfg.get("threads", 1)
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise ConfigError(f"threads: must be an integer >= 1, got {threads!r}")
         return int(args.func(args, cfg, out_dir))
     except ConfigError as exc:
         _emit_error(out_dir, exc, 2)
         return 2
     except (MeshError, PartitionError, fem.FieldError, SolverError,
-            CompatibilityError, PLaplaceError) as exc:
+            CompatibilityError, PLaplaceError, ValueError) as exc:
+        # A library ValueError that no configuration check caught is a
+        # failed run, not a configuration error.
         _emit_error(out_dir, exc, 1)
         return 1
 

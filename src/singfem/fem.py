@@ -180,13 +180,8 @@ def w1p_norm(u, p):
 
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSR), exact on products of P1 fields."""
-    nt = mesh.num_triangles
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    data = (mesh.areas[:, None, None] * local).ravel()
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    return coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
+    return _assemble(mesh, mesh.areas[:, None, None] * local)
 
 
 def stiffness_matrix(mesh, weights=None):
@@ -194,9 +189,18 @@ def stiffness_matrix(mesh, weights=None):
     gl = mesh.grad_lambda
     w = mesh.areas if weights is None else mesh.areas * np.asarray(weights)
     local = np.einsum("tid,tjd->tij", gl, gl) * w[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    return _assemble(mesh, local)
+
+
+def _assemble(mesh, local):
+    """CSR matrix summing the (nt, 3, 3) element matrices into place.
+    The COO indices are int32 when the mesh allows it, which is what
+    SciPy would convert them to; building them so skips two int64 copies
+    of nine entries per triangle."""
     nv = mesh.num_vertices
+    tri = mesh.triangles.astype(np.int32 if nv < 2**31 else np.int64)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
     return coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 
@@ -104,6 +104,12 @@ class Mesh:
     lengths and adjacent triangles) are computed at construction; all
     arrays are frozen and no attribute can be reassigned afterwards, so
     the content hash is computed at most once.
+
+    A mesh made by `refine` also records its refinement chain: `parent`
+    is the coarse mesh and `prolongation` the sparse (nv, parent nv)
+    matrix P with P @ v == prolong(parent, v).  Other meshes, including
+    those read back from JSON, have neither; neither enters the JSON form
+    or the content hash.
     """
 
     vertices: np.ndarray
@@ -116,6 +122,8 @@ class Mesh:
     boundary_lengths: np.ndarray = field(init=False, repr=False)
     boundary_normals: np.ndarray = field(init=False, repr=False)
     boundary_tri: np.ndarray = field(init=False, repr=False)
+    parent: Mesh | None = field(default=None, init=False, repr=False)
+    prolongation: csr_matrix | None = field(default=None, init=False, repr=False)
     _hash: str | None = field(default=None, init=False, repr=False)
 
     def __setattr__(self, name, value):
@@ -522,7 +530,8 @@ def refine(mesh):
     4t..4t+3 as (v0, m01, m20), (v1, m12, m01), (v2, m20, m12),
     (m01, m12, m20).  Coarse nodal fields therefore prolong exactly
     (see `prolong`).  The polygonal domain, hence the total area, is
-    preserved exactly.
+    preserved exactly.  The child records `mesh` as its parent and the
+    prolongation matrix of `prolong` (see Mesh).
     """
     pairs, edge_of = _edge_midpoint_order(mesh.triangles)
     nv = mesh.num_vertices
@@ -549,7 +558,18 @@ def refine(mesh):
     if np.any(parent < 0):  # pragma: no cover - structural guarantee
         raise MeshError("child boundary edge has no parent boundary edge")
     tags = tuple(mesh.boundary_tags[i] for i in parent.tolist())
-    return Mesh(vertices, triangles, edges, tags, mesh.singular_vertices)
+    child = Mesh(vertices, triangles, edges, tags, mesh.singular_vertices)
+
+    # Identity on the old vertices, the endpoint average on the midpoints.
+    mid = nv + np.arange(len(pairs))
+    prolongation = csr_matrix(
+        (np.r_[np.ones(nv), np.full(2 * len(pairs), 0.5)],
+         (np.r_[np.arange(nv), np.repeat(mid, 2)], np.r_[np.arange(nv), pairs.ravel()])),
+        shape=(len(vertices), nv),
+    )
+    object.__setattr__(child, "parent", mesh)
+    object.__setattr__(child, "prolongation", prolongation)
+    return child
 
 
 def prolong(mesh, values):

@@ -21,7 +21,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import fem
-from .laplace import conjugate_gradient
+# Not called here: the p = 2 warm start is a band solve.  The name stays
+# bound because perfbench/tracer.py patches it in this module.
+from .laplace import conjugate_gradient  # noqa: F401
 
 
 class PLaplaceError(RuntimeError):
@@ -70,7 +72,8 @@ class PlapProblem:
     eps_final : final regularization, or None for 1e-8 * scale where
         scale is the 2-energy of the p = 2 warm start
     tol : target first-order stationarity of the returned minimizer
-    seed : seeds the warm start's CG initial iterate
+    seed : has no effect (the p = 2 warm start is a direct solve); kept
+        for interface stability and slated for removal
     """
 
     mesh: object
@@ -241,21 +244,10 @@ class _BandedStiffness:
         return out
 
 
-def _irls_step(mesh, values, w, s, free, band):
-    """Solve the reweighted system K_ff(w) delta = -s_f by band Cholesky,
-    or by SuperLU when the band was too wide to keep.  A non-positive
-    pivot from rounding is rescued by SuperLU on the same weights;
-    non-finite weights or a SuperLU failure raise PLaplaceError carrying
-    the iterate."""
-    wmax = float(w.max())
-    if not math.isfinite(wmax):
-        raise PLaplaceError("IRLS weights are not finite",
-                            best_field=fem.ScalarField(mesh, values))
-    # Tiny relative floor keeps the reweighted matrix factorable where
-    # the gradient degenerates; the step stays a descent direction
-    # because the floored matrix is still SPD.
-    w = w + 1e-14 * wmax
-    rhs = -s[free]
+def _solve_reweighted(mesh, values, w, free, band, rhs):
+    """K_ff(w)^-1 rhs by band Cholesky, or by SuperLU when the band was
+    too wide to keep or meets a non-positive pivot from rounding; a
+    SuperLU failure raises PLaplaceError carrying the iterate."""
     if band.ab is not None:
         try:
             return band.solve(w, rhs)
@@ -267,6 +259,19 @@ def _irls_step(mesh, values, w, s, free, band):
     except RuntimeError as exc:
         raise PLaplaceError(f"reweighted IRLS system is singular ({exc})",
                             best_field=fem.ScalarField(mesh, values)) from exc
+
+
+def _irls_step(mesh, values, w, s, free, band):
+    """Solve the reweighted system K_ff(w) delta = -s_f (see _solve_reweighted);
+    non-finite weights raise PLaplaceError carrying the iterate."""
+    wmax = float(w.max())
+    if not math.isfinite(wmax):
+        raise PLaplaceError("IRLS weights are not finite",
+                            best_field=fem.ScalarField(mesh, values))
+    # Tiny relative floor keeps the reweighted matrix factorable where
+    # the gradient degenerates; the step stays a descent direction
+    # because the floored matrix is still SPD.
+    return _solve_reweighted(mesh, values, w + 1e-14 * wmax, free, band, -s[free])
 
 
 def _irls_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol,
@@ -340,8 +345,8 @@ def solve_p_laplace(problem):
     decade at a time to eps_final.  The regularized energy never
     increases along accepted steps.  The mesh and the free set are fixed
     throughout, so one band layout under one reverse Cuthill-McKee
-    ordering serves every IRLS factorization of the solve (see
-    _BandedStiffness).  If the final stationarity misses the problem
+    ordering serves the warm start (the system at unit weights) and every
+    IRLS factorization of the solve (see _BandedStiffness).  If the final stationarity misses the problem
     tolerance, the hat-gradient norms or an energy overflow double
     precision, or a reweighted system cannot be factored, a
     PLaplaceError carrying the best iterate is raised.
@@ -364,19 +369,13 @@ def solve_p_laplace(problem):
             certificate=None,
         )
 
-    # p = 2 warm start (a plain linear solve).
-    K = fem.stiffness_matrix(mesh)
-    Kc = K.tocsc()
-    rhs = -(Kc[free][:, fixed] @ values[fixed])
-    if problem.seed is None:
-        x0 = None
-    else:
-        rng = np.random.default_rng(problem.seed)
-        x0 = rng.standard_normal(len(free))
-    values[free], warm_iters = conjugate_gradient(
-        Kc[free][:, free].tocsr(), rhs, x0=x0, rtol=1e-12, maxiter=20 * len(free)
-    )
-    trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": warm_iters})
+    # p = 2 warm start: K_ff u_f = -K_fc u_c, the reweighted system at
+    # unit weights.  values is zero on the free vertices for the product.
+    band = _BandedStiffness(mesh, free)
+    values[free] = 0.0
+    rhs = -(fem.stiffness_matrix(mesh) @ values)[free]
+    values[free] = _solve_reweighted(mesh, values, np.ones(mesh.num_triangles), free, band, rhs)
+    trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
 
     u2 = fem.ScalarField(mesh, values.copy())
     scale = p_energy(u2, 2)
@@ -397,7 +396,6 @@ def solve_p_laplace(problem):
 
     hat_norms = hat_norms_at(problem.p)
     stage_tol = max(problem.tol, 1e-6)
-    band = _BandedStiffness(mesh, free)
 
     if problem.p != 2.0:
         for pk in _continuation_ladder(2.0, problem.p, problem.p_step)[1:]:

@@ -182,6 +182,32 @@ def test_nan_p_in_config_is_a_usage_error(tmp_path):
     assert "p: must be finite" in json.loads((out / "error.json").read_text())["message"]
 
 
+def test_library_value_error_exits_1_with_error_record(tmp_path, monkeypatch):
+    from singfem import cli
+
+    def failing_solve(*args, **kwargs):
+        raise ValueError("solver rejected its input")
+
+    monkeypatch.setattr(cli, "solve_mixed", failing_solve)
+    out = tmp_path / "run"
+    assert main(["solve-laplace", "--config", laplace_config(tmp_path),
+                 "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "ValueError", "message": "solver rejected its input",
+                      "exit_code": 1}
+    assert not (out / "solution.json").exists()
+
+
+def test_threads_flag_and_key_are_gone(tmp_path, capsys):
+    cfg = laplace_config(tmp_path, extra={"threads": 2})
+    with pytest.raises(SystemExit) as err:
+        main(["solve-laplace", "--config", cfg, "--out", str(tmp_path / "a"),
+              "--threads", "2"])
+    assert err.value.code == 2
+    assert main(["solve-laplace", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
 def test_incompatible_neumann_data_exits_1(tmp_path):
     cfg = write_config(tmp_path / "n.json", {
         "domain": {"kind": "unit_square", "n": 4},

@@ -268,6 +268,29 @@ def test_twice_refined_content_hash_is_pinned(build, digest):
     assert refine(refine(build())).content_hash() == digest
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_cusp(3, 6),
+    lambda: build_annulus(0.3, 1.0, 4, 16),
+    lambda: build_unit_square(5),
+], ids=["cusp", "annulus", "unit_square"])
+def test_refine_records_the_chain_and_an_exact_prolongation(build):
+    m = build()
+    f = refine(m)
+    assert m.parent is None and m.prolongation is None
+    assert f.parent is m
+    assert f.prolongation.shape == (f.num_vertices, m.num_vertices)
+    values = np.random.default_rng(8).standard_normal(m.num_vertices)
+    assert (f.prolongation @ values).tobytes() == prolong(m, values).tobytes()
+    assert refine(f).parent is f
+
+
+def test_mesh_read_back_from_json_has_no_parent():
+    f = refine(build_unit_square(3))
+    back = Mesh.from_json_dict(f.to_json_dict())
+    assert back.parent is None and back.prolongation is None
+    assert back.content_hash() == f.content_hash()
+
+
 def test_prolong_rejects_wrong_length():
     m = build_unit_square(2)
     with pytest.raises(MeshError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from singfem import (
     CompatibilityError,
@@ -18,8 +18,9 @@ from singfem import (
     w1p_norm,
     weak_residual,
 )
-from singfem.fem import FieldError, flux_trace_from_function, mass_matrix
-from singfem.geometry import PartitionError
+from singfem import laplace
+from singfem.fem import FieldError, flux_trace_from_function, mass_matrix, stiffness_matrix
+from singfem.geometry import PartitionError, build_annulus, build_cusp, refine
 from singfem.laplace import conjugate_gradient
 
 
@@ -262,3 +263,95 @@ def test_weak_residual_flags_perturbations(square, mixed_part):
     assert weak_residual(mixed_part, u, g) <= 1e-10
     bad = ScalarField(square, u.values + 1e-3 * np.sin(np.arange(square.num_vertices)))
     assert weak_residual(mixed_part, bad, g) > 1e-6
+
+
+# -- multigrid-preconditioned solves ----------------------------------------------
+
+
+_CHAINS = {
+    "square": (lambda: build_unit_square(6), ("left", "right"), ("bottom", "top")),
+    "annulus": (lambda: build_annulus(0.3, 1.0, 4, 16), ("inner",), ("outer",)),
+    "cusp": (lambda: build_cusp(3.0, 4), ("right",), ("lower", "upper")),
+}
+
+
+def _chain_mesh(name, levels):
+    build, dirichlet, neumann = _CHAINS[name]
+    mesh = build()
+    for _ in range(levels):
+        mesh = refine(mesh)
+    return mesh, partition_by_tags(mesh, dirichlet=dirichlet, neumann=neumann)
+
+
+@pytest.mark.parametrize("extra_constraints", [False, True],
+                         ids=["tag_free_set", "random_free_set"])
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_multigrid_cg_matches_superlu(name, extra_constraints):
+    mesh, part = _chain_mesh(name, 2)
+    rng = np.random.default_rng(4)
+    mask = np.ones(mesh.num_vertices, dtype=bool)
+    mask[part.region_vertices("dirichlet")] = False
+    if extra_constraints:
+        mask[rng.choice(mesh.num_vertices, size=mesh.num_vertices // 10,
+                        replace=False)] = False
+    free = np.nonzero(mask)[0]
+    K = stiffness_matrix(mesh)
+    rhs = rng.standard_normal(len(free))
+    x, iterations = laplace._solve_free(mesh, K, free, rhs, None, 1e-12)
+    ref = splu(K.tocsc()[:, free][free].tocsc()).solve(rhs)
+    assert iterations > 1
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def _iterations(mesh, part):
+    g = ScalarField.from_function(mesh, lambda x, y: np.sin(4.0 * x * y))
+    f = ScalarField.from_function(mesh, lambda x, y: x * x - y)
+    _, info = solve_mixed(MixedProblem(part, g, f))
+    return info["iterations"]
+
+
+def test_multigrid_iterations_stay_flat_under_refinement():
+    mesh = build_unit_square(4)
+    counts = []
+    for _ in range(5):
+        mesh = refine(mesh)
+        part = partition_by_tags(mesh, dirichlet=("left", "right"),
+                                 neumann=("bottom", "top"))
+        counts.append(_iterations(mesh, part))
+    assert max(counts) <= 25
+    assert max(counts) <= 1.5 * counts[0]
+
+
+def test_unrefined_mesh_is_solved_by_the_direct_root(square, mixed_part):
+    assert _iterations(square, mixed_part) <= 2
+
+
+def test_chain_with_an_empty_coarse_level():
+    # every vertex of the one-cell square lies on the Dirichlet boundary,
+    # so only the refined mesh has free vertices
+    mesh = refine(build_unit_square(1))
+    part = partition_by_tags(mesh, dirichlet=("left", "right", "bottom", "top"))
+    assert _iterations(mesh, part) <= 2
+
+
+def test_refined_cusp_solves_through_the_one_cg_entry(monkeypatch):
+    mesh, part = _chain_mesh("cusp", 3)
+    calls = []
+    cg = laplace.conjugate_gradient
+    monkeypatch.setattr(laplace, "conjugate_gradient",
+                        lambda *a, **k: calls.append(1) or cg(*a, **k))
+    assert _iterations(mesh, part) > 0  # no SolverError breakdown
+    assert len(calls) == 1
+
+
+def test_vertex_gauge_takes_the_multigrid_path():
+    mesh = refine(refine(build_unit_square(4)))
+    part = partition_by_tags(mesh, neumann=("left", "right", "bottom", "top"))
+    theta = flux_trace_from_function(part, "boundary", lambda x, y, nx, ny: nx * y + ny * x)
+    g = ScalarField.constant(mesh, 0.0)
+    problem = NeumannProblem(part, g, theta)
+    u_vertex, info = solve_neumann(problem, gauge="vertex")
+    u_mean, _ = solve_neumann(problem, gauge="mean")
+    assert info["iterations"] <= 25
+    shift = u_vertex.values - u_mean.values
+    assert np.ptp(shift) <= 1e-9

@@ -417,3 +417,21 @@ def test_nan_stationarity_is_not_a_success(square, side_constraints, monkeypatch
     with pytest.raises(PLaplaceError, match="nan") as err:
         solve_p_laplace(_irls_problem(square, side_constraints))
     assert isinstance(err.value.best_field, ScalarField)
+
+
+def test_warm_start_is_a_band_solve_with_no_cg_call(square, side_constraints,
+                                                    monkeypatch):
+    from singfem import laplace
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("conjugate_gradient called")
+
+    monkeypatch.setattr(laplace, "conjugate_gradient", no_cg)
+    monkeypatch.setattr(plaplace, "conjugate_gradient", no_cg)
+    problem = _irls_problem(square, side_constraints)
+    u, report = solve_p_laplace(problem)
+    assert report.stationarity <= problem.tol
+    assert report.iterations[0] == {"stage": "warm_start", "p": 2.0, "iterations": 0}
+    # the seed no longer enters the solve
+    problem.seed = 123
+    assert np.array_equal(solve_p_laplace(problem)[0].values, u.values)
