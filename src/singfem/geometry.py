@@ -803,16 +803,14 @@ def partition_by_tags(mesh, dirichlet=(), neumann=(), constraint_vertices=()):
 NEG_INF = float("-inf")
 
 
-def p_threshold(partition, dim_constraint_frontier=NEG_INF, dim_singular=NEG_INF):
+def p_threshold(dim_constraint_frontier=NEG_INF, dim_singular=NEG_INF):
     """Threshold exponent 2 - max(declared dimensions).
 
     The two declared dimensions (of the constraint set's frontier
     inside the boundary, and of the singular set) are caller-supplied
     metadata, each -inf (empty) or an integer below the ambient
-    dimension 2.  Returns +inf when both are -inf.  The partition
-    argument carries context only; declarations are authoritative.
+    dimension 2.  Returns +inf when both are -inf.
     """
-    del partition
     for name, d in (
         ("dim_constraint_frontier", dim_constraint_frontier),
         ("dim_singular", dim_singular),

@@ -4,15 +4,15 @@ Dirichlet data is imposed strongly at the vertices of the Dirichlet
 edges (which includes the singular vertices adjacent to them); the
 remaining symmetric positive definite block K_ff over the free vertices
 is solved by conjugate gradients preconditioned with a geometric
-multigrid V-cycle over the mesh's refinement chain (see `_multigrid`):
-11 to 16 iterations on every level of a refined square or annulus, so
-the solve costs O(N).  The chain's root block is factored by SuperLU,
-so an unrefined mesh, a one-level chain, is solved directly (it needs
-SuperLU's memory rather than CG's).  The pure-Neumann problem is gauged
-to zero mean after a compatibility check; the zero-mean gauge iterates
-on the singular full matrix with a projection and keeps diagonal
-(Jacobi) preconditioning, while the vertex gauge pins vertex 0 and takes
-the multigrid path.
+multigrid V-cycle over the mesh's refinement chain (see `_free_solver`
+and `_multigrid`): 11 to 16 iterations on every level of a refined
+square or annulus, so the solve costs O(N).  The chain's root block is
+factored by SuperLU, so an unrefined mesh, a one-level chain, is solved
+directly (it needs SuperLU's memory rather than CG's).  The
+pure-Neumann problem is checked for compatibility and made definite by
+pinning vertex 0, so it takes the same free-block solve; the zero-mean
+gauge then subtracts the solution's mean.  The Poincare routines in
+`verify` solve through the same path.
 """
 
 from __future__ import annotations
@@ -43,36 +43,21 @@ class CompatibilityError(ValueError):
         self.defect = defect
 
 
-def conjugate_gradient(A, b, x0=None, rtol=1e-12, maxiter=None, project=None,
-                       precondition=None):
+def conjugate_gradient(A, b, precondition, x0=None, rtol=1e-12, maxiter=None):
     """Preconditioned conjugate gradients for a sparse SPD system.
 
     `precondition` maps a residual r to z = B r for a symmetric positive
-    definite B approximating A^-1; None selects diagonal (Jacobi)
-    preconditioning.  Terminates when the recursively updated residual
-    satisfies ||r|| <= rtol * ||b||.  `project`, when given, is applied
-    to the initial iterate and to every residual to keep the iteration
-    inside the range of a semidefinite A.  Returns (x, iterations);
-    raises SolverError past the iteration cap, on breakdown (a search
-    direction with d.Ad <= 0, so A is not positive definite on the
-    iteration space) and on a non-finite residual.
+    definite B approximating A^-1.  Terminates when the recursively
+    updated residual satisfies ||r|| <= rtol * ||b||.  Returns
+    (x, iterations); raises SolverError past the iteration cap, on
+    breakdown (a search direction with d.Ad <= 0, so A is not positive
+    definite) and on a non-finite residual.
     """
     n = A.shape[0]
     if maxiter is None:
         maxiter = max(20 * n, 50)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if project is not None:
-        x = project(x)
-    if precondition is None:
-        diag = A.diagonal()
-        dinv = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-
-        def precondition(r):
-            return dinv * r
-
     r = b - A @ x
-    if project is not None:
-        r = project(r)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         bnorm = 1.0
@@ -93,8 +78,6 @@ def conjugate_gradient(A, b, x0=None, rtol=1e-12, maxiter=None, project=None,
         alpha = rz / dq
         x += alpha * d
         r -= alpha * q
-        if project is not None:
-            r = project(r)
         rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
             raise SolverError(
@@ -160,12 +143,21 @@ def _multigrid(mesh, A, free):
     return cycle
 
 
-def _solve_free(mesh, K, free, rhs, x0, rtol):
-    """Solve K[free][:, free] x = rhs by multigrid-preconditioned CG."""
+def _free_solver(mesh, K, free, rtol):
+    """Solver for K[free][:, free] x = rhs.
+
+    Extracts the block and builds its V-cycle once; the returned
+    solve(rhs, x0=None) -> (x, iterations) runs multigrid-preconditioned
+    CG to relative residual rtol and may be called for many right-hand
+    sides.
+    """
     K_ff = K.tocsc()[:, free][free].tocsr()
-    start = None if x0 is None else x0.values[free]
-    return conjugate_gradient(K_ff, rhs, x0=start, rtol=rtol, maxiter=20 * len(free),
-                              precondition=_multigrid(mesh, K_ff, free))
+    cycle = _multigrid(mesh, K_ff, free)
+
+    def solve(rhs, x0=None):
+        return conjugate_gradient(K_ff, rhs, cycle, x0=x0, rtol=rtol)
+
+    return solve
 
 
 @dataclass(eq=False)
@@ -284,7 +276,8 @@ def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL
     if len(free):
         # u is zero on the free vertices here, so (K u)_f = K_fc u_c.
         rhs = b[free] - (K @ u)[free]
-        u[free], iterations = _solve_free(mesh, K, free, rhs, x0, rtol)
+        start = None if x0 is None else x0.values[free]
+        u[free], iterations = _free_solver(mesh, K, free, rtol)(rhs, start)
 
     field = fem.ScalarField(mesh, u)
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
@@ -302,10 +295,13 @@ def solve_neumann(problem, gauge="mean", x0=None, rtol=1e-12,
     """Solve the pure-Neumann problem; returns (ScalarField, info dict).
 
     Incompatible data is rejected with CompatibilityError carrying the
-    defect.  gauge "mean" (default) returns the zero-mean solution
-    (mean against the domain measure); gauge "vertex" pins vertex 0 to
-    zero instead, which differs from the default by a constant.
+    defect.  The solve pins vertex 0 to zero, which makes the free block
+    positive definite; gauge "vertex" returns that solution, gauge
+    "mean" (default) shifts it to zero mean against the domain measure.
+    x0 optionally seeds the CG iteration in either gauge.
     """
+    if gauge not in ("mean", "vertex"):
+        raise ValueError(f"unknown gauge {gauge!r}; choose 'mean' or 'vertex'")
     partition = problem.partition
     mesh = partition.mesh
     defect = compatibility_defect(problem.g, problem.theta)
@@ -324,26 +320,14 @@ def solve_neumann(problem, gauge="mean", x0=None, rtol=1e-12,
     K = fem.stiffness_matrix(mesh)
     M = fem.mass_matrix(mesh)
     b = _theta_vector(partition, problem.theta) - M @ problem.g.values
-    nv = mesh.num_vertices
-
-    if gauge == "vertex":
-        free = np.arange(1, nv)
-        sol, iterations = _solve_free(mesh, K, free, b[free], x0, rtol)
-        u = np.concatenate(([0.0], sol))
-    elif gauge == "mean":
-        def project(v):
-            return v - v.mean()
-
-        start = None if x0 is None else x0.values
-        u, iterations = conjugate_gradient(
-            K, b - b.mean(), x0=start, rtol=rtol, maxiter=20 * nv, project=project
-        )
+    free = np.arange(1, mesh.num_vertices)
+    start = None if x0 is None else x0.values[free] - x0.values[0]
+    u = np.zeros(mesh.num_vertices)
+    u[free], iterations = _free_solver(mesh, K, free, rtol)(b[free], start)
+    if gauge == "mean":
         ones = fem.ScalarField.constant(mesh, 1.0)
         area = fem.scalar_inner(ones, ones)
-        weighted_mean = fem.scalar_inner(fem.ScalarField(mesh, u), ones) / area
-        u = u - weighted_mean
-    else:
-        raise ValueError(f"unknown gauge {gauge!r}")
+        u -= fem.scalar_inner(fem.ScalarField(mesh, u), ones) / area
 
     field = fem.ScalarField(mesh, u)
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)

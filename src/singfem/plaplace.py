@@ -82,10 +82,6 @@ class PlapProblem:
     p: float
     eps_final: float | None = None
     tol: float = 1e-8
-    p_step: float = 1.5
-    eps_start_factor: float = 1e-2
-    eps_div: float = 10.0
-    max_inner: int = 120
     seed: int | None = None
 
     def __post_init__(self):
@@ -102,8 +98,6 @@ class PlapProblem:
             raise fem.FieldError("constraint data lives on a different mesh")
         if self.eps_final is not None and self.eps_final < 0.0:
             raise ValueError("eps_final must be >= 0")
-        if not 1.0 < self.p_step <= 1.5:
-            raise ValueError("continuation step factor must lie in (1, 1.5]")
 
 
 def _grad_values(mesh, values):
@@ -274,8 +268,17 @@ def _irls_step(mesh, values, w, s, free, band):
     return _solve_reweighted(mesh, values, w + 1e-14 * wmax, free, band, -s[free])
 
 
-def _irls_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol,
-                max_iter):
+# The continuation schedule of solve_p_laplace: p grows by at most the
+# factor _P_STEP per stage; eps starts at _EPS_START_FACTOR times the
+# 2-energy of the warm start and falls by _EPS_DIV per stage; every stage
+# takes at most _MAX_INNER IRLS steps.
+_P_STEP = 1.5
+_EPS_START_FACTOR = 1e-2
+_EPS_DIV = 10.0
+_MAX_INNER = 120
+
+
+def _irls_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
     """Run damped IRLS at fixed (p, eps).  Returns (values, iters, stat,
     line_search_ok).  Each step makes one pass over the elements for the
     energy gradient and solves the reweighted system by band Cholesky
@@ -287,7 +290,7 @@ def _irls_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol,
             f"regularized {p:g}-energy overflows double precision",
             best_field=fem.ScalarField(mesh, values),
         )
-    for it in range(max_iter):
+    for it in range(_MAX_INNER):
         _, w, s = _energy_gradient(mesh, values, p, eps)
         stat = _stationarity(energy, s, p, free_mask, hat_norms)
         if stat <= tol:
@@ -324,7 +327,7 @@ def _irls_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol,
         values, energy = trial, e_trial
     _, _, s = _energy_gradient(mesh, values, p, eps)
     stat = _stationarity(energy, s, p, free_mask, hat_norms)
-    return values, max_iter, stat, True
+    return values, _MAX_INNER, stat, True
 
 
 def _continuation_ladder(start, target, factor):
@@ -340,15 +343,15 @@ def solve_p_laplace(problem):
     """Minimize the trace-constrained p-Dirichlet energy.
 
     Returns (ScalarField, OptimalityReport).  The solve is warm-started
-    at p = 2, continues multiplicatively in p (steps bounded by the
-    problem's step factor), then drives the regularization down a
-    decade at a time to eps_final.  The regularized energy never
-    increases along accepted steps.  The mesh and the free set are fixed
-    throughout, so one band layout under one reverse Cuthill-McKee
-    ordering serves the warm start (the system at unit weights) and every
-    IRLS factorization of the solve (see _BandedStiffness).  If the final stationarity misses the problem
-    tolerance, the hat-gradient norms or an energy overflow double
-    precision, or a reweighted system cannot be factored, a
+    at p = 2, continues multiplicatively in p (steps of at most a factor
+    _P_STEP), then drives the regularization down a decade at a time to
+    eps_final.  The regularized energy never increases along accepted
+    steps.  The mesh and the free set are fixed throughout, so one band
+    layout under one reverse Cuthill-McKee ordering serves the warm start
+    (the system at unit weights) and every IRLS factorization of the
+    solve (see _BandedStiffness).  If the final stationarity misses the
+    problem tolerance, the hat-gradient norms or an energy overflow
+    double precision, or a reweighted system cannot be factored, a
     PLaplaceError carrying the best iterate is raised.
     """
     mesh = problem.mesh
@@ -381,7 +384,7 @@ def solve_p_laplace(problem):
     scale = p_energy(u2, 2)
     if scale == 0.0:
         scale = 1.0
-    eps0 = problem.eps_start_factor * scale
+    eps0 = _EPS_START_FACTOR * scale
     eps_final = problem.eps_final if problem.eps_final is not None else 1e-8 * scale
 
     def hat_norms_at(p):
@@ -398,24 +401,22 @@ def solve_p_laplace(problem):
     stage_tol = max(problem.tol, 1e-6)
 
     if problem.p != 2.0:
-        for pk in _continuation_ladder(2.0, problem.p, problem.p_step)[1:]:
+        for pk in _continuation_ladder(2.0, problem.p, _P_STEP)[1:]:
             values, iters, stat, _ = _irls_stage(
-                mesh, values, pk, eps0, free, free_mask, band, hat_norms_at(pk),
-                stage_tol, problem.max_inner,
+                mesh, values, pk, eps0, free, free_mask, band, hat_norms_at(pk), stage_tol,
             )
             trace_log.append({"stage": "p_ladder", "p": pk, "eps": eps0,
                               "iterations": iters, "stationarity": stat})
 
     eps_ladder = [eps0]
     while eps_ladder[-1] > eps_final:
-        eps_ladder.append(max(eps_ladder[-1] / problem.eps_div, eps_final))
+        eps_ladder.append(max(eps_ladder[-1] / _EPS_DIV, eps_final))
     if eps_final > eps0:
         eps_ladder = [eps_final]
     for j, eps in enumerate(eps_ladder):
         tol_here = problem.tol if j == len(eps_ladder) - 1 else stage_tol
         values, iters, stat, _ = _irls_stage(
-            mesh, values, problem.p, eps, free, free_mask, band, hat_norms,
-            tol_here, problem.max_inner,
+            mesh, values, problem.p, eps, free, free_mask, band, hat_norms, tol_here,
         )
         trace_log.append({"stage": "eps_ladder", "p": problem.p, "eps": eps,
                           "iterations": iters, "stationarity": stat})

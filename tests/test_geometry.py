@@ -384,22 +384,18 @@ def test_uncovered_tag_is_an_error():
 
 
 def test_p_threshold_table():
-    m = build_unit_square(2)
-    part = partition_by_tags(m, neumann=("left", "right", "bottom", "top"))
     inf = float("inf")
-    assert p_threshold(part) == inf
-    assert p_threshold(part, dim_constraint_frontier=0) == 2.0
-    assert p_threshold(part, dim_singular=0) == 2.0
-    assert p_threshold(part, dim_constraint_frontier=0, dim_singular=0) == 2.0
-    assert p_threshold(part, dim_constraint_frontier=1) == 1.0
+    assert p_threshold() == inf
+    assert p_threshold(dim_constraint_frontier=0) == 2.0
+    assert p_threshold(dim_singular=0) == 2.0
+    assert p_threshold(dim_constraint_frontier=0, dim_singular=0) == 2.0
+    assert p_threshold(dim_constraint_frontier=1) == 1.0
 
 
 def test_p_threshold_rejects_bad_dimensions():
-    m = build_unit_square(2)
-    part = partition_by_tags(m, neumann=("left", "right", "bottom", "top"))
     with pytest.raises(ValueError):
-        p_threshold(part, dim_constraint_frontier=0.5)
+        p_threshold(dim_constraint_frontier=0.5)
     with pytest.raises(ValueError):
-        p_threshold(part, dim_singular=2)
+        p_threshold(dim_singular=2)
     with pytest.raises(ValueError):
-        p_threshold(part, dim_singular=-1)
+        p_threshold(dim_singular=-1)

@@ -19,7 +19,13 @@ from singfem import (
     weak_residual,
 )
 from singfem import laplace
-from singfem.fem import FieldError, flux_trace_from_function, mass_matrix, stiffness_matrix
+from singfem.fem import (
+    FieldError,
+    boundary_functional,
+    flux_trace_from_function,
+    mass_matrix,
+    stiffness_matrix,
+)
 from singfem.geometry import PartitionError, build_annulus, build_cusp, refine
 from singfem.laplace import conjugate_gradient
 
@@ -44,11 +50,20 @@ def neumann_part(square):
 # -- conjugate gradients ---------------------------------------------------------
 
 
+def _jacobi(A):
+    dinv = 1.0 / A.diagonal()
+    return lambda r: dinv * r
+
+
+def _identity(r):
+    return r
+
+
 def test_cg_matches_direct_solve(square):
     M = mass_matrix(square).tocsr()
     rng = np.random.default_rng(3)
     b = rng.standard_normal(M.shape[0])
-    x, iters = conjugate_gradient(M, b, rtol=1e-13)
+    x, iters = conjugate_gradient(M, b, _jacobi(M), rtol=1e-13)
     ref = spsolve(M.tocsc(), b)
     assert iters > 0
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -56,7 +71,7 @@ def test_cg_matches_direct_solve(square):
 
 def test_cg_zero_rhs_is_free(square):
     M = mass_matrix(square).tocsr()
-    x, iters = conjugate_gradient(M, np.zeros(M.shape[0]))
+    x, iters = conjugate_gradient(M, np.zeros(M.shape[0]), _jacobi(M))
     assert iters == 0
     assert not x.any()
 
@@ -66,7 +81,7 @@ def test_cg_iteration_cap_raises():
     A = sp.diags([-np.ones(199), 2.0 * np.ones(200), -np.ones(199)], (-1, 0, 1)).tocsr()
     b = np.ones(200)
     with pytest.raises(SolverError) as err:
-        conjugate_gradient(A, b, rtol=1e-14, maxiter=2)
+        conjugate_gradient(A, b, _jacobi(A), rtol=1e-14, maxiter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 0.0
 
@@ -75,11 +90,12 @@ def test_cg_breakdown_raises_instead_of_dividing_by_zero():
     # indefinite: the first search direction has d.Ad < 0
     A = sp.diags([1.0, -3.0]).tocsr()
     with pytest.raises(SolverError, match="broke down"):
-        conjugate_gradient(A, np.ones(2))
+        conjugate_gradient(A, np.ones(2), _identity)
     # a NaN tolerance never stops the loop; the exact solution then
     # leaves a zero search direction
     with pytest.raises(SolverError, match="broke down"):
-        conjugate_gradient(sp.identity(3, format="csr"), np.ones(3), rtol=float("nan"))
+        conjugate_gradient(sp.identity(3, format="csr"), np.ones(3), _identity,
+                           rtol=float("nan"))
 
 
 def test_cg_non_finite_iterate_raises():
@@ -87,7 +103,7 @@ def test_cg_non_finite_iterate_raises():
     A = sp.diags([1e-300, 1e-300]).tocsr()
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverError, match="non-finite"):
-        conjugate_gradient(A, np.full(2, 1e10))
+        conjugate_gradient(A, np.full(2, 1e10), _jacobi(A))
 
 
 def test_solves_assemble_the_stiffness_matrix_once(square, mixed_part, neumann_part,
@@ -254,6 +270,12 @@ def test_neumann_unknown_gauge(square, neumann_part):
     )
     with pytest.raises(ValueError, match="gauge"):
         solve_neumann(problem, gauge="median")
+    # the gauge is checked before the data: incompatible data (a unit
+    # load against zero flux) still reports the gauge
+    incompatible = NeumannProblem(neumann_part, ScalarField.constant(square, 1.0), theta)
+    with pytest.raises(ValueError, match="unknown gauge") as err:
+        solve_neumann(incompatible, gauge="median")
+    assert not isinstance(err.value, CompatibilityError)
 
 
 def test_weak_residual_flags_perturbations(square, mixed_part):
@@ -297,7 +319,7 @@ def test_multigrid_cg_matches_superlu(name, extra_constraints):
     free = np.nonzero(mask)[0]
     K = stiffness_matrix(mesh)
     rhs = rng.standard_normal(len(free))
-    x, iterations = laplace._solve_free(mesh, K, free, rhs, None, 1e-12)
+    x, iterations = laplace._free_solver(mesh, K, free, 1e-12)(rhs)
     ref = splu(K.tocsc()[:, free][free].tocsc()).solve(rhs)
     assert iterations > 1
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -355,3 +377,19 @@ def test_vertex_gauge_takes_the_multigrid_path():
     assert info["iterations"] <= 25
     shift = u_vertex.values - u_mean.values
     assert np.ptp(shift) <= 1e-9
+
+
+def test_mean_gauge_matches_a_pinned_superlu_solve():
+    mesh = refine(refine(build_unit_square(4)))
+    part = partition_by_tags(mesh, neumann=("left", "right", "bottom", "top"))
+    theta = flux_trace_from_function(part, "boundary", lambda x, y, nx, ny: nx * y + ny * x)
+    g = ScalarField.constant(mesh, 0.0)
+    u_mean, _ = solve_neumann(NeumannProblem(part, g, theta), gauge="mean")
+
+    K = stiffness_matrix(mesh).tocsc()
+    b = boundary_functional(part, theta) - mass_matrix(mesh) @ g.values
+    ref = np.zeros(mesh.num_vertices)
+    ref[1:] = splu(K[1:, 1:].tocsc()).solve(b[1:])
+    ones = ScalarField.constant(mesh, 1.0)
+    ref -= scalar_inner(ScalarField(mesh, ref), ones) / scalar_inner(ones, ones)
+    assert np.linalg.norm(u_mean.values - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -90,8 +90,6 @@ def test_problem_validation(square, side_constraints):
         PlapProblem(square, side_constraints, f, 1.0)
     with pytest.raises(ValueError, match="eps_final"):
         PlapProblem(square, side_constraints, f, 3.0, eps_final=-1.0)
-    with pytest.raises(ValueError, match="step factor"):
-        PlapProblem(square, side_constraints, f, 3.0, p_step=2.0)
     other = build_unit_square(2)
     with pytest.raises(FieldError):
         PlapProblem(square, side_constraints, ScalarField.constant(other, 0.0), 3.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from singfem import (
     Report,
@@ -20,6 +21,8 @@ from singfem import (
     write_report_csv,
     write_report_json,
 )
+from singfem import laplace
+from singfem.fem import mass_matrix, stiffness_matrix
 from singfem.verify import _pw_quotient
 
 
@@ -107,6 +110,36 @@ def test_poincare_mode_errors():
     part = partition_by_tags(mesh, neumann=("left", "right", "bottom", "top"))
     with pytest.raises(ValueError, match="no vertices"):
         poincare_constant_2(mesh, mode="trace", partition=part, region="dirichlet")
+
+
+@pytest.mark.parametrize("mode", ["wirtinger", "trace"])
+def test_poincare_constant_matches_a_sparse_eigen_solve(mode, monkeypatch):
+    mesh = build_unit_square(4)
+    for _ in range(3):
+        mesh = refine(mesh)
+    part = partition_by_tags(mesh, dirichlet=("left",), neumann=("right", "bottom", "top"))
+    iterations = []
+    cg = laplace.conjugate_gradient
+
+    def counted(*args, **kwargs):
+        x, its = cg(*args, **kwargs)
+        iterations.append(its)
+        return x, its
+
+    monkeypatch.setattr(laplace, "conjugate_gradient", counted)
+    c = poincare_constant_2(mesh, mode=mode, partition=part, region="dirichlet")
+
+    K = stiffness_matrix(mesh).tocsc()
+    M = mass_matrix(mesh).tocsc()
+    if mode == "wirtinger":
+        # the pencil is singular (constants); shift-invert about -1
+        lam = np.sort(eigsh(K, k=2, M=M, sigma=-1.0, return_eigenvectors=False))[1]
+    else:
+        free = np.setdiff1d(np.arange(mesh.num_vertices), part.region_vertices("dirichlet"))
+        K, M = K[free][:, free], M[free][:, free]
+        lam = eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+    assert c == pytest.approx(1.0 / math.sqrt(lam), rel=1e-6)
+    assert iterations and max(iterations) <= 25
 
 
 def test_lower_bound_p2_agrees_with_eigen_solve():
