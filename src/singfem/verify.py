@@ -249,6 +249,8 @@ def poincare_lower_bound_p(mesh, p, seeds=(0, 1, 2), iters=30, inits=None,
     best = 0.0
     best_field = None
     M = fem.mass_matrix(mesh)
+    # At p = 2 the system never changes: one solver serves every step.
+    solve = _free_solver(mesh, fem.stiffness_matrix(mesh), free, 1e-8) if p == 2 else None
     for v0 in starts:
         u = normalized(v0)
         if u is None:
@@ -257,21 +259,21 @@ def poincare_lower_bound_p(mesh, p, seeds=(0, 1, 2), iters=30, inits=None,
         if q > best:
             best, best_field = q, u.copy()
         for _ in range(iters):
-            g = np.einsum("tid,ti->td", mesh.grad_lambda, u[mesh.triangles])
-            mag2 = g[:, 0] ** 2 + g[:, 1] ** 2
             if p == 2:
-                K = fem.stiffness_matrix(mesh)
                 r = M @ u
             else:
+                g = np.einsum("tid,ti->td", mesh.grad_lambda, u[mesh.triangles])
+                mag2 = g[:, 0] ** 2 + g[:, 1] ** 2
                 floor = 1e-12 * float(mag2.max(initial=0.0)) + 1e-300
                 K = fem.stiffness_matrix(mesh, (mag2 + floor) ** ((p - 2.0) / 2.0))
+                solve = _free_solver(mesh, K, free, 1e-8)
                 cent = u[mesh.triangles].mean(axis=1)
                 per_tri = mesh.areas * np.abs(cent) ** (p - 1.0) * np.sign(cent) / 3.0
                 r = np.zeros(nv)
                 np.add.at(r, mesh.triangles, per_tri[:, None] * np.ones(3))
             y = np.zeros(nv)
             try:
-                y[free], _ = _free_solver(mesh, K, free, 1e-8)((r - r.mean())[free])
+                y[free], _ = solve((r - r.mean())[free])
             except SolverError:
                 break
             direction = normalized(y)

@@ -35,3 +35,27 @@ def test_tracer_installs_and_counts_a_refined_laplace_solve(tmp_path, monkeypatc
     assert metrics["laplace.cg_calls"] >= 1
     assert metrics["laplace.cg_iters"] >= 1
     assert metrics["geometry.refine_calls"] == 1
+
+
+def test_tracer_counts_a_p_laplace_solve_and_its_certificate(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "domain": {"kind": "unit_square", "n": 6},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "sin(3 * x * y) + x"},
+    }))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        rc = tracer.command(main, ["solve-plap", "--p", "4", "--certificate",
+                                   "--config", str(cfg), "--out", str(tmp_path / "run")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    spans = tracer.commands[-1]
+    metrics = tracer_mod.command_metrics(spans)
+    assert metrics["plaplace.irls_iters"] >= 1
+    assert metrics["plaplace.stages"] >= 1
+    assert any(s.key == "plaplace.certificate" for s in spans)

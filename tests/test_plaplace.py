@@ -27,7 +27,7 @@ from singfem import (
     vector_inner,
     w1p_norm,
 )
-from singfem import MixedProblem, fem, plaplace
+from singfem import MixedProblem, fem, plaplace, refine
 from singfem.fem import FieldError
 
 
@@ -199,6 +199,16 @@ def test_certificate_accepts_minimizer_and_rejects_perturbation(
     assert bad.certificate["violations"] > 0
 
 
+def test_certificate_takes_one_gradient_per_direction(square, side_constraints,
+                                                     monkeypatch):
+    u = ScalarField.from_function(square, lambda x, y: x + 0.2 * y * y)
+    calls, gradient = [], fem.gradient
+    monkeypatch.setattr(fem, "gradient", lambda f: calls.append(1) or gradient(f))
+    report = minimality_certificate(u, 3.0, side_constraints, trials=10, seed=5)
+    assert report.certificate["trials"] == 10
+    assert len(calls) == 1 + 10  # u once, then each direction once
+
+
 def test_certificate_on_flat_field(square, side_constraints):
     u = ScalarField.constant(square, 2.0)
     report = minimality_certificate(u, 3.0, side_constraints, trials=10, seed=0)
@@ -211,7 +221,7 @@ def test_report_rejects_negative_energy():
         OptimalityReport(energy=-1.0)
 
 
-# -- banded IRLS factor ------------------------------------------------------------
+# -- banded factor -----------------------------------------------------------------
 
 
 def _dense_from_band(ab):
@@ -224,11 +234,14 @@ def _dense_from_band(ab):
     return dense + np.tril(dense, -1).T
 
 
-@pytest.mark.parametrize("build", [
+MESHES = [
     lambda: build_unit_square(6),
     lambda: build_annulus(0.3, 1.0, 4, 16),
     lambda: build_cusp(3.0, 4),
-])
+]
+
+
+@pytest.mark.parametrize("build", MESHES)
 def test_band_assembly_matches_the_stiffness_block(build):
     mesh = build()
     rng = np.random.default_rng(11)
@@ -236,7 +249,7 @@ def test_band_assembly_matches_the_stiffness_block(build):
                               replace=False))
     w = rng.uniform(0.1, 10.0, mesh.num_triangles)
     system = plaplace._BandedStiffness(mesh, free)
-    ab = system.band(w)
+    ab = system.band(plaplace._element_entries(mesh, w))
     assert ab.flags.f_contiguous
     assert ab.shape == (system.bandwidth + 1, len(free))
     # entries past the matrix's last column stay zero
@@ -258,8 +271,8 @@ def test_band_solve_matches_superlu():
     assert system.bandwidth < len(free) // 4
     K_ff = fem.stiffness_matrix(mesh, w).tocsc()[free][:, free]
     ref = splu(K_ff.tocsc()).solve(rhs)
-    np.testing.assert_allclose(system.solve(w, rhs), ref, rtol=1e-10,
-                               atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_allclose(system.solve(plaplace._element_entries(mesh, w), rhs), ref,
+                               rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
 
 def test_band_with_a_single_free_vertex():
@@ -269,10 +282,11 @@ def test_band_with_a_single_free_vertex():
     system = plaplace._BandedStiffness(mesh, np.array([center]))
     assert system.bandwidth == 0
     k_cc = fem.stiffness_matrix(mesh, w)[center, center]
-    assert system.solve(w, np.array([3.0]))[0] == pytest.approx(3.0 / k_cc, rel=1e-14)
+    assert (system.solve(plaplace._element_entries(mesh, w), np.array([3.0]))[0]
+            == pytest.approx(3.0 / k_cc, rel=1e-14))
 
 
-def _irls_problem(square, side_constraints):
+def _p4_problem(square, side_constraints):
     f = ScalarField.from_function(square, lambda x, y: x + 0.3 * np.sin(3.0 * y))
     return PlapProblem(square, side_constraints, f, 4.0)
 
@@ -290,10 +304,10 @@ def test_solve_assembles_once_and_passes_the_gradient_once_per_step(
 
     monkeypatch.setattr(fem, "stiffness_matrix", counted("stiffness", assemble))
     monkeypatch.setattr(fem, "grad_test_vector", counted("grad_test", grad_test))
-    _, report = solve_p_laplace(_irls_problem(square, side_constraints))
+    _, report = solve_p_laplace(_p4_problem(square, side_constraints))
     stages = [s for s in report.iterations if s["stage"] != "warm_start"]
     assert calls["stiffness"] == 1  # the p = 2 warm start only
-    # one gradient pass per IRLS iteration and per stage exit, plus the
+    # one gradient pass per Newton step and per stage exit, plus the
     # final exact stationarity
     assert calls["grad_test"] == sum(s["iterations"] + 1 for s in stages) + 1
 
@@ -314,7 +328,7 @@ def test_stationarity_matches_its_direct_formula(square, side_constraints):
 
 def test_cholesky_breakdown_is_rescued_by_superlu(square, side_constraints,
                                                   monkeypatch):
-    problem = _irls_problem(square, side_constraints)
+    problem = _p4_problem(square, side_constraints)
     u_ref, _ = solve_p_laplace(problem)
 
     def breakdown(*args, **kwargs):
@@ -340,7 +354,7 @@ def test_double_factorization_failure_carries_the_iterate(square, side_constrain
     monkeypatch.setattr(plaplace, "cholesky_banded", breakdown)
     monkeypatch.setattr(plaplace, "splu", singular)
     with pytest.raises(PLaplaceError, match="singular") as err:
-        solve_p_laplace(_irls_problem(square, side_constraints))
+        solve_p_laplace(_p4_problem(square, side_constraints))
     assert isinstance(err.value.best_field, ScalarField)
 
 
@@ -360,7 +374,7 @@ def test_overflowing_exponent_is_an_error_not_a_success():
 
 
 def test_band_too_wide_to_keep_goes_to_superlu(square, side_constraints, monkeypatch):
-    problem = _irls_problem(square, side_constraints)
+    problem = _p4_problem(square, side_constraints)
     u_ref, ref = solve_p_laplace(problem)
     factor, calls = plaplace.splu, []
     monkeypatch.setattr(plaplace._BandedStiffness, "MAX_FILL", 0)
@@ -413,7 +427,7 @@ def test_exact_stationarity_is_finite_on_flat_elements_below_p_2(square,
 def test_nan_stationarity_is_not_a_success(square, side_constraints, monkeypatch):
     monkeypatch.setattr(plaplace, "p_stationarity", lambda *args: float("nan"))
     with pytest.raises(PLaplaceError, match="nan") as err:
-        solve_p_laplace(_irls_problem(square, side_constraints))
+        solve_p_laplace(_p4_problem(square, side_constraints))
     assert isinstance(err.value.best_field, ScalarField)
 
 
@@ -426,10 +440,113 @@ def test_warm_start_is_a_band_solve_with_no_cg_call(square, side_constraints,
 
     monkeypatch.setattr(laplace, "conjugate_gradient", no_cg)
     monkeypatch.setattr(plaplace, "conjugate_gradient", no_cg)
-    problem = _irls_problem(square, side_constraints)
+    problem = _p4_problem(square, side_constraints)
     u, report = solve_p_laplace(problem)
     assert report.stationarity <= problem.tol
     assert report.iterations[0] == {"stage": "warm_start", "p": 2.0, "iterations": 0}
     # the seed no longer enters the solve
     problem.seed = 123
     assert np.array_equal(solve_p_laplace(problem)[0].values, u.values)
+
+
+# -- Newton steps ------------------------------------------------------------------
+
+
+def _random_free_set(mesh, rng):
+    return np.sort(rng.choice(mesh.num_vertices, size=2 * mesh.num_vertices // 3,
+                              replace=False))
+
+
+def _hessian_entries(mesh, values, p, eps):
+    _, w, _, g, m = plaplace._energy_gradient(mesh, values, p, eps)
+    return plaplace._element_entries(mesh, w, g, (p - 2.0) * w / m)
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+@pytest.mark.parametrize("build", MESHES)
+def test_band_hessian_matches_a_central_difference_of_the_gradient(build, p):
+    mesh = build()
+    rng = np.random.default_rng(3)
+    free = _random_free_set(mesh, rng)
+    values = rng.standard_normal(mesh.num_vertices)
+    eps, h = 0.1, 1e-6
+    system = plaplace._BandedStiffness(mesh, free)
+    hessian = _dense_from_band(system.band(_hessian_entries(mesh, values, p, eps)))
+    ref = np.empty((len(free), len(free)))
+    for col, k in enumerate(free):
+        up, down = values.copy(), values.copy()
+        up[k] += h
+        down[k] -= h
+        s_up = plaplace._energy_gradient(mesh, up, p, eps)[2]
+        s_down = plaplace._energy_gradient(mesh, down, p, eps)[2]
+        ref[:, col] = (s_up[free] - s_down[free]) / (2.0 * h)
+    ref = ref[np.ix_(system.perm, system.perm)]
+    np.testing.assert_allclose(hessian, ref, rtol=1e-6, atol=1e-7 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("build", MESHES)
+def test_superlu_route_solves_the_band_matrix(build):
+    mesh = build()
+    rng = np.random.default_rng(8)
+    free = _random_free_set(mesh, rng)
+    entries = _hessian_entries(mesh, rng.standard_normal(mesh.num_vertices), 4.0, 0.1)
+    system = plaplace._BandedStiffness(mesh, free)
+    band = _dense_from_band(system.band(entries))
+    block = plaplace._sparse_block(mesh, entries, free).toarray()
+    block = block[np.ix_(system.perm, system.perm)]
+    np.testing.assert_allclose(band, block, rtol=1e-13, atol=1e-13 * np.abs(block).max())
+
+
+def _probe_square():
+    """Unit square n = 32, Dirichlet left/right, f = sin(3xy) + y."""
+    mesh = build_unit_square(32)
+    part = partition_by_tags(mesh, dirichlet=("left", "right"), neumann=("bottom", "top"))
+    constraint = frozenset(int(i) for i in part.region_vertices("dirichlet"))
+    f = ScalarField.from_function(mesh, lambda x, y: np.sin(3 * x * y) + y)
+    return mesh, constraint, f
+
+
+def _cusp_level_1():
+    """Cusp k = 3, n = 6, refined once, Dirichlet on the right end."""
+    mesh = refine(build_cusp(3.0, 6))
+    part = partition_by_tags(mesh, dirichlet=("right",), neumann=("lower", "upper"))
+    constraint = frozenset(int(i) for i in part.region_vertices("dirichlet"))
+    return mesh, constraint, ScalarField.from_function(mesh, lambda x, y: y + 0.4 * y * y)
+
+
+@pytest.mark.parametrize("build, p", [
+    (_probe_square, 1.2),
+    (_probe_square, 64.0),
+    (_probe_square, 128.0),
+    (_cusp_level_1, 32.0),
+])
+def test_newton_reaches_the_tolerance_far_from_p_2(build, p):
+    problem = PlapProblem(*build(), p, tol=1e-8)
+    u, report = solve_p_laplace(problem)
+    assert report.stationarity <= 1e-8
+    assert p_stationarity(u, p, problem.constraint_vertices) == report.stationarity
+
+
+def test_newton_steps_at_p_4_stay_few_and_are_recorded():
+    _, report = solve_p_laplace(PlapProblem(*_probe_square(), 4.0))
+    assert report.iterations[0] == {"stage": "warm_start", "p": 2.0, "iterations": 0}
+    stages = report.iterations[1:]
+    assert all(s["line_search_ok"] is True for s in stages)
+    # damped Newton converges quadratically: a few steps per stage (9 here)
+    assert sum(s["iterations"] for s in stages) <= 12
+
+
+def test_large_p_minimizers_approach_the_aronsson_solution():
+    """u_inf = x^(4/3) - y^(4/3) is infinity-harmonic; with it as Dirichlet
+    data on the whole boundary, u_p tends to it as p grows."""
+    mesh = build_unit_square(16)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    u_inf = x ** (4.0 / 3.0) - y ** (4.0 / 3.0)
+    on_boundary = (x == 0) | (x == 1) | (y == 0) | (y == 1)
+    boundary = frozenset(int(i) for i in np.nonzero(on_boundary)[0])
+    errors = []
+    for p in (2.0, 4.0, 8.0, 16.0, 32.0):
+        u, _ = solve_p_laplace(PlapProblem(mesh, boundary, ScalarField(mesh, u_inf), p))
+        errors.append(float(np.max(np.abs(u.values - u_inf))))
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert errors[-1] < 0.1 * errors[0]

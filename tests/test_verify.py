@@ -21,7 +21,7 @@ from singfem import (
     write_report_csv,
     write_report_json,
 )
-from singfem import laplace
+from singfem import laplace, verify
 from singfem.fem import mass_matrix, stiffness_matrix
 from singfem.verify import _pw_quotient
 
@@ -147,6 +147,19 @@ def test_lower_bound_p2_agrees_with_eigen_solve():
     c2 = poincare_constant_2(mesh)
     lb = poincare_lower_bound_p(mesh, 2.0)
     assert lb == pytest.approx(c2, rel=1e-4)
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: build_unit_square(8), 0.31631366359746893),
+    (lambda: refine(refine(build_unit_square(4))), 0.3178022650932866),
+])
+def test_lower_bound_p2_builds_its_solver_once(build, bound, monkeypatch):
+    builds, free_solver = [], verify._free_solver
+    monkeypatch.setattr(verify, "_free_solver",
+                        lambda *args: builds.append(1) or free_solver(*args))
+    # the bound a solver rebuilt on every ascent step gives, to the bit
+    assert poincare_lower_bound_p(build(), 2.0) == bound
+    assert len(builds) == 1
 
 
 def test_lower_bound_keeps_best_and_returns_its_field():
