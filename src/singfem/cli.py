@@ -259,23 +259,24 @@ def _guard_overwrite(path, new_hash):
         )
 
 
-def _write_json_artifact(path, payload, cfg_hash):
-    payload = dict(payload)
-    payload["config_hash"] = cfg_hash
+def _write_json_artifact(path, payload, mesh_json, cfg_hash):
+    """Write payload plus "mesh" and "config_hash" as one JSON object.
+
+    mesh_json is the mesh's spaced text from Mesh.json_texts(), inserted as
+    is; every other value is encoded here.  The bytes are those of
+    json.dumps(whole, sort_keys=True), without encoding the mesh again.
+    """
+    fields = {key: json.dumps(value, sort_keys=True) for key, value in payload.items()}
+    fields["mesh"] = mesh_json
+    fields["config_hash"] = json.dumps(cfg_hash)
     _guard_overwrite(path, cfg_hash)
-    # json.dumps runs the C encoder; json.dump streams through the pure-
-    # Python one.  The bytes are the same.
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
+        fh.write("{")
+        for i, key in enumerate(sorted(fields)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            fh.write(fields[key])
+        fh.write("}")
     print(f"wrote {path}")
-
-
-def _hashed_mesh_dict(mesh):
-    """mesh.to_json_dict(), also hashed as the mesh's content hash, so a
-    command that writes the mesh builds its dict once."""
-    mesh_dict = mesh.to_json_dict()
-    mesh._keep_content_hash(mesh_dict)
-    return mesh_dict
 
 
 def _mesh_h(mesh):
@@ -305,9 +306,9 @@ def _cmd_mesh(args, cfg, out_dir):
     _warn_unknown(set(cfg) - {"domain", "refine", "seed"}, "")
     effective = {"command": "mesh", "domain": dom, "refine": levels}
     h = config_hash(effective)
-    mesh_dict = _hashed_mesh_dict(mesh)
-    payload = {"mesh": mesh_dict, "mesh_hash": mesh.content_hash()}
-    _write_json_artifact(out_dir / "mesh.json", payload, h)
+    _, mesh_json = mesh.json_texts()
+    payload = {"mesh_hash": mesh.content_hash()}
+    _write_json_artifact(out_dir / "mesh.json", payload, mesh_json, h)
     print(
         f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
         f"{mesh.num_boundary_edges} boundary edges, h={_mesh_h(mesh):.6g}"
@@ -354,14 +355,13 @@ def _cmd_solve_laplace(args, cfg, out_dir):
     except PartitionError as exc:
         raise ConfigError(f"partition: {exc}")
     u, info = solve_mixed(problem, rtol=rtol)
-    mesh_dict = _hashed_mesh_dict(mesh)
+    _, mesh_json = mesh.json_texts()
     payload = {
         "solution": fem.field_json_dict(u),
-        "mesh": mesh_dict,
         "info": {"iterations": int(info["iterations"]),
                  "residual": float(info["residual"])},
     }
-    _write_json_artifact(out_dir / "solution.json", payload, h)
+    _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
     print(f"solved: {info['iterations']} iterations, "
           f"weak residual {info['residual']:.3e}")
     return 0
@@ -389,16 +389,15 @@ def _cmd_solve_neumann(args, cfg, out_dir):
     }
     h = config_hash(effective)
     u, info = solve_neumann(NeumannProblem(partition, g, theta), gauge=gauge, rtol=rtol)
-    mesh_dict = _hashed_mesh_dict(mesh)
+    _, mesh_json = mesh.json_texts()
     payload = {
         "solution": fem.field_json_dict(u),
-        "mesh": mesh_dict,
         "info": {"iterations": int(info["iterations"]),
                  "residual": float(info["residual"]),
                  "defect": float(info["defect"]),
                  "gauge": gauge},
     }
-    _write_json_artifact(out_dir / "solution.json", payload, h)
+    _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
     print(f"solved: {info['iterations']} iterations, weak residual "
           f"{info['residual']:.3e}, compatibility defect {info['defect']:.3e}")
     return 0
@@ -442,10 +441,9 @@ def _cmd_solve_plap(args, cfg, out_dir):
             u, p, constraint, seed=substream_seed(seed, "plap:certificate")
         )
         info["certificate"] = cert_report.certificate
-    mesh_dict = _hashed_mesh_dict(mesh)
-    payload = {"solution": fem.field_json_dict(u), "mesh": mesh_dict,
-               "info": info}
-    _write_json_artifact(out_dir / "solution.json", payload, h)
+    _, mesh_json = mesh.json_texts()
+    payload = {"solution": fem.field_json_dict(u), "info": info}
+    _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
     line = (f"solved: p={p:g}, energy {report.energy:.12g}, "
             f"stationarity {report.stationarity:.3e}")
     if want_cert:

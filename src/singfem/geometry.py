@@ -39,6 +39,18 @@ def _triangle_areas(vertices, triangles):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
+def _edge_keys(triangles):
+    """(tri_edges, keys, nv): the local edges (0,1), (1,2), (2,0) of every
+    triangle in triangle-major order, shape (3 nt, 2), and the key
+    lo * nv + hi of each as an undirected edge."""
+    triangles = np.asarray(triangles, dtype=np.int64)
+    tri_edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    nv = np.int64(tri_edges.max() + 1 if tri_edges.size else 0)
+    lo = np.minimum(tri_edges[:, 0], tri_edges[:, 1])
+    hi = np.maximum(tri_edges[:, 0], tri_edges[:, 1])
+    return tri_edges, lo * nv + hi, nv
+
+
 def _edge_midpoint_order(triangles):
     """Unique undirected triangle edges in first-appearance order.
 
@@ -49,18 +61,13 @@ def _edge_midpoint_order(triangles):
     midpoint vertices appended by `refine`, so `prolong` can reproduce
     them without storing parent links.
     """
-    tri_edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    nv = int(triangles.max()) + 1 if triangles.size else 0
-    lo = np.minimum(tri_edges[:, 0], tri_edges[:, 1]).astype(np.int64)
-    hi = np.maximum(tri_edges[:, 0], tri_edges[:, 1]).astype(np.int64)
-    _, first, inverse = np.unique(lo * np.int64(nv) + hi, return_index=True,
-                                  return_inverse=True)
+    _, keys, nv = _edge_keys(triangles)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # np.unique sorts by key; rank the distinct edges by first appearance.
     by_appearance = np.argsort(first, kind="stable")
     rank = np.empty_like(by_appearance)
     rank[by_appearance] = np.arange(len(by_appearance))
-    first = first[by_appearance]
-    pairs = np.column_stack((lo[first], hi[first]))
+    pairs = np.column_stack(np.divmod(keys[first[by_appearance]], nv))
     return pairs, rank[inverse.ravel()].reshape(-1, 3)
 
 
@@ -75,10 +82,14 @@ def _discover_boundary(triangles):
     orientation of the unique triangle containing it, so the domain
     lies on its left.
     """
-    tri_edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    _, edge_of = _edge_midpoint_order(triangles)
-    edge_of = edge_of.ravel()
-    on_boundary = np.bincount(edge_of)[edge_of] == 1
+    tri_edges, keys, _ = _edge_keys(triangles)
+    # A boundary edge is one whose key occurs once.
+    order = np.argsort(keys)
+    same = keys[order[1:]] == keys[order[:-1]]
+    shared = np.zeros(len(keys), dtype=bool)
+    shared[order[1:][same]] = True
+    shared[order[:-1][same]] = True
+    on_boundary = ~shared
     tri_index = np.repeat(np.arange(len(triangles)), 3)[on_boundary]
     return tri_edges[on_boundary], tri_index
 
@@ -269,24 +280,45 @@ class Mesh:
             "singular_vertices": sorted(self.singular_vertices),
         }
 
+    def json_texts(self):
+        """(canonical, spaced): to_json_dict() as JSON text with sorted
+        keys, once with compact separators and once with json.dumps'
+        default ones, from one encode of the vertex and triangle lists.
+
+        The canonical text is what content_hash hashes and write_json
+        writes; the spaced text is the bytes json.dumps(..., sort_keys=True)
+        gives, for embedding in a larger artifact.  Keeps the content hash.
+        """
+        d = self.to_json_dict()
+        # The tags are arbitrary strings: encode the edges both ways.
+        edges = d.pop("boundary_edges")
+        spaced = {"boundary_edges": json.dumps(edges)}
+        compact = {"boundary_edges": _canonical_dumps(edges)}
+        # The rest are number-only lists: int and float reprs never contain
+        # ", ", so dropping the space after each comma gives the compact
+        # text.  Popping frees each list once it is encoded.
+        for k in sorted(d):
+            spaced[k] = json.dumps(d.pop(k))
+            compact[k] = spaced[k].replace(", ", ",")
+        canonical = "{" + ",".join(
+            f"{json.dumps(k)}:{compact[k]}" for k in sorted(compact)) + "}"
+        if self._hash is None:
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return canonical, "{" + ", ".join(
+            f"{json.dumps(k)}: {spaced[k]}" for k in sorted(spaced)) + "}"
+
     def canonical_json(self):
-        return _canonical_dumps(self.to_json_dict())
+        return self.json_texts()[0]
 
     def content_hash(self):
-        """Hex digest identifying the mesh content (vertex coordinates
-        round-trip exactly through their decimal representation).
-        Computed on the first call and kept: the mesh is immutable."""
+        """Hex digest (sha256) of canonical_json(), which identifies the
+        mesh content (vertex coordinates round-trip exactly through their
+        decimal representation).  Computed on the first call and kept: the
+        mesh is immutable."""
         if self._hash is None:
-            self._keep_content_hash(self.to_json_dict())
+            self.json_texts()
         return self._hash
-
-    def _keep_content_hash(self, json_dict):
-        """Hash json_dict, which must be this mesh's own to_json_dict(), as
-        the content hash, unless the hash is already kept.  Lets a caller
-        that builds the dict anyway avoid building it a second time."""
-        if self._hash is None:
-            digest = hashlib.sha256(_canonical_dumps(json_dict).encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_hash", digest)
 
     def write_json(self, path):
         with open(path, "w") as fh:
@@ -547,16 +579,20 @@ def refine(mesh):
         np.column_stack((m01, m12, m20)),
     ), axis=1).reshape(-1, 3)
 
-    # The coarse boundary edges are the edges seen once, in the same
-    # triangle-major order as mesh.boundary_edges.
-    flat = edge_of.ravel()
-    parent_of_edge = np.full(len(pairs), -1, dtype=np.int64)
-    parent_of_edge[flat[np.bincount(flat)[flat] == 1]] = np.arange(mesh.num_boundary_edges)
-    # Each child boundary edge joins an old vertex to a midpoint.
-    edges, _ = _discover_boundary(triangles)
-    parent = parent_of_edge[edges.max(axis=1) - nv]
-    if np.any(parent < 0):  # pragma: no cover - structural guarantee
-        raise MeshError("child boundary edge has no parent boundary edge")
+    # Coarse boundary edge k is local edge j of triangle t = boundary_tri[k].
+    # Its halves are local edge 0 of child 4t + j and local edge 2 of child
+    # 4t + (j + 1) % 3; sorting by 3 * child + local edge puts them in the
+    # child's triangle-major discovery order (which the Mesh constructor
+    # checks).
+    t = mesh.boundary_tri
+    j = np.argmax(mesh.triangles[t] == mesh.boundary_edges[:, :1], axis=1)
+    child_of = np.concatenate((4 * t + j, 4 * t + (j + 1) % 3))
+    local = np.repeat(np.array([0, 2]), len(t))
+    order = np.argsort(3 * child_of + local)
+    child_of, local = child_of[order], local[order]
+    edges = np.column_stack((triangles[child_of, local],
+                             triangles[child_of, (local + 1) % 3]))
+    parent = order % len(t)
     tags = tuple(mesh.boundary_tags[i] for i in parent.tolist())
     child = Mesh(vertices, triangles, edges, tags, mesh.singular_vertices)
 
@@ -589,11 +625,15 @@ def prolong(mesh, values):
 
 
 def _edge_graph(mesh):
+    """Edge lengths as a symmetric CSR graph, so that Dijkstra can run it
+    as directed and skip building the transpose on every call."""
     pairs, _ = _edge_midpoint_order(mesh.triangles)
     d = mesh.vertices[pairs[:, 0]] - mesh.vertices[pairs[:, 1]]
     w = np.hypot(d[:, 0], d[:, 1])
     nv = mesh.num_vertices
-    return coo_matrix((w, (pairs[:, 0], pairs[:, 1])), shape=(nv, nv)).tocsr()
+    lo, hi = pairs.T
+    return coo_matrix((np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])),
+                      shape=(nv, nv)).tocsr()
 
 
 def inner_metric(mesh, i, j):
@@ -610,7 +650,7 @@ def inner_metric(mesh, i, j):
     if i == j:
         return 0.0
     src, dst = (i, j) if i < j else (j, i)
-    dist = _csgraph_dijkstra(_edge_graph(mesh), directed=False, indices=src)
+    dist = _csgraph_dijkstra(_edge_graph(mesh), directed=True, indices=src)
     if not math.isfinite(dist[dst]):
         raise MeshError(f"vertices {i} and {j} are not edge-connected")
     return float(dist[dst])
@@ -628,7 +668,7 @@ def path_lengths(mesh, sources, chunk=256):
     for start in range(0, len(sources), chunk):
         idx = sources[start:start + chunk]
         out[start:start + len(idx)] = _csgraph_dijkstra(
-            graph, directed=False, indices=idx
+            graph, directed=True, indices=idx
         )
     return out
 

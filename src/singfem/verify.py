@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import fem, geometry
 from .geometry import build_annulus, build_unit_square, partition_by_tags, path_lengths
@@ -192,6 +191,10 @@ def _best_shift(mesh, values, p):
         ones = fem.ScalarField.constant(mesh, 1.0)
         a = fem.scalar_inner(u, ones) / fem.scalar_inner(ones, ones)
         return a, fem.lp_norm(fem.ScalarField(mesh, values - a), 2)
+    # Imported at its only use, so that importing singfem loads neither
+    # scipy.optimize nor the scipy.special, fft and spatial it pulls in.
+    from scipy.optimize import minimize_scalar
+
     cent = values[mesh.triangles].mean(axis=1)
 
     def objective(a):

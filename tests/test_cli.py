@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,63 @@ def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra
         payload = json.loads((out / "solution.json").read_text())
         digest = payload["solution"]["mesh_hash"]
     assert digest == Mesh.from_json_dict(payload["mesh"]).content_hash()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("mesh", []),
+    ("solve-laplace", []),
+    ("solve-neumann", []),
+    ("solve-plap", ["--p", "3"]),
+])
+def test_artifact_text_is_the_sorted_json_dumps_of_its_content(tmp_path, command,
+                                                                extra):
+    out = tmp_path / "run"
+    assert main([command, "--config", laplace_config(tmp_path), "--out", str(out),
+                 *extra]) == 0
+    text = (out / ("mesh.json" if command == "mesh" else "solution.json")).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("mesh", []),
+    ("solve-laplace", []),
+    ("solve-plap", ["--p", "3"]),
+])
+def test_commands_encode_the_vertex_list_once(tmp_path, monkeypatch, command, extra):
+    vertex_lists = []
+    build = Mesh.to_json_dict
+
+    def to_json_dict(self):
+        d = build(self)
+        vertex_lists.append(d["vertices"])
+        return d
+
+    def holds_vertices(obj):
+        if any(obj is v for v in vertex_lists):
+            return True
+        return isinstance(obj, dict) and any(holds_vertices(v) for v in obj.values())
+
+    encodes = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, o, *args, **kwargs):
+        encodes.append(holds_vertices(o))
+        return iterencode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(Mesh, "to_json_dict", to_json_dict)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    assert main([command, "--config", laplace_config(tmp_path),
+                 "--out", str(tmp_path / "run"), *extra]) == 0
+    assert len(vertex_lists) == 1
+    assert sum(encodes) == 1
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    code = "import sys, singfem.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_laplace_refuses_changed_config_overwrite(tmp_path):

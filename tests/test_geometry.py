@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from singfem.geometry import (
     DomainSpec,
@@ -23,6 +27,7 @@ from singfem.geometry import (
     refine,
     tag_boundary,
 )
+from singfem.geometry import _canonical_dumps, _discover_boundary, _edge_midpoint_order
 
 
 # -- generators -------------------------------------------------------------
@@ -193,6 +198,42 @@ def test_json_round_trip_preserves_content_hash(tmp_path):
     assert back.singular_vertices == m.singular_vertices
 
 
+def _refined(build, levels):
+    m = build()
+    for _ in range(levels):
+        m = refine(m)
+    return m
+
+
+DOMAINS = {
+    "unit_square": lambda: build_unit_square(3),
+    "rectangle": lambda: build_rectangle(2.0, 1.0, 4, 2),
+    "annulus": lambda: build_annulus(0.3, 1.0, 2, 8),
+    "cusp": lambda: build_cusp(3, 3),  # declares singular vertex 0
+}
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_json_texts_equal_a_direct_encode_of_the_dict(kind, levels):
+    m = _refined(DOMAINS[kind], levels)
+    canonical, spaced = m.json_texts()
+    assert canonical == _canonical_dumps(m.to_json_dict()) == m.canonical_json()
+    assert spaced == json.dumps(m.to_json_dict(), sort_keys=True)
+    assert m.content_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert m.singular_vertices == (frozenset({0}) if kind == "cusp" else frozenset())
+
+
+def test_json_texts_encode_tags_with_separators_exactly():
+    data = build_unit_square(1).to_json_dict()
+    data["boundary_edges"] = [[a, b, f"{tag}, part: {i}"]
+                              for i, (a, b, tag) in enumerate(data["boundary_edges"])]
+    m = Mesh.from_json_dict(data)
+    canonical, spaced = m.json_texts()
+    assert canonical == _canonical_dumps(data)
+    assert spaced == json.dumps(data, sort_keys=True)
+
+
 # -- refinement -------------------------------------------------------------
 
 
@@ -268,6 +309,37 @@ def test_twice_refined_content_hash_is_pinned(build, digest):
     assert refine(refine(build())).content_hash() == digest
 
 
+def _boundary_by_loop(triangles):
+    """(directed edge, triangle) of every edge seen once, in triangle-major,
+    local-edge-minor order."""
+    local = [((a, b), (b, c), (c, a)) for a, b, c in triangles.tolist()]
+    count = Counter((min(u, v), max(u, v)) for edges in local for u, v in edges)
+    return [((u, v), t) for t, edges in enumerate(local) for u, v in edges
+            if count[min(u, v), max(u, v)] == 1]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_refine_boundary_matches_a_per_edge_reference(kind, levels):
+    coarse = _refined(DOMAINS[kind], levels - 1)
+    child = refine(coarse)
+    ref = _boundary_by_loop(child.triangles)
+    edges = np.asarray([e for e, _ in ref], dtype=np.int64)
+    tri = np.asarray([t for _, t in ref], dtype=np.int64)
+    disc_edges, disc_tri = _discover_boundary(child.triangles)
+    assert np.array_equal(disc_edges, edges) and np.array_equal(disc_tri, tri)
+    assert np.array_equal(child.boundary_edges, edges)
+    assert np.array_equal(child.boundary_tri, tri)
+    # Each child boundary edge joins a coarse vertex to the midpoint of
+    # its parent edge, and inherits that edge's tag.
+    nv = coarse.num_vertices
+    pairs = _first_appearance_edges(coarse.triangles)
+    tag_of = {(min(a, b), max(a, b)): tag
+              for (a, b), tag in zip(coarse.boundary_edges.tolist(), coarse.boundary_tags)}
+    assert child.boundary_tags == tuple(
+        tag_of[tuple(pairs[max(a, b) - nv])] for a, b in edges.tolist())
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_cusp(3, 6),
     lambda: build_annulus(0.3, 1.0, 4, 16),
@@ -321,6 +393,22 @@ def test_path_lengths_matches_inner_metric():
     for row, s in enumerate(sources):
         for j in (1, 9, m.num_vertices - 1):
             assert table[row, j] == pytest.approx(inner_metric(m, s, j), abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: refine(refine(build_cusp(3, 4))),
+    lambda: refine(refine(build_annulus(0.3, 1.0, 3, 12))),
+], ids=["cusp", "annulus"])
+def test_path_lengths_equal_undirected_dijkstra_bit_for_bit(build):
+    m = build()
+    pairs, _ = _edge_midpoint_order(m.triangles)
+    d = m.vertices[pairs[:, 0]] - m.vertices[pairs[:, 1]]
+    upper = csr_matrix((np.hypot(d[:, 0], d[:, 1]), (pairs[:, 0], pairs[:, 1])),
+                       shape=(m.num_vertices, m.num_vertices))
+    sources = np.arange(0, m.num_vertices, 7)
+    ref = dijkstra(upper, directed=False, indices=sources)
+    assert path_lengths(m, sources, chunk=16).tobytes() == ref.tobytes()
+    assert inner_metric(m, sources[3], m.num_vertices - 1) == ref[3, -1]
 
 
 def test_structured_meshes_are_nonobtuse():
