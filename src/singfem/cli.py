@@ -1,16 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: configuration plumbing around the library.
 
-Subcommands build meshes, run the linear and nonlinear solvers, run the
-verification experiments, and sweep the nonlinear solver over exponent/
-refinement grids.  Every artifact embeds a sha256 hash of the effective
-configuration; reruns with the same configuration are bit-identical and
-an existing artifact with a different hash is never overwritten.
+Each subcommand checks its config fields, builds and hashes the effective
+configuration, and warns about every config key outside it; `verify`
+runs an experiment of `verify.EXPERIMENTS`, whose signature gives its
+keys and defaults.  Every artifact embeds the hash; reruns with the same
+configuration are bit-identical and an existing artifact with a
+different hash is never overwritten.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -25,6 +28,7 @@ from .geometry import (
     MeshError,
     PartitionError,
     build_domain,
+    mesh_size,
     partition_by_tags,
     refine,
 )
@@ -37,10 +41,15 @@ from .laplace import (
     solve_neumann,
 )
 from .plaplace import PLaplaceError, PlapProblem, minimality_certificate, solve_p_laplace
+from .verify import substream_seed
 
 
 class ConfigError(Exception):
     """Invalid configuration or command line; messages name the field."""
+
+
+class ChecksFailed(Exception):
+    """The artifacts are written, but a check or a sweep cell failed."""
 
 
 # -- configuration plumbing --------------------------------------------------
@@ -52,12 +61,6 @@ def config_hash(effective):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def substream_seed(seed, label):
-    """Derived 64-bit seed for a named random substream."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _reject_constant(name):
     raise ConfigError(f"config: non-finite number {name} is not allowed")
 
@@ -66,47 +69,54 @@ def _load_file_config(path):
     try:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_constant)
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path} ({exc.strerror})")
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"config: not valid JSON ({exc})")
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
     return data
 
 
-def _int_field(cfg, key, default, minimum=None, maximum=None):
+def _int_field(cfg, key, default, minimum=None):
     raw = cfg.get(key, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw != int(raw):
+    if isinstance(raw, bool) or not (
+        isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()
+    ):
         raise ConfigError(f"{key}: expected an integer, got {raw!r}")
     val = int(raw)
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
-    if maximum is not None and val >= maximum:
-        raise ConfigError(f"{key}: must be < {maximum}, got {val}")
     return val
 
 
-def _float_field(cfg, key, default, minimum=None, strict=False):
+def _float_field(cfg, key, default, above=None):
     raw = cfg.get(key, default)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    val = float(raw)
+    val = math.inf if abs(raw) > sys.float_info.max else float(raw)
     if not math.isfinite(val):
         raise ConfigError(f"{key}: must be finite, got {val}")
-    if minimum is not None and (val <= minimum if strict else val < minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(f"{key}: must be {op} {minimum}, got {val}")
+    if above is not None and val <= above:
+        raise ConfigError(f"{key}: must be > {above}, got {val}")
     return val
 
 
-def _p_values_field(cfg, default):
-    """Non-empty list of exponents, each a finite number > 1."""
-    p_values = cfg.get("p_values", default)
-    if not isinstance(p_values, (list, tuple)) or not p_values:
-        raise ConfigError("p_values: expected a non-empty list")
-    return [_float_field({"p_values": p}, "p_values", None, minimum=1.0, strict=True)
-            for p in p_values]
+def _list_field(cfg, key, default, read=_float_field, **bound):
+    """Non-empty list, each entry checked by `read` (with `bound`)."""
+    values = cfg.get(key, default)
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{key}: expected a non-empty list")
+    return [read({key: v}, key, None, **bound) for v in values]
+
+
+def _typed_field(cfg, key, default):
+    """cfg[key] read as the type of `default`: a number list, a float or an int."""
+    if isinstance(default, tuple):
+        return _list_field(cfg, key, None)
+    if isinstance(default, float):
+        return _float_field(cfg, key, None)
+    return _int_field(cfg, key, None)
 
 
 def _warn_unknown(extra, where):
@@ -114,18 +124,35 @@ def _warn_unknown(extra, where):
         print(f"warning: ignoring unknown config key {where}{key!r}", file=sys.stderr)
 
 
-_DOMAIN_FIELDS = ("kind", "n", "r_in", "r_out", "n_radial", "n_angular", "k", "seed")
+def _effective_hash(cfg, effective):
+    """Hash of the effective configuration, after a warning for each config
+    key (and each `data.*` key) that the effective configuration lacks."""
+    _warn_unknown(set(cfg) - (set(effective) - {"command"}) - {"seed"}, "")
+    if isinstance(effective.get("data"), dict):
+        _warn_unknown(set(cfg.get("data", {})) - set(effective["data"]), "data.")
+    return config_hash(effective)
 
 
 def _domain_from_config(cfg):
     dom = cfg.get("domain", {"kind": "unit_square", "n": 8})
     if not isinstance(dom, dict):
         raise ConfigError("domain: expected an object")
-    unknown = set(dom) - set(_DOMAIN_FIELDS)
+    spec_fields = dataclasses.fields(DomainSpec)
+    unknown = set(dom) - {fld.name for fld in spec_fields}
     if unknown:
         raise ConfigError(f"domain: unknown field(s) {sorted(unknown)}")
     if "kind" not in dom:
         raise ConfigError("domain.kind: required")
+    # Each number is checked by the type of its DomainSpec default.  Integer
+    # fields are converted (8.0 -> 8); float fields keep the value as
+    # written, so "k": 3 still hashes as 3.
+    dom = dict(dom)
+    for fld in spec_fields[1:]:
+        if fld.name in dom and (dom[fld.name] is not None or fld.default is not None):
+            key = f"domain.{fld.name}"
+            value = _typed_field({key: dom[fld.name]}, key, fld.default)
+            if not isinstance(fld.default, float):
+                dom[fld.name] = value
     try:
         spec = DomainSpec(**dom)
         mesh = build_domain(spec)
@@ -134,30 +161,26 @@ def _domain_from_config(cfg):
     levels = _int_field(cfg, "refine", 0, minimum=0)
     for _ in range(levels):
         mesh = refine(mesh)
-    effective_dom = {f: getattr(spec, f) for f in _DOMAIN_FIELDS}
-    return mesh, effective_dom, levels
+    return mesh, dataclasses.asdict(spec), levels
 
 
 def _partition_from_config(cfg, mesh, default=None):
-    part_cfg = cfg.get("partition", default if default is not None else {})
+    part_cfg = cfg.get("partition", default or {})
     if not isinstance(part_cfg, dict):
         raise ConfigError("partition: expected an object")
-    unknown = set(part_cfg) - {"dirichlet", "neumann"}
-    if unknown:
-        raise ConfigError(f"partition: unknown field(s) {sorted(unknown)}")
     regions = {}
     for name in ("dirichlet", "neumann"):
         tags = part_cfg.get(name, [])
         if isinstance(tags, str) or not isinstance(tags, (list, tuple)):
             raise ConfigError(f"partition.{name}: expected a list of boundary tags")
-        regions[name] = tuple(str(t) for t in tags)
+        regions[name] = [str(t) for t in tags]
+    unknown = set(part_cfg) - set(regions)
+    if unknown:
+        raise ConfigError(f"partition: unknown field(s) {sorted(unknown)}")
     try:
-        partition = partition_by_tags(
-            mesh, dirichlet=regions["dirichlet"], neumann=regions["neumann"]
-        )
+        return partition_by_tags(mesh, **regions), regions
     except PartitionError as exc:
         raise ConfigError(f"partition: {exc}")
-    return partition, {k: list(v) for k, v in regions.items()}
 
 
 # -- restricted expressions for problem data --------------------------------
@@ -279,23 +302,10 @@ def _write_json_artifact(path, payload, mesh_json, cfg_hash):
     print(f"wrote {path}")
 
 
-def _mesh_h(mesh):
-    """Longest triangle edge (the mesh size h)."""
-    p = mesh.vertices[mesh.triangles]
-    sides = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    return float(np.max(np.hypot(sides[:, 0], sides[:, 1])))
-
-
 def _styled(text, ok, stream):
     if os.environ.get("NO_COLOR") or not stream.isatty():
         return text
     return f"\x1b[{'32' if ok else '31'}m{text}\x1b[0m"
-
-
-def _print_checks(report):
-    for name, ok in report.passed.items():
-        label = _styled("PASS" if ok else "FAIL", ok, sys.stdout)
-        print(f"[{label}] {name}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -303,25 +313,27 @@ def _print_checks(report):
 
 def _cmd_mesh(args, cfg, out_dir):
     mesh, dom, levels = _domain_from_config(cfg)
-    _warn_unknown(set(cfg) - {"domain", "refine", "seed"}, "")
-    effective = {"command": "mesh", "domain": dom, "refine": levels}
-    h = config_hash(effective)
+    h = _effective_hash(cfg, {"command": "mesh", "domain": dom, "refine": levels})
     _, mesh_json = mesh.json_texts()
     payload = {"mesh_hash": mesh.content_hash()}
     _write_json_artifact(out_dir / "mesh.json", payload, mesh_json, h)
     print(
         f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
-        f"{mesh.num_boundary_edges} boundary edges, h={_mesh_h(mesh):.6g}"
+        f"{mesh.num_boundary_edges} boundary edges, h={mesh_size(mesh):.6g}"
     )
-    return 0
 
 
-def _solve_config(args, cfg, needs_dirichlet):
+def _solve_config(cfg, needs_dirichlet):
+    """Mesh, partition and data of a solve.  Without needs_dirichlet the
+    partition defaults to all-Neumann; with it, Dirichlet edges are required."""
     mesh, dom, levels = _domain_from_config(cfg)
     default_part = None
     if not needs_dirichlet:
         default_part = {"neumann": sorted(set(mesh.boundary_tags))}
     partition, part_cfg = _partition_from_config(cfg, mesh, default=default_part)
+    if needs_dirichlet and len(partition.region_edges("dirichlet")) == 0:
+        raise ConfigError("partition.dirichlet: this command needs a non-empty "
+                          "Dirichlet region")
     data = cfg.get("data", {})
     if not isinstance(data, dict):
         raise ConfigError("data: expected an object")
@@ -329,10 +341,7 @@ def _solve_config(args, cfg, needs_dirichlet):
 
 
 def _cmd_solve_laplace(args, cfg, out_dir):
-    mesh, dom, levels, partition, part_cfg, data = _solve_config(args, cfg, True)
-    _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "rtol",
-                              "seed"}, "")
-    _warn_unknown(set(data) - {"f", "g", "theta"}, "data.")
+    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, True)
     g = _scalar_from_expr(mesh, data.get("g", "0"), "data.g")
     f = _scalar_from_expr(mesh, data.get("f", "0"), "data.f")
     theta = None
@@ -340,7 +349,7 @@ def _cmd_solve_laplace(args, cfg, out_dir):
         if len(partition.region_edges("neumann")) == 0:
             raise ConfigError("data.theta: given but the Neumann region is empty")
         theta = _flux_from_expr(partition, "neumann", data["theta"], "data.theta")
-    rtol = _float_field(cfg, "rtol", 1e-12, minimum=0.0, strict=True)
+    rtol = _float_field(cfg, "rtol", 1e-12, above=0.0)
 
     effective = {
         "command": "solve-laplace", "domain": dom, "refine": levels,
@@ -349,12 +358,8 @@ def _cmd_solve_laplace(args, cfg, out_dir):
                  "theta": data.get("theta")},
         "rtol": rtol,
     }
-    h = config_hash(effective)
-    try:
-        problem = MixedProblem(partition, g, f, theta)
-    except PartitionError as exc:
-        raise ConfigError(f"partition: {exc}")
-    u, info = solve_mixed(problem, rtol=rtol)
+    h = _effective_hash(cfg, effective)
+    u, info = solve_mixed(MixedProblem(partition, g, f, theta), rtol=rtol)
     _, mesh_json = mesh.json_texts()
     payload = {
         "solution": fem.field_json_dict(u),
@@ -364,22 +369,18 @@ def _cmd_solve_laplace(args, cfg, out_dir):
     _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
     print(f"solved: {info['iterations']} iterations, "
           f"weak residual {info['residual']:.3e}")
-    return 0
 
 
 def _cmd_solve_neumann(args, cfg, out_dir):
-    mesh, dom, levels, partition, part_cfg, data = _solve_config(args, cfg, False)
+    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, False)
     if args.gauge is not None:
         cfg["gauge"] = args.gauge
-    _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "gauge",
-                              "rtol", "seed"}, "")
-    _warn_unknown(set(data) - {"g", "theta"}, "data.")
     gauge = cfg.get("gauge", "mean")
     if gauge not in ("mean", "vertex"):
         raise ConfigError(f"gauge: expected 'mean' or 'vertex', got {gauge!r}")
     g = _scalar_from_expr(mesh, data.get("g", "0"), "data.g")
     theta = _flux_from_expr(partition, "boundary", data.get("theta", "0"), "data.theta")
-    rtol = _float_field(cfg, "rtol", 1e-12, minimum=0.0, strict=True)
+    rtol = _float_field(cfg, "rtol", 1e-12, above=0.0)
 
     effective = {
         "command": "solve-neumann", "domain": dom, "refine": levels,
@@ -387,7 +388,7 @@ def _cmd_solve_neumann(args, cfg, out_dir):
         "data": {"g": data.get("g", "0"), "theta": data.get("theta", "0")},
         "gauge": gauge, "rtol": rtol,
     }
-    h = config_hash(effective)
+    h = _effective_hash(cfg, effective)
     u, info = solve_neumann(NeumannProblem(partition, g, theta), gauge=gauge, rtol=rtol)
     _, mesh_json = mesh.json_texts()
     payload = {
@@ -400,27 +401,20 @@ def _cmd_solve_neumann(args, cfg, out_dir):
     _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
     print(f"solved: {info['iterations']} iterations, weak residual "
           f"{info['residual']:.3e}, compatibility defect {info['defect']:.3e}")
-    return 0
 
 
 def _cmd_solve_plap(args, cfg, out_dir):
     for flag in ("p", "tol"):
         if getattr(args, flag) is not None:
             cfg[flag] = getattr(args, flag)
-    mesh, dom, levels, partition, part_cfg, data = _solve_config(args, cfg, True)
-    _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "p", "tol",
-                              "certificate", "seed"}, "")
-    _warn_unknown(set(data) - {"f"}, "data.")
+    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, True)
     if "p" not in cfg:
         raise ConfigError("p: required for solve-plap")
-    p = _float_field(cfg, "p", None, minimum=1.0, strict=True)
-    tol = _float_field(cfg, "tol", 1e-8, minimum=0.0, strict=True)
+    p = _float_field(cfg, "p", None, above=1.0)
+    tol = _float_field(cfg, "tol", 1e-8, above=0.0)
     want_cert = bool(cfg.get("certificate", False) or args.certificate)
     f = _scalar_from_expr(mesh, data.get("f", "0"), "data.f")
     constraint = frozenset(int(v) for v in partition.region_vertices("dirichlet"))
-    if not constraint:
-        raise ConfigError("partition.dirichlet: solve-plap needs a non-empty "
-                          "constraint region")
     seed = cfg.get("seed", 0)
 
     effective = {
@@ -428,7 +422,7 @@ def _cmd_solve_plap(args, cfg, out_dir):
         "partition": part_cfg, "data": {"f": data.get("f", "0")},
         "p": p, "tol": tol, "certificate": want_cert, "seed": seed,
     }
-    h = config_hash(effective)
+    h = _effective_hash(cfg, effective)
     u, report = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
     info = {
         "energy": float(report.energy),
@@ -450,188 +444,67 @@ def _cmd_solve_plap(args, cfg, out_dir):
         ok = info["certificate"]["passed"]
         line += f", certificate {'passed' if ok else 'FAILED'}"
     print(line)
-    return 0 if (not want_cert or info["certificate"]["passed"]) else 1
-
-
-_EXPERIMENTS = (
-    "manufactured_dirichlet",
-    "neumann_harmonic",
-    "plap_affine",
-    "ibp_smooth",
-    "counterexample_punctured",
-    "poincare_2",
-    "holder_cusp",
-)
-
-
-def _poincare_report(levels):
-    from .geometry import build_rectangle, build_unit_square
-
-    sq = build_unit_square(8)
-    rc = build_rectangle(2.0, 1.0, 16, 8)
-    meas = {"h": [], "c_square": [], "c_rect": []}
-    rows = list(range(levels))
-    for lev in rows:
-        if lev > 0:
-            sq, rc = refine(sq), refine(rc)
-        meas["h"].append(_mesh_h(sq))
-        meas["c_square"].append(verify.poincare_constant_2(sq))
-        meas["c_rect"].append(verify.poincare_constant_2(rc))
-    c_sq, c_rc = meas["c_square"], meas["c_rect"]
-    fitted = {"c_square": c_sq[-1], "c_rect": c_rc[-1],
-              "target_square": 1.0 / math.pi, "target_rect": 2.0 / math.pi}
-    passed = {
-        "square_within_5pct": abs(c_sq[-1] - 1.0 / math.pi) <= 0.05 / math.pi,
-        "rect_within_5pct": abs(c_rc[-1] - 2.0 / math.pi) <= 0.1 / math.pi,
-        "square_monotone_nondecreasing": all(
-            b >= a for a, b in zip(c_sq, c_sq[1:])
-        ),
-        "rect_monotone_nondecreasing": all(b >= a for a, b in zip(c_rc, c_rc[1:])),
-    }
-    return verify.Report(
-        experiment="poincare_2",
-        params={"levels": levels},
-        levels=rows,
-        measurements=meas,
-        fitted=fitted,
-        passed=passed,
-        tolerances={"constant": 0.05},
-    )
-
-
-def _holder_report(cfg):
-    from .geometry import build_cusp
-
-    k = _float_field(cfg, "k", 3.0, minimum=1.0)
-    n = _int_field(cfg, "n", 6, minimum=2)
-    n_pairs = _int_field(cfg, "n_pairs", 4000, minimum=10)
-    seed = cfg.get("seed", 0)
-    p_values = _p_values_field(cfg, [2.0, 8.0])
-
-    mesh = build_cusp(k, n)
-    partition = partition_by_tags(mesh, dirichlet=("right",),
-                                  neumann=("lower", "upper"))
-    constraint = frozenset(int(v) for v in partition.region_vertices("dirichlet"))
-    f = fem.ScalarField.from_function(mesh, lambda x, y: y)
-
-    rows, meas = [], {"h": [], "p": [], "alpha": [], "fit_quality": []}
-    for idx, p in enumerate(p_values):
-        u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=1e-8))
-        alpha, r2 = verify.holder_exponent(
-            mesh, u, n_pairs=n_pairs, seed=substream_seed(seed, "holder:pairs")
-        )
-        rows.append(idx)
-        meas["h"].append(_mesh_h(mesh))
-        meas["p"].append(p)
-        meas["alpha"].append(alpha)
-        meas["fit_quality"].append(r2)
-    passed = {
-        "alpha_positive": all(a > 0.0 for a in meas["alpha"]),
-        "fit_quality_at_least_0.8": all(q >= 0.8 for q in meas["fit_quality"]),
-    }
-    return verify.Report(
-        experiment="holder_cusp",
-        params={"k": k, "n": n, "p_values": p_values,
-                "n_pairs": n_pairs, "seed": seed},
-        levels=rows,
-        measurements=meas,
-        fitted={"alpha_min": min(meas["alpha"]),
-                "fit_quality_min": min(meas["fit_quality"])},
-        passed=passed,
-        tolerances={"alpha": "> 0", "fit_quality": ">= 0.8"},
-    )
+    if want_cert and not info["certificate"]["passed"]:
+        raise ChecksFailed("the minimality certificate failed")
 
 
 def _cmd_verify(args, cfg, out_dir):
-    name = args.experiment
-    _warn_unknown(set(cfg) - {"levels", "base_n", "p", "p_values", "k", "n",
-                              "n_pairs", "r_in_schedule", "seed"}, "")
-    effective = {"command": "verify", "experiment": name,
-                 "config": {k: cfg[k] for k in sorted(cfg)}}
-    h = config_hash(effective)
+    run = verify.EXPERIMENTS[args.experiment]
+    params = inspect.signature(run).parameters
+    _warn_unknown(set(cfg) - set(params) - {"seed"}, "")
+    kwargs = {key: _typed_field(cfg, key, par.default)
+              for key, par in params.items() if key in cfg}
+    h = config_hash({"command": "verify", "experiment": args.experiment, "config": cfg})
+    try:
+        report = run(**kwargs)
+    except verify.ParameterError as exc:
+        raise ConfigError(str(exc))
 
-    if name in ("manufactured_dirichlet", "neumann_harmonic", "plap_affine",
-                "ibp_smooth"):
-        levels = _int_field(cfg, "levels", 4, minimum=3)
-        base_n = _int_field(cfg, "base_n", 8, minimum=2)
-        p = _float_field(cfg, "p", 4.0, minimum=1.0, strict=True)
-        report = verify.convergence_study(name, levels=levels, base_n=base_n, p=p)
-    elif name == "counterexample_punctured":
-        levels = _int_field(cfg, "levels", 3, minimum=1)
-        p = _float_field(cfg, "p", 3.0, minimum=0.0)
-        schedule = cfg.get("r_in_schedule", [1e-2, 1e-3])
-        if not isinstance(schedule, (list, tuple)) or not schedule:
-            raise ConfigError("r_in_schedule: expected a non-empty list of radii")
-        try:
-            report = verify.counterexample_punctured(
-                p, r_in_schedule=tuple(float(r) for r in schedule), levels=levels
-            )
-        except ValueError as exc:
-            raise ConfigError(f"p: {exc}")
-    elif name == "poincare_2":
-        report = _poincare_report(_int_field(cfg, "levels", 3, minimum=2))
-    elif name == "holder_cusp":
-        report = _holder_report(cfg)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ConfigError(f"experiment: unknown experiment {name!r}")
-
-    csv_path = out_dir / "report.csv"
-    json_path = out_dir / "summary.json"
-    _guard_overwrite(csv_path, h)
-    _guard_overwrite(json_path, h)
-    verify.write_report_csv(report, csv_path, config_hash=h)
-    verify.write_report_json(report, json_path, config_hash=h)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    _print_checks(report)
-    return 0 if report.all_passed else 1
+    writers = {out_dir / "report.csv": verify.write_report_csv,
+               out_dir / "summary.json": verify.write_report_json}
+    for path in writers:
+        _guard_overwrite(path, h)
+    for path, write in writers.items():
+        write(report, path, config_hash=h)
+        print(f"wrote {path}")
+    for name, ok in report.passed.items():
+        print(f"[{_styled('PASS' if ok else 'FAIL', ok, sys.stdout)}] {name}")
+    failed = [name for name, ok in report.passed.items() if not ok]
+    if failed:
+        raise ChecksFailed(f"failed checks: {', '.join(failed)}")
 
 
 def _cmd_sweep(args, cfg, out_dir):
-    mesh0, dom, pre_levels = _domain_from_config(cfg)
-    partition0, part_cfg = _partition_from_config(cfg, mesh0)
-    data = cfg.get("data", {})
-    if not isinstance(data, dict):
-        raise ConfigError("data: expected an object")
-    _warn_unknown(set(cfg) - {"domain", "refine", "partition", "data", "p_values",
-                              "levels", "tol", "seed"}, "")
-    _warn_unknown(set(data) - {"f"}, "data.")
+    mesh, dom, pre_levels, _, part_cfg, data = _solve_config(cfg, True)
     f_expr = data.get("f", "0")
-    p_values = _p_values_field(cfg, [2.0, 3.0])
-    level_list = cfg.get("levels", [0, 1])
-    if not isinstance(level_list, (list, tuple)) or not level_list:
-        raise ConfigError("levels: expected a non-empty list of refinement counts")
-    level_list = [
-        _int_field({"levels": lv}, "levels", None, minimum=0) for lv in level_list
-    ]
-    tol = _float_field(cfg, "tol", 1e-8, minimum=0.0, strict=True)
+    p_values = _list_field(cfg, "p_values", [2.0, 3.0], above=1.0)
+    level_list = _list_field(cfg, "levels", [0, 1], _int_field, minimum=0)
+    tol = _float_field(cfg, "tol", 1e-8, above=0.0)
     seed = cfg.get("seed", 0)
-    if not part_cfg["dirichlet"]:
-        raise ConfigError("partition.dirichlet: sweep needs a non-empty "
-                          "constraint region")
 
     effective = {
         "command": "sweep", "domain": dom, "refine": pre_levels,
         "partition": part_cfg, "data": {"f": f_expr},
         "p_values": p_values, "levels": level_list, "tol": tol, "seed": seed,
     }
-    h = config_hash(effective)
+    h = _effective_hash(cfg, effective)
 
-    meshes = {0: mesh0}
-    for lev in range(1, max(level_list) + 1):
-        meshes[lev] = refine(meshes[lev - 1])
+    # Each level's mesh, constraint set and source, shared by every exponent.
+    cells = {}
+    for lev in range(max(level_list) + 1):
+        if lev > 0:
+            mesh = refine(mesh)
+        if lev in level_list:
+            part = partition_by_tags(mesh, **part_cfg)
+            constraint = frozenset(int(v) for v in part.region_vertices("dirichlet"))
+            cells[lev] = (mesh, constraint, _scalar_from_expr(mesh, f_expr, "data.f"))
 
     lines = [f"# config_hash={h}",
              "p,level,h,n_vertices,energy,stationarity,alpha,fit_r2,status"]
     failures = 0
     for p in p_values:
         for lev in level_list:
-            mesh = meshes[lev]
-            part, _ = _partition_from_config(
-                {"partition": {"dirichlet": part_cfg["dirichlet"],
-                               "neumann": part_cfg["neumann"]}}, mesh)
-            f = _scalar_from_expr(mesh, f_expr, "data.f")
-            constraint = frozenset(int(v) for v in part.region_vertices("dirichlet"))
+            mesh, constraint, f = cells[lev]
             try:
                 u, rep = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
                 energy, stat, status = rep.energy, rep.stationarity, "ok"
@@ -644,7 +517,7 @@ def _cmd_sweep(args, cfg, out_dir):
                 alpha, fit = float("nan"), float("nan")
                 failures += 1
             lines.append(",".join([
-                repr(float(p)), str(int(lev)), repr(_mesh_h(mesh)),
+                repr(float(p)), str(int(lev)), repr(mesh_size(mesh)),
                 str(int(mesh.num_vertices)), repr(float(energy)),
                 repr(float(stat)), repr(float(alpha)), repr(float(fit)), status,
             ]))
@@ -655,7 +528,8 @@ def _cmd_sweep(args, cfg, out_dir):
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {csv_path}")
     print(f"sweep: {len(p_values) * len(level_list)} cells, {failures} failed")
-    return 0 if failures == 0 else 1
+    if failures:
+        raise ChecksFailed(f"{failures} sweep cells failed")
 
 
 # -- entry point ---------------------------------------------------------------
@@ -700,7 +574,7 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a named verification experiment")
-    p_ver.add_argument("experiment", choices=_EXPERIMENTS)
+    p_ver.add_argument("experiment", choices=verify.EXPERIMENTS)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_swp = sub.add_parser("sweep", parents=[common],
@@ -737,12 +611,13 @@ def main(argv=None):
         seed = cfg.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
-        return int(args.func(args, cfg, out_dir))
+        args.func(args, cfg, out_dir)
+        return 0
     except ConfigError as exc:
         _emit_error(out_dir, exc, 2)
         return 2
     except (MeshError, PartitionError, fem.FieldError, SolverError,
-            CompatibilityError, PLaplaceError, ValueError) as exc:
+            CompatibilityError, PLaplaceError, ValueError, ChecksFailed) as exc:
         # A library ValueError that no configuration check caught is a
         # failed run, not a configuration error.
         _emit_error(out_dir, exc, 1)

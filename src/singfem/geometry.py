@@ -673,6 +673,13 @@ def path_lengths(mesh, sources, chunk=256):
     return out
 
 
+def mesh_size(mesh):
+    """Longest triangle edge (the mesh size h)."""
+    p = mesh.vertices[mesh.triangles]
+    sides = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    return float(np.max(np.hypot(sides[:, 0], sides[:, 1])))
+
+
 def max_interior_angle(mesh):
     """Largest interior angle over all triangles, in radians."""
     pts = mesh.vertices[mesh.triangles]

@@ -189,15 +189,13 @@ class MixedProblem:
 class NeumannProblem:
     """Pure-Neumann Laplace problem.
 
-    theta : edge cotrace over the full boundary
-    tol : compatibility tolerance; None selects
-          1e-8 * (||g||_L2 + ||theta||_L2(boundary) + 1)
+    theta : edge cotrace over the full boundary; solve_neumann accepts data
+            whose defect is at most 1e-8 (||g||_L2 + ||theta||_L2(bdry) + 1)
     """
 
     partition: BoundaryPartition
     g: fem.ScalarField
     theta: fem.BoundaryTrace
-    tol: float | None = None
 
     def __post_init__(self):
         if self.g.mesh is not self.partition.mesh:
@@ -250,6 +248,7 @@ def _weak_residual(K, M, partition, u, g, theta):
 
 
 _DEFAULT_RESIDUAL_TOL = 1e-10
+_COMPATIBILITY_RTOL = 1e-8
 
 
 def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL):
@@ -290,26 +289,22 @@ def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL
     return field, {"iterations": iterations, "residual": res, "defect": None}
 
 
-def solve_neumann(problem, gauge="mean", x0=None, rtol=1e-12,
-                  residual_tol=_DEFAULT_RESIDUAL_TOL):
+def solve_neumann(problem, gauge="mean", rtol=1e-12):
     """Solve the pure-Neumann problem; returns (ScalarField, info dict).
 
     Incompatible data is rejected with CompatibilityError carrying the
     defect.  The solve pins vertex 0 to zero, which makes the free block
     positive definite; gauge "vertex" returns that solution, gauge
     "mean" (default) shifts it to zero mean against the domain measure.
-    x0 optionally seeds the CG iteration in either gauge.
     """
     if gauge not in ("mean", "vertex"):
         raise ValueError(f"unknown gauge {gauge!r}; choose 'mean' or 'vertex'")
     partition = problem.partition
     mesh = partition.mesh
     defect = compatibility_defect(problem.g, problem.theta)
-    tol = problem.tol
-    if tol is None:
-        tol = 1e-8 * (
-            fem.lp_norm(problem.g, 2) + _boundary_l2(partition, problem.theta) + 1.0
-        )
+    tol = _COMPATIBILITY_RTOL * (
+        fem.lp_norm(problem.g, 2) + _boundary_l2(partition, problem.theta) + 1.0
+    )
     if abs(defect) > tol:
         raise CompatibilityError(
             f"incompatible Neumann data: <g,1> - <theta, trace 1> = {defect!r} "
@@ -321,9 +316,8 @@ def solve_neumann(problem, gauge="mean", x0=None, rtol=1e-12,
     M = fem.mass_matrix(mesh)
     b = _theta_vector(partition, problem.theta) - M @ problem.g.values
     free = np.arange(1, mesh.num_vertices)
-    start = None if x0 is None else x0.values[free] - x0.values[0]
     u = np.zeros(mesh.num_vertices)
-    u[free], iterations = _free_solver(mesh, K, free, rtol)(b[free], start)
+    u[free], iterations = _free_solver(mesh, K, free, rtol)(b[free])
     if gauge == "mean":
         ones = fem.ScalarField.constant(mesh, 1.0)
         area = fem.scalar_inner(ones, ones)
@@ -333,7 +327,7 @@ def solve_neumann(problem, gauge="mean", x0=None, rtol=1e-12,
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
     # The consistency defect spreads over all hat functions; admit it
     # on top of the solver tolerance.
-    if res > residual_tol + abs(defect):
+    if res > _DEFAULT_RESIDUAL_TOL + abs(defect):
         raise SolverError(
             f"neumann solve left weak residual {res:.3e}",
             iterations=iterations,

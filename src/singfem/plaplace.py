@@ -515,14 +515,17 @@ def _margin(gu, gd, p, t, e0):
     return fem.lp_norm(fem.VectorField(gu.mesh, gu.values + t * gd.values), p) - e0
 
 
-def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0,
-                           steps=(1e-3, 1e-2), margin_tol=1e-10):
+_CERTIFICATE_STEPS = (1e-3, 1e-2)  # perturbation sizes, relative to the energy
+_CERTIFICATE_MARGIN_TOL = 1e-10
+
+
+def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0):
     """Randomized local-minimality check.
 
     Draws `trials` random nodal directions vanishing on the constraint
     set, normalized to unit p-energy, and verifies
-    p_energy(u) <= p_energy(u + t * delta) + margin_tol * scale
-    for steps t in {+-steps} * scale, with scale = p_energy(u) (or 1
+    p_energy(u) <= p_energy(u + t * delta) + 1e-10 * scale
+    for steps t in {+-1e-3, +-1e-2} * scale, with scale = p_energy(u) (or 1
     for a flat field).  Returns an OptimalityReport whose certificate
     records the worst margin and any violations.  The gradients of u and
     of each direction are taken once (see _margin).
@@ -544,11 +547,11 @@ def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0,
         if dnorm == 0.0:
             continue
         gd = fem.VectorField(mesh, gd.values / dnorm)
-        for step in steps:
+        for step in _CERTIFICATE_STEPS:
             for t in (step * scale, -step * scale):
                 margin = _margin(gu, gd, p, t, e0)
                 worst = min(worst, margin)
-                if margin < -margin_tol * scale:
+                if margin < -_CERTIFICATE_MARGIN_TOL * scale:
                     violations += 1
 
     cert = {
@@ -556,7 +559,7 @@ def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0,
         "worst_margin": worst if worst != float("inf") else 0.0,
         "trials": trials,
         "violations": violations,
-        "steps": list(steps),
+        "steps": list(_CERTIFICATE_STEPS),
     }
     return OptimalityReport(energy=e0, stationarity=None, iterations=[],
                             certificate=cert)

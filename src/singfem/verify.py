@@ -1,10 +1,13 @@
 """Numerical certificates: Poincare constants, the punctured-domain
 counterexample, Holder-exponent estimation in the inner metric, and
 convergence studies for the solvers and the discrete calculus.
+EXPERIMENTS maps each `singfem verify` experiment name to its function.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +27,16 @@ from .laplace import (
 # bound because perfbench/tracer.py patches it in this module.
 from .laplace import conjugate_gradient  # noqa: F401
 from .plaplace import PlapProblem, solve_p_laplace
+
+
+class ParameterError(ValueError):
+    """An experiment parameter out of range; the message starts with its name."""
+
+
+def substream_seed(seed, label):
+    """Derived 64-bit seed for a named random substream."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(eq=False)
@@ -115,8 +128,11 @@ def fit_rate(hs, errors):
 # -- Poincare constants ----------------------------------------------------
 
 
-def poincare_constant_2(mesh, mode="wirtinger", partition=None, region=None,
-                        rtol=1e-8, maxiter=400):
+_POINCARE_RTOL = 1e-8  # relative eigenvalue change that ends the iteration
+_POINCARE_MAXITER = 400
+
+
+def poincare_constant_2(mesh, mode="wirtinger", partition=None, region=None):
     """Best constant in ||u - a||_{L^2} <= C ||grad u||_{L^2} (mode
     "wirtinger", quotient by constants) or ||u||_{L^2} <= C ||grad u||
     over fields vanishing on a boundary region (mode "trace").
@@ -169,18 +185,56 @@ def poincare_constant_2(mesh, mode="wirtinger", partition=None, region=None,
 
     solve = _free_solver(mesh, K, free, 1e-10)
     lam_old = math.inf
-    for _ in range(maxiter):
+    for _ in range(_POINCARE_MAXITER):
         y = apply_inverse(M @ x)
         num = float(y @ (K @ y))
         den = float(y @ (M @ y))
         lam = num / den
         x = y / math.sqrt(den)
-        if abs(lam - lam_old) <= rtol * abs(lam):
+        if abs(lam - lam_old) <= _POINCARE_RTOL * abs(lam):
             return 1.0 / math.sqrt(lam)
         lam_old = lam
     raise SolverError(
-        f"inverse iteration did not settle within {maxiter} steps "
+        f"inverse iteration did not settle within {_POINCARE_MAXITER} steps "
         f"(last eigenvalue {lam!r})"
+    )
+
+
+def poincare_2(levels=3):
+    """Wirtinger constants of the unit square and the 2 x 1 rectangle on
+    `levels` nested meshes, checked against 1/pi and 2/pi and for
+    monotone growth under refinement."""
+    if levels < 2:
+        raise ParameterError(f"levels: must be >= 2, got {levels}")
+    sq = build_unit_square(8)
+    rc = geometry.build_rectangle(2.0, 1.0, 16, 8)
+    meas = {"h": [], "c_square": [], "c_rect": []}
+    rows = list(range(levels))
+    for lev in rows:
+        if lev > 0:
+            sq, rc = geometry.refine(sq), geometry.refine(rc)
+        meas["h"].append(geometry.mesh_size(sq))
+        meas["c_square"].append(poincare_constant_2(sq))
+        meas["c_rect"].append(poincare_constant_2(rc))
+    c_sq, c_rc = meas["c_square"], meas["c_rect"]
+    fitted = {"c_square": c_sq[-1], "c_rect": c_rc[-1],
+              "target_square": 1.0 / math.pi, "target_rect": 2.0 / math.pi}
+    passed = {
+        "square_within_5pct": abs(c_sq[-1] - 1.0 / math.pi) <= 0.05 / math.pi,
+        "rect_within_5pct": abs(c_rc[-1] - 2.0 / math.pi) <= 0.1 / math.pi,
+        "square_monotone_nondecreasing": all(
+            b >= a for a, b in zip(c_sq, c_sq[1:])
+        ),
+        "rect_monotone_nondecreasing": all(b >= a for a, b in zip(c_rc, c_rc[1:])),
+    }
+    return Report(
+        experiment="poincare_2",
+        params={"levels": levels},
+        levels=rows,
+        measurements=meas,
+        fitted=fitted,
+        passed=passed,
+        tolerances={"constant": 0.05},
     )
 
 
@@ -307,35 +361,41 @@ def poincare_lower_bound_p(mesh, p, seeds=(0, 1, 2), iters=30, inits=None,
 # -- punctured-domain counterexample ---------------------------------------
 
 
-def counterexample_punctured(p, r_in_schedule=(1e-2, 1e-3), levels=3, r_out=1.0,
-                             base_radial=16, base_angular=24):
+# The counterexample's annuli: outer radius and the coarsest level's cells.
+_ANNULUS_R_OUT = 1.0
+_ANNULUS_BASE_RADIAL = 16
+_ANNULUS_BASE_ANGULAR = 24
+
+
+def counterexample_punctured(p=3.0, r_in_schedule=(1e-2, 1e-3), levels=3):
     """Vanishing-pairing failure across a shrinking puncture.
 
     On annuli with inner radius from the schedule, pair the pole field
     beta = (x, y)/r^2 (sampled at centroids; its divergence vanishes
     identically) against a radial plateau u that is 1 inside r_1 =
-    2 * min(schedule) and 0 outside r_2 = 0.8 * r_out.  The residual of
-    the vanishing identity, accounted over the outer boundary only,
-    converges to 2*pi instead of 0: the point constraint at the
+    2 * min(schedule) and 0 outside r_2 = 0.8 * r_out (r_out = 1).  The
+    residual of the vanishing identity, accounted over the outer boundary
+    only, converges to 2*pi instead of 0: the point constraint at the
     puncture is invisible to exponents p (> 2 required, since the
     threshold exponent of a point in the plane is exactly 2).  Also
     reports ||beta||^{p'}_{L^{p'}} (bounded) and ||beta||^2_{L^2}
     (growing like 2*pi*log(r_out/r_in)).
     """
     if p <= 2.0:
-        raise ValueError(
-            f"the puncture is invisible only above its threshold exponent 2 "
+        raise ParameterError(
+            f"p: the puncture is invisible only above its threshold exponent 2 "
             f"(a zero-dimensional constraint gives p_threshold = 2); got p = {p}"
         )
     if levels < 1:
-        raise ValueError("levels must be >= 1")
+        raise ParameterError(f"levels: must be >= 1, got {levels}")
     schedule = tuple(float(r) for r in r_in_schedule)
     if not schedule or min(schedule) <= 0.0:
-        raise ValueError("r_in schedule must contain positive radii")
+        raise ParameterError("r_in_schedule: must be a non-empty list of positive radii")
+    r_out = _ANNULUS_R_OUT
     r1 = 2.0 * min(schedule)
     r2 = 0.8 * r_out
     if r1 >= r2:
-        raise ValueError("plateau radii collapsed; shrink the schedule or grow r_out")
+        raise ParameterError("r_in_schedule: plateau radii collapsed; shrink the radii")
     p_conj = p / (p - 1.0)
 
     rows_level, meas = [], {
@@ -347,8 +407,8 @@ def counterexample_punctured(p, r_in_schedule=(1e-2, 1e-3), levels=3, r_out=1.0,
     finest_l2 = {}
     for r_in in schedule:
         for lev in range(levels):
-            nr = base_radial * (2**lev)
-            na = base_angular * (2**lev)
+            nr = _ANNULUS_BASE_RADIAL * (2**lev)
+            na = _ANNULUS_BASE_ANGULAR * (2**lev)
             mesh = build_annulus(r_in, r_out, nr, na)
             partition = partition_by_tags(mesh, neumann=("inner", "outer"))
             r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -549,6 +609,53 @@ def holder_exponent(mesh, u, n_pairs=2000, seed=0, n_bins=12):
     return (float(slope), r2)
 
 
+def holder_cusp(k=3.0, n=6, n_pairs=4000, seed=0, p_values=(2.0, 8.0)):
+    """Holder exponent fits (n_pairs sampled vertex pairs) of the
+    p-minimizers with source y and u = 0 on the right side of the cusp
+    of order k, one per exponent of p_values."""
+    if k < 1.0:
+        raise ParameterError(f"k: must be >= 1.0, got {k}")
+    if n < 2:
+        raise ParameterError(f"n: must be >= 2, got {n}")
+    if n_pairs < 10:
+        raise ParameterError(f"n_pairs: must be >= 10, got {n_pairs}")
+    for p in p_values:
+        if not p > 1.0:
+            raise ParameterError(f"p_values: must be > 1.0, got {p}")
+
+    mesh = geometry.build_cusp(k, n)
+    partition = partition_by_tags(mesh, dirichlet=("right",),
+                                  neumann=("lower", "upper"))
+    constraint = frozenset(int(v) for v in partition.region_vertices("dirichlet"))
+    f = fem.ScalarField.from_function(mesh, lambda x, y: y)
+
+    meas = {"h": [], "p": [], "alpha": [], "fit_quality": []}
+    for p in p_values:
+        u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=1e-8))
+        alpha, r2 = holder_exponent(
+            mesh, u, n_pairs=n_pairs, seed=substream_seed(seed, "holder:pairs")
+        )
+        meas["h"].append(geometry.mesh_size(mesh))
+        meas["p"].append(p)
+        meas["alpha"].append(alpha)
+        meas["fit_quality"].append(r2)
+    passed = {
+        "alpha_positive": all(a > 0.0 for a in meas["alpha"]),
+        "fit_quality_at_least_0.8": all(q >= 0.8 for q in meas["fit_quality"]),
+    }
+    return Report(
+        experiment="holder_cusp",
+        params={"k": k, "n": n, "p_values": p_values,
+                "n_pairs": n_pairs, "seed": seed},
+        levels=list(range(len(p_values))),
+        measurements=meas,
+        fitted={"alpha_min": min(meas["alpha"]),
+                "fit_quality_min": min(meas["fit_quality"])},
+        passed=passed,
+        tolerances={"alpha": "> 0", "fit_quality": ">= 0.8"},
+    )
+
+
 # -- convergence studies -----------------------------------------------------
 
 
@@ -566,7 +673,11 @@ def convergence_study(problem_id, levels=4, base_n=8, p=4.0):
     if problem_id not in _STUDIES:
         raise ValueError(f"unknown study {problem_id!r}; choose from {_STUDIES}")
     if levels < 3:
-        raise ValueError("a rate needs at least 3 levels")
+        raise ParameterError(f"levels: a rate needs at least 3 levels, got {levels}")
+    if base_n < 2:
+        raise ParameterError(f"base_n: must be >= 2, got {base_n}")
+    if not p > 1.0:
+        raise ParameterError(f"p: must be > 1.0, got {p}")
 
     rows = list(range(levels))
     meas = {"h": [], "error": []}
@@ -662,3 +773,13 @@ def convergence_study(problem_id, levels=4, base_n=8, p=4.0):
         passed=passed,
         tolerances=tolerances,
     )
+
+
+# Every `verify` experiment by name.  Each function's keyword parameters
+# and their defaults are the experiment's config keys and defaults.
+EXPERIMENTS = {
+    **{name: functools.partial(convergence_study, name) for name in _STUDIES},
+    "counterexample_punctured": counterexample_punctured,
+    "poincare_2": poincare_2,
+    "holder_cusp": holder_cusp,
+}

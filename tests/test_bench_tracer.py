@@ -59,3 +59,30 @@ def test_tracer_counts_a_p_laplace_solve_and_its_certificate(tmp_path, monkeypat
     assert metrics["plaplace.irls_iters"] >= 1
     assert metrics["plaplace.stages"] >= 1
     assert any(s.key == "plaplace.certificate" for s in spans)
+
+
+def test_tracer_sees_the_sweep_cells(tmp_path, monkeypatch):
+    # The sweep_cusp workload's per-layer split needs the sweep to call
+    # refine, partition_by_tags and solve_p_laplace through singfem.cli.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "domain": {"kind": "unit_square", "n": 2},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "x + 0.2 * y"},
+        "p_values": [3.0],
+        "levels": [0, 1],
+    }))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        rc = tracer.command(main, ["sweep", "--config", str(cfg),
+                                   "--out", str(tmp_path / "run")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer_mod.command_metrics(tracer.commands[-1])
+    assert metrics["plaplace.stages"] >= 1
+    assert metrics["geometry.refine_calls"] >= 1
+    assert metrics["geometry.partition_calls"] >= 1

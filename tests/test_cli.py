@@ -395,3 +395,223 @@ def test_bad_exponent_lists_are_usage_errors(tmp_path, command, p_values, messag
     assert main([*command, "--config", str(path), "--out", str(out)]) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ConfigError" and message in record["message"]
+
+
+# -- the experiment registry ---------------------------------------------------------
+
+CHEAP_EXPERIMENTS = {
+    "manufactured_dirichlet": {"levels": 3, "base_n": 4},
+    "neumann_harmonic": {"levels": 3, "base_n": 4},
+    "plap_affine": {"levels": 3, "base_n": 4},
+    "ibp_smooth": {"levels": 3, "base_n": 4},
+    "counterexample_punctured": {"levels": 1},
+    "poincare_2": {"levels": 2},
+    "holder_cusp": {"n": 3, "n_pairs": 100, "p_values": [2.0]},
+}
+
+
+def test_cheap_configs_cover_the_registry():
+    from singfem import verify
+
+    assert set(CHEAP_EXPERIMENTS) == set(verify.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(CHEAP_EXPERIMENTS))
+def test_every_experiment_runs_through_main(tmp_path, name):
+    cfg = write_config(tmp_path / "v.json", CHEAP_EXPERIMENTS[name])
+    out = tmp_path / "run"
+    assert main(["verify", name, "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is True
+    assert summary["config_hash"] == config_hash(
+        {"command": "verify", "experiment": name, "config": CHEAP_EXPERIMENTS[name]})
+    assert (out / "report.csv").read_text().startswith(
+        f"# config_hash={summary['config_hash']}\n")
+
+
+def test_verify_warns_about_keys_its_experiment_does_not_take(tmp_path, capsys):
+    cfg = write_config(tmp_path / "v.json", {"levels": 2, "k": 3})
+    assert main(["verify", "poincare_2", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 0
+    err = capsys.readouterr().err
+    assert "unknown config key 'k'" in err
+    assert "'levels'" not in err
+
+
+@pytest.mark.parametrize("schedule", ["[null]", '["x"]', "[-1]", "[]", "0.01"])
+def test_bad_radius_schedules_are_usage_errors(tmp_path, schedule):
+    path = tmp_path / "v.json"
+    path.write_text(f'{{"levels": 1, "r_in_schedule": {schedule}}}')
+    out = tmp_path / "run"
+    assert main(["verify", "counterexample_punctured", "--config", str(path),
+                 "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("r_in_schedule: ")
+
+
+@pytest.mark.parametrize("name, cfg, field", [
+    ("ibp_smooth", {"levels": 2}, "levels"),
+    ("ibp_smooth", {"base_n": 1}, "base_n"),
+    ("plap_affine", {"p": 1.0}, "p"),
+    ("counterexample_punctured", {"p": 2.0}, "p"),
+    ("poincare_2", {"levels": 1}, "levels"),
+    ("holder_cusp", {"n_pairs": 9}, "n_pairs"),
+    ("holder_cusp", {"k": 0.5}, "k"),
+    ("holder_cusp", {"n": 1}, "n"),
+    ("holder_cusp", {"p_values": [2.0, 1.0]}, "p_values"),
+    ("holder_cusp", {"n": 2.5}, "n"),
+])
+def test_out_of_range_experiment_parameters_are_usage_errors(tmp_path, name, cfg, field):
+    out = tmp_path / "run"
+    assert main(["verify", name, "--config", write_config(tmp_path / "v.json", cfg),
+                 "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["message"].startswith(f"{field}: ")
+
+
+def test_value_error_inside_an_experiment_exits_1(tmp_path, monkeypatch):
+    from singfem import verify
+
+    def failing_annulus(*args, **kwargs):
+        raise ValueError("mesh generator rejected its input")
+
+    monkeypatch.setattr(verify, "build_annulus", failing_annulus)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "v.json", {"levels": 1})
+    assert main(["verify", "counterexample_punctured", "--config", cfg,
+                 "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "ValueError", "exit_code": 1,
+                      "message": "mesh generator rejected its input"}
+
+
+# -- config keys of the other commands ---------------------------------------------
+
+
+def test_mesh_warns_about_a_data_object_once(tmp_path, capsys):
+    cfg = write_config(tmp_path / "m.json", {
+        "domain": {"kind": "unit_square", "n": 2}, "data": {"f": "x", "g": "1"}})
+    assert main(["mesh", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "unknown config key" in line]
+    assert warnings == ["warning: ignoring unknown config key 'data'"]
+
+
+def test_solve_warns_about_data_keys_it_does_not_read(tmp_path, capsys):
+    cfg = write_config(tmp_path / "n.json", {
+        "domain": {"kind": "unit_square", "n": 3},
+        "data": {"g": "0", "theta": "nx", "f": "x"},
+    })
+    assert main(["solve-neumann", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert "unknown config key data.'f'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain, field", [
+    ({"kind": "unit_square", "n": "8"}, "domain.n"),
+    ({"kind": "unit_square", "n": 2.5}, "domain.n"),
+    ({"kind": "unit_square", "n": True}, "domain.n"),
+    ({"kind": "annulus", "n_radial": None}, "domain.n_radial"),
+    ({"kind": "annulus", "r_in": "0.1"}, "domain.r_in"),
+    ({"kind": "cusp", "k": [3]}, "domain.k"),
+    ({"kind": "unit_square", "seed": "abc"}, "domain.seed"),
+])
+def test_malformed_domain_fields_are_usage_errors(tmp_path, domain, field):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "m.json", {"domain": domain})
+    assert main(["mesh", "--config", cfg, "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{field}: ")
+    assert not (out / "mesh.json").exists()
+
+
+def test_domain_numbers_enter_the_hash_as_written(tmp_path):
+    import dataclasses
+
+    from singfem.geometry import DomainSpec
+
+    def mesh_hash(domain, name):
+        out = tmp_path / name
+        cfg = write_config(tmp_path / f"{name}.json", {"domain": domain})
+        assert main(["mesh", "--config", cfg, "--out", str(out)]) == 0
+        return json.loads((out / "mesh.json").read_text())["config_hash"]
+
+    # A float field keeps an integer as written (k = 3 hashes as 3); an
+    # integer field written as a whole float is read as the integer.
+    as_written = dataclasses.asdict(DomainSpec(kind="cusp", k=3, n=2))
+    assert mesh_hash({"kind": "cusp", "k": 3, "n": 2}, "int_k") == config_hash(
+        {"command": "mesh", "domain": as_written, "refine": 0})
+    assert mesh_hash({"kind": "cusp", "k": 3.0, "n": 2}, "float_k") != mesh_hash(
+        {"kind": "cusp", "k": 3, "n": 2}, "int_k")
+    assert mesh_hash({"kind": "cusp", "k": 3, "n": 2.0}, "float_n") == mesh_hash(
+        {"kind": "cusp", "k": 3, "n": 2}, "int_k")
+
+
+# -- exit-code contract ---------------------------------------------------------------
+
+
+def test_failed_verification_exits_1_with_error_record(tmp_path):
+    cfg = write_config(tmp_path / "v.json",
+                       {"levels": 1, "r_in_schedule": [0.05, 0.01], "p": 4})
+    out = tmp_path / "run"
+    assert main(["verify", "counterexample_punctured", "--config", cfg,
+                 "--out", str(out)]) == 1
+    assert json.loads((out / "summary.json").read_text())["pass"] is False
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "ChecksFailed", "exit_code": 1,
+                      "message": "failed checks: r_in_gap_within_2pct"}
+
+
+def test_failed_sweep_cell_exits_1_with_error_record(tmp_path):
+    cfg = write_config(tmp_path / "s.json", {
+        "domain": {"kind": "unit_square", "n": 4},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "x*y"},
+        "p_values": [1e300],
+        "levels": [0],
+    })
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert (out / "sweep.csv").read_text().splitlines()[-1].endswith(",PLaplaceError")
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ChecksFailed" and record["exit_code"] == 1
+
+
+def test_failed_certificate_exits_1_with_error_record(tmp_path, monkeypatch):
+    from singfem import cli
+    from singfem.plaplace import OptimalityReport
+
+    def failing_certificate(u, p, constraint, seed):
+        return OptimalityReport(energy=0.0, stationarity=None, iterations=[],
+                                certificate={"passed": False, "violations": 1})
+
+    monkeypatch.setattr(cli, "minimality_certificate", failing_certificate)
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", _plap_config(tmp_path, 3, 3.0),
+                 "--out", str(out), "--certificate"]) == 1
+    assert json.loads((out / "solution.json").read_text())["info"]["certificate"] == {
+        "passed": False, "violations": 1}
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ChecksFailed" and record["exit_code"] == 1
+
+
+def test_integer_beyond_the_float_range_is_a_usage_error(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"levels": 3, "base_n": 4, "p": 1' + "0" * 400 + "}")
+    out = tmp_path / "run"
+    assert main(["verify", "ibp_smooth", "--config", str(path), "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["message"] == (
+        "p: must be finite, got inf")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "run"
+    assert main(["mesh", "--config", str(path), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["message"].startswith("config: ")
