@@ -612,6 +612,7 @@ def main(argv=None):
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
         args.func(args, cfg, out_dir)
+        (out_dir / "error.json").unlink(missing_ok=True)  # from an earlier failed run
         return 0
     except ConfigError as exc:
         _emit_error(out_dir, exc, 2)

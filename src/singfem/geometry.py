@@ -1,7 +1,7 @@
 """Triangulated planar domains with tagged boundaries.
 
 Structured generators (rectangle, annulus, cusp wedge), boundary
-partitioning into Dirichlet/Neumann regions, uniform red refinement,
+partitioning into Dirichlet/Neumann regions by tag, uniform red refinement,
 the shortest-edge-path inner metric, and the codimension threshold
 exponent for constraint sets.
 """
@@ -23,7 +23,7 @@ class MeshError(Exception):
 
 
 class PartitionError(Exception):
-    """Boundary tagging rules fail to partition the boundary edges."""
+    """Tag lists fail to partition the boundary edges."""
 
 
 # Relative tolerance for the triangle-area vs. boundary-polygon-area check.
@@ -103,18 +103,17 @@ class Mesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array
         Vertex indices in counterclockwise order.
-    boundary_edges : (ne, 2) int array
-        Directed boundary edges in discovery order (the domain lies to
-        the left of each edge; use `from_triangulation` to build).
     boundary_tags : tuple of str
-        Region name of each boundary edge, aligned with boundary_edges.
+        Region name of each boundary edge, aligned with boundary_edges
+        (use `from_triangulation` to build).
     singular_vertices : frozenset of int
         Vertex indices declared as singular frontier points.
 
-    Derived arrays (areas, barycentric gradients, boundary normals,
-    lengths and adjacent triangles) are computed at construction; all
-    arrays are frozen and no attribute can be reassigned afterwards, so
-    the content hash is computed at most once.
+    Derived arrays (areas, barycentric gradients, and the boundary: its
+    directed edges in triangle-major discovery order with the domain on
+    their left, their normals, lengths and adjacent triangles) are
+    computed at construction; all arrays are frozen and no attribute can
+    be reassigned afterwards, so the content hash is computed at most once.
 
     A mesh made by `refine` also records its refinement chain: `parent`
     is the coarse mesh and `prolongation` the sparse (nv, parent nv)
@@ -125,11 +124,11 @@ class Mesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
     boundary_tags: tuple
     singular_vertices: frozenset = frozenset()
     areas: np.ndarray = field(init=False, repr=False)
     grad_lambda: np.ndarray = field(init=False, repr=False)
+    boundary_edges: np.ndarray = field(init=False, repr=False)
     boundary_lengths: np.ndarray = field(init=False, repr=False)
     boundary_normals: np.ndarray = field(init=False, repr=False)
     boundary_tri: np.ndarray = field(init=False, repr=False)
@@ -145,7 +144,6 @@ class Mesh:
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(self.boundary_edges, dtype=np.int64)
         self.boundary_tags = tuple(str(t) for t in self.boundary_tags)
         self.singular_vertices = frozenset(int(i) for i in self.singular_vertices)
 
@@ -180,17 +178,9 @@ class Mesh:
         gl /= (2.0 * areas)[:, None, None]
         self.grad_lambda = gl
 
-        disc_edges, disc_tri = _discover_boundary(self.triangles)
-        if disc_edges.shape != self.boundary_edges.shape or not np.array_equal(
-            disc_edges, self.boundary_edges
-        ):
-            raise MeshError(
-                "boundary_edges must equal the discovered boundary in "
-                "triangle-major order; use Mesh.from_triangulation"
-            )
+        self.boundary_edges, self.boundary_tri = _discover_boundary(self.triangles)
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise MeshError("one tag required per boundary edge")
-        self.boundary_tri = disc_tri
 
         tails = self.boundary_edges[:, 0]
         heads = self.boundary_edges[:, 1]
@@ -241,7 +231,7 @@ class Mesh:
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         edges, _ = _discover_boundary(triangles)
         tags = tuple(edge_tag(int(a), int(b)) for a, b in edges)
-        return cls(vertices, triangles, edges, tags, frozenset(singular_vertices))
+        return cls(vertices, triangles, tags, frozenset(singular_vertices))
 
     # -- counts ---------------------------------------------------------
 
@@ -340,7 +330,7 @@ class Mesh:
             if key not in stored:
                 raise MeshError(f"stored boundary is missing edge {key}")
             tags.append(stored[key])
-        return cls(vertices, triangles, edges, tuple(tags),
+        return cls(vertices, triangles, tuple(tags),
                    frozenset(int(i) for i in data.get("singular_vertices", ())))
 
     @classmethod
@@ -582,19 +572,15 @@ def refine(mesh):
     # Coarse boundary edge k is local edge j of triangle t = boundary_tri[k].
     # Its halves are local edge 0 of child 4t + j and local edge 2 of child
     # 4t + (j + 1) % 3; sorting by 3 * child + local edge puts them in the
-    # child's triangle-major discovery order (which the Mesh constructor
-    # checks).
+    # child's triangle-major discovery order, the order of the boundary
+    # the child derives, so each half takes its parent edge's tag.
     t = mesh.boundary_tri
     j = np.argmax(mesh.triangles[t] == mesh.boundary_edges[:, :1], axis=1)
     child_of = np.concatenate((4 * t + j, 4 * t + (j + 1) % 3))
     local = np.repeat(np.array([0, 2]), len(t))
-    order = np.argsort(3 * child_of + local)
-    child_of, local = child_of[order], local[order]
-    edges = np.column_stack((triangles[child_of, local],
-                             triangles[child_of, (local + 1) % 3]))
-    parent = order % len(t)
+    parent = np.argsort(3 * child_of + local) % len(t)
     tags = tuple(mesh.boundary_tags[i] for i in parent.tolist())
-    child = Mesh(vertices, triangles, edges, tags, mesh.singular_vertices)
+    child = Mesh(vertices, triangles, tags, mesh.singular_vertices)
 
     # Identity on the old vertices, the endpoint average on the midpoints.
     mid = nv + np.arange(len(pairs))
@@ -697,19 +683,6 @@ def max_interior_angle(mesh):
 # -- boundary partition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryEdgeView:
-    """Read-only view of one boundary edge handed to tagging predicates."""
-
-    index: int
-    tail: int
-    head: int
-    midpoint: np.ndarray
-    length: float
-    normal: np.ndarray
-    tag: str
-
-
 _REGIONS = ("dirichlet", "neumann")
 
 
@@ -720,14 +693,12 @@ class BoundaryPartition:
     edge_regions assigns "dirichlet" or "neumann" to every boundary
     edge of the mesh.  singular_vertices is the finite exceptional set:
     the mesh's declared singular vertices plus every vertex where the
-    region changes.  constraint_vertices optionally names a nodal
-    constraint set used by trace-constrained minimization.
+    region changes.
     """
 
     mesh: Mesh
     edge_regions: tuple
     singular_vertices: frozenset = frozenset()
-    constraint_vertices: frozenset = frozenset()
 
     def __post_init__(self):
         self.edge_regions = tuple(self.edge_regions)
@@ -738,31 +709,25 @@ class BoundaryPartition:
                 raise PartitionError(f"unknown region {r!r}")
         nv = self.mesh.num_vertices
         self.singular_vertices = frozenset(int(i) for i in self.singular_vertices)
-        self.constraint_vertices = frozenset(int(i) for i in self.constraint_vertices)
-        for i in self.singular_vertices | self.constraint_vertices:
+        for i in self.singular_vertices:
             if not 0 <= i < nv:
                 raise PartitionError(f"vertex index {i} out of range")
 
     def region_edges(self, region):
-        """Boundary-edge indices of a region.
+        """Boundary-edge indices of a region, ascending.
 
         Accepts "dirichlet", "neumann", "boundary" (everything), or any
         mesh-level tag name such as "left" or "outer".
         """
-        ne = self.mesh.num_boundary_edges
         if region == "boundary":
-            return np.arange(ne, dtype=np.int64)
+            return np.arange(self.mesh.num_boundary_edges, dtype=np.int64)
         if region in _REGIONS:
-            return np.asarray(
-                [i for i in range(ne) if self.edge_regions[i] == region],
-                dtype=np.int64,
-            )
-        if region in self.mesh.boundary_tags:
-            return np.asarray(
-                [i for i in range(ne) if self.mesh.boundary_tags[i] == region],
-                dtype=np.int64,
-            )
-        raise PartitionError(f"unknown boundary region {region!r}")
+            names = self.edge_regions
+        elif region in self.mesh.boundary_tags:
+            names = self.mesh.boundary_tags
+        else:
+            raise PartitionError(f"unknown boundary region {region!r}")
+        return np.nonzero(np.asarray(names) == region)[0]
 
     def region_vertices(self, region):
         """Sorted vertex indices incident to the region's edges."""
@@ -772,63 +737,13 @@ class BoundaryPartition:
         return np.unique(self.mesh.boundary_edges[edges])
 
 
-def tag_boundary(mesh, rules, constraint_vertices=()):
-    """Partition the boundary by geometric predicates.
-
-    rules is a sequence of (predicate, region) pairs with region in
-    {"dirichlet", "neumann"}; each predicate receives a
-    BoundaryEdgeView.  Every boundary edge must match exactly one rule.
-    The singular set is the mesh's declared singular vertices plus all
-    vertices where the assigned region changes.
-    """
-    rules = list(rules)
-    for _, region in rules:
-        if region not in _REGIONS:
-            raise PartitionError(f"rule region must be dirichlet or neumann, got {region!r}")
-
-    midpoints = mesh.edge_midpoints()
-    assigned = []
-    for idx in range(mesh.num_boundary_edges):
-        a, b = (int(x) for x in mesh.boundary_edges[idx])
-        view = BoundaryEdgeView(
-            index=idx,
-            tail=a,
-            head=b,
-            midpoint=midpoints[idx],
-            length=float(mesh.boundary_lengths[idx]),
-            normal=mesh.boundary_normals[idx],
-            tag=mesh.boundary_tags[idx],
-        )
-        hits = [region for pred, region in rules if pred(view)]
-        where = f"boundary edge {idx} (vertices {a}-{b}, tag {view.tag!r})"
-        if not hits:
-            raise PartitionError(f"{where} matched no tagging rule")
-        if len(hits) > 1:
-            raise PartitionError(f"{where} matched {len(hits)} tagging rules")
-        assigned.append(hits[0])
-
-    changes = set()
-    by_vertex = {}
-    for (a, b), region in zip(mesh.boundary_edges, assigned):
-        for v in (int(a), int(b)):
-            by_vertex.setdefault(v, set()).add(region)
-    for v, regions in by_vertex.items():
-        if len(regions) > 1:
-            changes.add(v)
-
-    return BoundaryPartition(
-        mesh=mesh,
-        edge_regions=tuple(assigned),
-        singular_vertices=frozenset(mesh.singular_vertices) | changes,
-        constraint_vertices=frozenset(constraint_vertices),
-    )
-
-
-def partition_by_tags(mesh, dirichlet=(), neumann=(), constraint_vertices=()):
+def partition_by_tags(mesh, dirichlet=(), neumann=()):
     """Partition the boundary by mesh-level tag names.
 
     Unknown names are rejected; the two name sets must be disjoint and
-    jointly cover every tag present on the mesh.
+    jointly cover every tag present on the mesh.  The singular set is the
+    mesh's declared singular vertices plus all vertices where the region
+    changes.
     """
     dirichlet = set(dirichlet)
     neumann = set(neumann)
@@ -838,11 +753,26 @@ def partition_by_tags(mesh, dirichlet=(), neumann=(), constraint_vertices=()):
     overlap = dirichlet & neumann
     if overlap:
         raise PartitionError(f"tags {sorted(overlap)} assigned to both regions")
-    rules = [
-        (lambda e, s=dirichlet: e.tag in s, "dirichlet"),
-        (lambda e, s=neumann: e.tag in s, "neumann"),
-    ]
-    return tag_boundary(mesh, rules, constraint_vertices=constraint_vertices)
+    uncovered = known - dirichlet - neumann
+    if uncovered:
+        raise PartitionError(f"mesh boundary tags {sorted(uncovered)} matched no region; "
+                             "each must be dirichlet or neumann")
+    edge_regions = tuple("dirichlet" if tag in dirichlet else "neumann"
+                         for tag in mesh.boundary_tags)
+
+    # Every boundary vertex is the tail of one edge and the head of one
+    # other; the region changes there when the two edges differ.
+    is_dirichlet = np.asarray(edge_regions) == "dirichlet"
+    tails, heads = mesh.boundary_edges.T
+    arriving = np.zeros(mesh.num_vertices, dtype=bool)
+    arriving[heads] = is_dirichlet
+    changes = tails[arriving[tails] != is_dirichlet]
+
+    return BoundaryPartition(
+        mesh=mesh,
+        edge_regions=edge_regions,
+        singular_vertices=mesh.singular_vertices | frozenset(changes.tolist()),
+    )
 
 
 # -- threshold exponent ---------------------------------------------------

@@ -595,6 +595,28 @@ def test_failed_certificate_exits_1_with_error_record(tmp_path, monkeypatch):
     assert record["error"] == "ChecksFailed" and record["exit_code"] == 1
 
 
+def test_a_successful_run_removes_an_earlier_error_record(tmp_path, monkeypatch):
+    from singfem import cli
+
+    def failing_solve(*args, **kwargs):
+        raise ValueError("solver rejected its input")
+
+    out = tmp_path / "run"
+    good = ["solve-laplace", "--config", laplace_config(tmp_path), "--out", str(out)]
+    bad = write_config(tmp_path / "bad.json", {"domain": {"kind": "unit_square", "n": 4},
+                                               "partition": {"dirichlet": ["west"]}})
+    assert main(["solve-laplace", "--config", bad, "--out", str(out)]) == 2
+    assert (out / "error.json").exists()
+    assert main(good) == 0
+    assert not (out / "error.json").exists()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_mixed", failing_solve)
+        assert main(good) == 1
+    assert (out / "error.json").exists()
+    assert main(good) == 0
+    assert not (out / "error.json").exists()
+
+
 def test_integer_beyond_the_float_range_is_a_usage_error(tmp_path):
     path = tmp_path / "v.json"
     path.write_text('{"levels": 3, "base_n": 4, "p": 1' + "0" * 400 + "}")

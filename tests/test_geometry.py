@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -25,7 +26,6 @@ from singfem.geometry import (
     path_lengths,
     prolong,
     refine,
-    tag_boundary,
 )
 from singfem.geometry import _canonical_dumps, _discover_boundary, _edge_midpoint_order
 
@@ -234,6 +234,24 @@ def test_json_texts_encode_tags_with_separators_exactly():
     assert spaced == json.dumps(data, sort_keys=True)
 
 
+def test_from_json_dict_rejects_a_dropped_boundary_edge():
+    data = build_unit_square(2).to_json_dict()
+    data["boundary_edges"].pop()
+    with pytest.raises(MeshError, match="stored boundary edges disagree"):
+        Mesh.from_json_dict(data)
+
+
+def test_from_json_dict_rejects_an_interior_edge_in_the_boundary():
+    m = build_unit_square(2)
+    data = m.to_json_dict()
+    boundary = {frozenset(e) for e in m.boundary_edges.tolist()}
+    a, b, c = m.triangles[0].tolist()
+    interior = next(e for e in ((a, b), (b, c), (c, a)) if frozenset(e) not in boundary)
+    data["boundary_edges"][0] = [*interior, data["boundary_edges"][0][2]]
+    with pytest.raises(MeshError, match="stored boundary is missing edge"):
+        Mesh.from_json_dict(data)
+
+
 # -- refinement -------------------------------------------------------------
 
 
@@ -439,15 +457,31 @@ def test_partition_by_tags_rejects_bad_names():
         partition_by_tags(m, dirichlet=("left",), neumann=("left",))
 
 
-def test_tag_boundary_requires_exactly_one_rule():
-    m = build_unit_square(2)
-    with pytest.raises(PartitionError, match="matched no tagging rule"):
-        tag_boundary(m, [(lambda e: e.tag == "left", "dirichlet")])
-    with pytest.raises(PartitionError, match="matched 2 tagging rules"):
-        tag_boundary(
-            m,
-            [(lambda e: True, "dirichlet"), (lambda e: e.tag == "left", "neumann")],
-        )
+@pytest.mark.parametrize("levels", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["unit_square", "annulus", "cusp"])
+def test_partition_matches_a_per_edge_reference(kind, levels):
+    m = _refined(DOMAINS[kind], levels)
+    tags = sorted(set(m.boundary_tags))
+    edges = m.boundary_edges.tolist()
+    for choice in itertools.product((True, False), repeat=len(tags)):
+        dirichlet = [tag for tag, d in zip(tags, choice) if d]
+        neumann = [tag for tag, d in zip(tags, choice) if not d]
+        part = partition_by_tags(m, dirichlet=dirichlet, neumann=neumann)
+        regions = ["dirichlet" if tag in dirichlet else "neumann" for tag in m.boundary_tags]
+        assert part.edge_regions == tuple(regions)
+        for name in ["dirichlet", "neumann", "boundary", *tags]:
+            expected = [i for i in range(len(edges))
+                        if name in ("boundary", regions[i], m.boundary_tags[i])]
+            got = part.region_edges(name)
+            assert got.dtype == np.int64 and got.tolist() == expected
+            assert part.region_vertices(name).tolist() == sorted(
+                {v for i in expected for v in edges[i]})
+        seen = {}
+        for (a, b), region in zip(edges, regions):
+            for v in (a, b):
+                seen.setdefault(v, set()).add(region)
+        assert part.singular_vertices == m.singular_vertices | {
+            v for v, rs in seen.items() if len(rs) > 1}
 
 
 def test_region_changes_become_singular_vertices():
