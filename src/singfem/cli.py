@@ -407,12 +407,16 @@ def _cmd_solve_plap(args, cfg, out_dir):
     for flag in ("p", "tol"):
         if getattr(args, flag) is not None:
             cfg[flag] = getattr(args, flag)
+    if args.certificate:
+        cfg["certificate"] = True
     mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, True)
     if "p" not in cfg:
         raise ConfigError("p: required for solve-plap")
     p = _float_field(cfg, "p", None, above=1.0)
     tol = _float_field(cfg, "tol", 1e-8, above=0.0)
-    want_cert = bool(cfg.get("certificate", False) or args.certificate)
+    want_cert = cfg.get("certificate", False)
+    if not isinstance(want_cert, bool):
+        raise ConfigError(f"certificate: expected true or false, got {want_cert!r}")
     f = _scalar_from_expr(mesh, data.get("f", "0"), "data.f")
     constraint = frozenset(int(v) for v in partition.region_vertices("dirichlet"))
     seed = cfg.get("seed", 0)

@@ -4,8 +4,8 @@ Minimizes the regularized p-Dirichlet energy
 sum_T area_T * (|grad u|_T^2 + eps^2)^(p/2) over nodal fields with
 prescribed values on a constraint vertex set, by Armijo-damped Newton
 steps on that energy (its Hessian is SPD for every p > 1 and eps > 0),
-warm-started from the p = 2 solution and driven by continuation in both
-p and eps.
+warm-started from the p = 2 solution and driven by continuation in p at
+a fixed eps, followed by one final stage at the target eps.
 Also provides the normalized duality map, the first-order stationarity
 measure, and a randomized minimality certificate.
 """
@@ -309,12 +309,11 @@ def _newton_step(mesh, values, p, w, s, g, m, free, band):
 
 
 # The continuation schedule of solve_p_laplace: p grows by at most the
-# factor _P_STEP per stage; eps starts at _EPS_START_FACTOR times the
-# 2-energy of the warm start and falls by _EPS_DIV per stage; every stage
-# takes at most _MAX_INNER Newton steps.
+# factor _P_STEP per stage at eps = _EPS_START_FACTOR times the 2-energy
+# of the warm start, then one final stage takes eps to eps_final; every
+# stage takes at most _MAX_INNER Newton steps.
 _P_STEP = 1.5
 _EPS_START_FACTOR = 1e-2
-_EPS_DIV = 10.0
 _MAX_INNER = 120
 
 
@@ -330,10 +329,10 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
             f"regularized {p:g}-energy overflows double precision",
             best_field=fem.ScalarField(mesh, values),
         )
-    for it in range(_MAX_INNER):
+    for it in range(_MAX_INNER + 1):
         _, w, s, g, m = _energy_gradient(mesh, values, p, eps)
         stat = _stationarity(energy, s, p, free_mask, hat_norms)
-        if stat <= tol:
+        if stat <= tol or it == _MAX_INNER:
             return values, it, stat, True
 
         delta = _newton_step(mesh, values, p, w, s, g, m, free, band)
@@ -363,9 +362,6 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
                 best_field=None,
             )
         values, energy = trial, e_trial
-    _, _, s, _, _ = _energy_gradient(mesh, values, p, eps)
-    stat = _stationarity(energy, s, p, free_mask, hat_norms)
-    return values, _MAX_INNER, stat, True
 
 
 def _continuation_ladder(start, target, factor):
@@ -382,8 +378,9 @@ def solve_p_laplace(problem):
 
     Returns (ScalarField, OptimalityReport).  The solve is warm-started
     at p = 2, continues multiplicatively in p (steps of at most a factor
-    _P_STEP), then drives the regularization down a decade at a time to
-    eps_final.  The regularized energy never increases along accepted
+    _P_STEP) at eps0, then runs one final stage at (p, eps_final) to the
+    problem tolerance; the trace records each stage, named "p_ladder" or
+    "final".  The regularized energy never increases along accepted
     steps.  The mesh and the free set are fixed throughout, so one band
     layout under one reverse Cuthill-McKee ordering serves the warm start
     (the system at unit weights) and every Newton factorization of the
@@ -439,29 +436,15 @@ def solve_p_laplace(problem):
 
     hat_norms = hat_norms_at(problem.p)
     stage_tol = max(problem.tol, 1e-6)
-
-    if problem.p != 2.0:
-        for pk in _continuation_ladder(2.0, problem.p, _P_STEP)[1:]:
-            values, iters, stat, ok = _newton_stage(
-                mesh, values, pk, eps0, free, free_mask, band, hat_norms_at(pk), stage_tol,
-            )
-            trace_log.append({"stage": "p_ladder", "p": pk, "eps": eps0,
-                              "iterations": iters, "stationarity": stat,
-                              "line_search_ok": ok})
-
-    eps_ladder = [eps0]
-    while eps_ladder[-1] > eps_final:
-        eps_ladder.append(max(eps_ladder[-1] / _EPS_DIV, eps_final))
-    if eps_final > eps0:
-        eps_ladder = [eps_final]
-    for j, eps in enumerate(eps_ladder):
-        tol_here = problem.tol if j == len(eps_ladder) - 1 else stage_tol
+    schedule = [(pk, eps0, stage_tol, "p_ladder")
+                for pk in _continuation_ladder(2.0, problem.p, _P_STEP)[1:]]
+    schedule.append((problem.p, eps_final, problem.tol, "final"))
+    for pk, eps, tol, name in schedule:
+        hn = hat_norms if pk == problem.p else hat_norms_at(pk)
         values, iters, stat, ok = _newton_stage(
-            mesh, values, problem.p, eps, free, free_mask, band, hat_norms, tol_here,
-        )
-        trace_log.append({"stage": "eps_ladder", "p": problem.p, "eps": eps,
-                          "iterations": iters, "stationarity": stat,
-                          "line_search_ok": ok})
+            mesh, values, pk, eps, free, free_mask, band, hn, tol)
+        trace_log.append({"stage": name, "p": pk, "eps": eps, "iterations": iters,
+                          "stationarity": stat, "line_search_ok": ok})
 
     u = fem.ScalarField(mesh, values)
     stat_true = p_stationarity(u, problem.p, problem.constraint_vertices)

@@ -313,6 +313,25 @@ def test_solve_plap_requires_p_and_runs_certificate(tmp_path):
     assert payload["info"]["stationarity"] <= 1e-8
 
 
+@pytest.mark.parametrize("value", ["no", "true", 0, 1, [], None])
+def test_certificate_field_must_be_a_json_boolean(tmp_path, value):
+    cfg = write_config(tmp_path / "c.json", {
+        "domain": {"kind": "unit_square", "n": 4},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "x"}, "p": 3.0, "certificate": value,
+    })
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", cfg, "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("certificate:")
+    assert not (out / "solution.json").exists()
+    # the flag forces the certificate on, whatever the file says
+    assert main(["solve-plap", "--config", cfg, "--out", str(out), "--certificate"]) == 0
+    payload = json.loads((out / "solution.json").read_text())
+    assert payload["info"]["certificate"]["passed"] is True
+
+
 def _plap_config(tmp_path, n, p):
     return write_config(tmp_path / "plap.json", {
         "domain": {"kind": "unit_square", "n": n},

@@ -106,6 +106,52 @@ def verify_configs(draw):
     return name, cfg, usage_error
 
 
+SIDES = {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]}
+# solve-plap partitions that are usage errors: an unknown tag, a tag in
+# both regions, no Dirichlet region; and tag lists or a partition of the
+# wrong type
+BAD_PARTITIONS = [
+    {"dirichlet": ["left", "right", "nowhere"], "neumann": ["bottom", "top"]},
+    {"dirichlet": ["left", "right"], "neumann": ["right", "bottom", "top"]},
+    {"neumann": ["left", "right", "bottom", "top"]},
+    {"dirichlet": [], "neumann": ["left", "right", "bottom", "top"]},
+]
+WRONG_PARTITIONS = [
+    {"dirichlet": "left", "neumann": ["right", "bottom", "top"]},
+    {"dirichlet": ["left", "right"], "neumann": {"bottom": 1, "top": 2}},
+    ["left", "right"],
+]
+
+
+# solve-plap field -> (valid, out of range or invalid, wrong type)
+PLAP = {
+    "p": ([1.5, 2, 4.0], [1.0, 0.5, -3, 10**400], WRONG_FLOAT),
+    "tol": ([1e-8, 1e-4], [0.0, -1e-6, 10**400], WRONG_FLOAT),
+    "certificate": ([True, False], [], ["no", "true", 0, 1, None, []]),
+    "partition": ([SIDES], BAD_PARTITIONS, WRONG_PARTITIONS),
+    "data": ([{"f": "sin(3 * x * y) + y"}, {"f": "x"}, {}],
+             [{"f": "z + x"}, {"f": "gamma(x)"}, {"f": "x +"}],
+             [{"f": 3}, {"f": None}, {"f": ["x"]}, "x"]),
+}
+
+
+@st.composite
+def plap_configs(draw):
+    """solve-plap on a unit square with n <= 4.  At most one field is
+    broken per draw, so each usage error is seen on its own: p is required
+    (leaving it out is a usage error), the partition is always given."""
+    cfg = {"domain": {"kind": "unit_square", "n": draw(st.sampled_from([2, 3, 4]))}}
+    broken = draw(st.sampled_from([None, *PLAP]))
+    for key, (valid, out, wrong) in PLAP.items():
+        if key == broken:
+            value, label = draw(_choice([], out, wrong, optional=key == "p"))
+        else:
+            value, label = draw(_choice(valid, [], [], optional=key not in ("p", "partition")))
+        if label != "absent":
+            cfg[key] = value
+    return cfg, broken is not None
+
+
 def _run(argv, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "run"
@@ -137,3 +183,11 @@ def test_verify_config_fuzz(drawn):
     code = _run(["verify", name], cfg)
     if usage_error:
         assert code == 2, (name, cfg)
+
+
+@FUZZ
+@given(plap_configs())
+def test_solve_plap_config_fuzz(drawn):
+    cfg, usage_error = drawn
+    code = _run(["solve-plap"], cfg)
+    assert (code == 2) == usage_error, cfg

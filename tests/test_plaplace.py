@@ -536,6 +536,30 @@ def test_newton_steps_at_p_4_stay_few_and_are_recorded():
     assert sum(s["iterations"] for s in stages) <= 12
 
 
+@pytest.mark.parametrize("build, p, max_steps", [
+    (_probe_square, 1.2, 25),
+    (_probe_square, 4.0, 9),
+    (_probe_square, 32.0, 43),
+    (_cusp_level_1, 32.0, 22),
+])
+def test_schedule_is_the_p_ladder_then_one_final_stage(build, p, max_steps):
+    """Warm start, one stage per p rung at eps0, one final stage at
+    (p, eps_final).  max_steps is what the former schedule took, which
+    also stepped eps down a decade per stage after the rungs."""
+    mesh, constraint, f = build()
+    # at p = 2 the solve returns the warm start, whose 2-energy sets eps
+    scale = solve_p_laplace(PlapProblem(mesh, constraint, f, 2.0))[1].energy
+    _, report = solve_p_laplace(PlapProblem(mesh, constraint, f, p, tol=1e-8))
+    stages = report.iterations
+    rungs = plaplace._continuation_ladder(2.0, p, plaplace._P_STEP)[1:]
+    assert [s["stage"] for s in stages] == ["warm_start"] + ["p_ladder"] * len(rungs) + ["final"]
+    assert [s["p"] for s in stages[1:]] == rungs + [p]
+    for s in stages[1:-1]:
+        assert s["eps"] == pytest.approx(1e-2 * scale, rel=1e-12)
+    assert stages[-1]["eps"] == pytest.approx(1e-8 * scale, rel=1e-12)
+    assert sum(s["iterations"] for s in stages) <= max_steps
+
+
 def test_large_p_minimizers_approach_the_aronsson_solution():
     """u_inf = x^(4/3) - y^(4/3) is infinity-harmonic; with it as Dirichlet
     data on the whole boundary, u_p tends to it as p grows."""
