@@ -507,15 +507,22 @@ def _cmd_sweep(args, cfg, out_dir):
              "p,level,h,n_vertices,energy,stationarity,alpha,fit_r2,status"]
     failures = 0
     for p in p_values:
+        prev_u = None  # the previous cell's minimizer, if it succeeded
         for lev in level_list:
             mesh, constraint, f = cells[lev]
+            # Nested iteration: a cell on the child of the previous cell's
+            # mesh starts from that cell's prolonged minimizer.
+            coarse = prev_u if prev_u is not None and mesh.parent is prev_u.mesh else None
+            prev_u = None
             try:
-                u, rep = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
+                u, rep = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol),
+                                         coarse=coarse)
                 energy, stat, status = rep.energy, rep.stationarity, "ok"
                 alpha, fit = verify.holder_exponent(
                     mesh, u, n_pairs=1200,
                     seed=substream_seed(seed, f"sweep:holder:p={p!r}:level={lev}"),
                 )
+                prev_u = u
             except (PLaplaceError, SolverError) as exc:
                 energy, stat, status = float("nan"), float("nan"), type(exc).__name__
                 alpha, fit = float("nan"), float("nan")

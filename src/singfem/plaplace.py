@@ -5,7 +5,9 @@ sum_T area_T * (|grad u|_T^2 + eps^2)^(p/2) over nodal fields with
 prescribed values on a constraint vertex set, by Armijo-damped Newton
 steps on that energy (its Hessian is SPD for every p > 1 and eps > 0),
 warm-started from the p = 2 solution and driven by continuation in p at
-a fixed eps, followed by one final stage at the target eps.
+a fixed eps, followed by one final stage at the target eps.  Given the
+minimizer on the parent of a refined mesh, the solve instead starts from
+its prolongation and runs the final stage alone (nested iteration).
 Also provides the normalized duality map, the first-order stationarity
 measure, and a randomized minimality certificate.
 """
@@ -71,7 +73,8 @@ class PlapProblem:
     f : ScalarField supplying the pinned values (read on A)
     p : exponent in (1, inf)
     eps_final : final regularization, or None for 1e-8 * scale where
-        scale is the 2-energy of the p = 2 warm start
+        scale is the 2-energy of the start: the p = 2 warm start, or the
+        prolonged parent minimizer when solve_p_laplace is given one
     tol : target first-order stationarity of the returned minimizer
     seed : has no effect (the p = 2 warm start is a direct solve); kept
         for interface stability and slated for removal
@@ -373,23 +376,34 @@ def _continuation_ladder(start, target, factor):
     return out
 
 
-def solve_p_laplace(problem):
+def solve_p_laplace(problem, coarse=None):
     """Minimize the trace-constrained p-Dirichlet energy.
 
     Returns (ScalarField, OptimalityReport).  The solve is warm-started
     at p = 2, continues multiplicatively in p (steps of at most a factor
     _P_STEP) at eps0, then runs one final stage at (p, eps_final) to the
     problem tolerance; the trace records each stage, named "p_ladder" or
-    "final".  The regularized energy never increases along accepted
-    steps.  The mesh and the free set are fixed throughout, so one band
-    layout under one reverse Cuthill-McKee ordering serves the warm start
-    (the system at unit weights) and every Newton factorization of the
-    solve (see _BandedStiffness).  If the final stationarity misses the
+    "final".  Given `coarse`, the minimizer on problem.mesh.parent, the
+    solve starts instead from mesh.prolongation @ coarse.values on the
+    free vertices (the constraint values stay f's) and runs the final
+    stage alone; scale, and so the default eps_final, is then the
+    2-energy of that prolonged start, and the trace's "warm_start" entry
+    carries "source": "parent".  A `coarse` on any other mesh, or with a
+    non-finite value, raises ValueError.  The regularized energy never
+    increases along accepted steps.  The mesh and the free set are fixed
+    throughout, so one band layout under one reverse Cuthill-McKee
+    ordering serves the warm start (the system at unit weights) and every
+    Newton factorization of the solve (see _BandedStiffness).  If the final stationarity misses the
     problem tolerance, the hat-gradient norms or an energy overflow
     double precision, or a Newton system cannot be factored, a
     PLaplaceError carrying the best iterate is raised.
     """
     mesh = problem.mesh
+    if coarse is not None:
+        if coarse.mesh is not mesh.parent:
+            raise ValueError("coarse must be a field on the problem mesh's parent")
+        if not np.all(np.isfinite(coarse.values)):
+            raise ValueError("coarse values must be finite")
     fixed = np.asarray(sorted(problem.constraint_vertices), dtype=np.int64)
     free_mask = np.ones(mesh.num_vertices, dtype=bool)
     free_mask[fixed] = False
@@ -407,15 +421,19 @@ def solve_p_laplace(problem):
             certificate=None,
         )
 
-    # p = 2 warm start: K_ff u_f = -K_fc u_c, the Hessian system at p = 2
-    # (unit weights, no (p - 2) term).  values is zero on the free
-    # vertices for the product.
     band = _BandedStiffness(mesh, free)
-    values[free] = 0.0
-    rhs = -(fem.stiffness_matrix(mesh) @ values)[free]
-    values[free] = _solve_assembled(
-        mesh, values, _element_entries(mesh, np.ones(mesh.num_triangles)), free, band, rhs)
-    trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
+    if coarse is not None:
+        values[free] = (mesh.prolongation @ coarse.values)[free]
+        trace_log.append({"stage": "warm_start", "source": "parent", "iterations": 0})
+    else:
+        # p = 2 warm start: K_ff u_f = -K_fc u_c, the Hessian system at
+        # p = 2 (unit weights, no (p - 2) term).  values is zero on the
+        # free vertices for the product.
+        values[free] = 0.0
+        rhs = -(fem.stiffness_matrix(mesh) @ values)[free]
+        values[free] = _solve_assembled(
+            mesh, values, _element_entries(mesh, np.ones(mesh.num_triangles)), free, band, rhs)
+        trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
 
     u2 = fem.ScalarField(mesh, values.copy())
     scale = p_energy(u2, 2)
@@ -436,8 +454,8 @@ def solve_p_laplace(problem):
 
     hat_norms = hat_norms_at(problem.p)
     stage_tol = max(problem.tol, 1e-6)
-    schedule = [(pk, eps0, stage_tol, "p_ladder")
-                for pk in _continuation_ladder(2.0, problem.p, _P_STEP)[1:]]
+    ladder = [] if coarse is not None else _continuation_ladder(2.0, problem.p, _P_STEP)[1:]
+    schedule = [(pk, eps0, stage_tol, "p_ladder") for pk in ladder]
     schedule.append((problem.p, eps_final, problem.tol, "final"))
     for pk, eps, tol, name in schedule:
         hn = hat_norms if pk == problem.p else hat_norms_at(pk)

@@ -84,6 +84,11 @@ def test_tracer_sees_the_sweep_cells(tmp_path, monkeypatch):
         tracer.uninstall()
     assert rc == 0
     metrics = tracer_mod.command_metrics(tracer.commands[-1])
-    assert metrics["plaplace.stages"] >= 1
+    # Only Newton stages count: level 0 runs the p rung 3 and the final
+    # stage, level 1 starts from the prolonged level-0 minimizer and runs
+    # the final stage alone; neither warm_start entry is a stage.
+    assert metrics["plaplace.stages"] == 3
+    assert metrics["plaplace.useful_stages"] / metrics["plaplace.stages"] == 1.0
+    assert metrics["fem.stiffness_calls"] == 1  # the level-0 p = 2 warm start
     assert metrics["geometry.refine_calls"] >= 1
     assert metrics["geometry.partition_calls"] >= 1

@@ -596,6 +596,41 @@ def test_failed_sweep_cell_exits_1_with_error_record(tmp_path):
     assert record["error"] == "ChecksFailed" and record["exit_code"] == 1
 
 
+@pytest.mark.parametrize("p_values, levels, chained, rc", [
+    ([3.0], [0, 1, 2], [False, True, True], 0),
+    ([3.0], [0, 2], [False, False], 0),
+    ([3.0], [1, 0, 1], [False, False, True], 0),
+    ([2.0, 3.0], [0, 1], [False, True, False, True], 0),  # each exponent restarts
+    ([1e300], [0, 1], [False, False], 1),  # the failed level 0 passes nothing on
+])
+def test_sweep_starts_a_cell_from_the_previous_cell_on_its_parent(
+        tmp_path, monkeypatch, p_values, levels, chained, rc):
+    from singfem import cli
+
+    calls = []  # (problem mesh, coarse, returned field or None) per cell
+    solve = cli.solve_p_laplace
+
+    def recording(problem, coarse=None):
+        calls.append([problem.mesh, coarse, None])
+        u, report = solve(problem, coarse=coarse)
+        calls[-1][2] = u
+        return u, report
+
+    monkeypatch.setattr(cli, "solve_p_laplace", recording)
+    cfg = write_config(tmp_path / "s.json", {
+        "domain": {"kind": "unit_square", "n": 2},
+        "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+        "data": {"f": "x + 0.2 * y"},
+        "p_values": p_values,
+        "levels": levels,
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "run")]) == rc
+    assert [coarse is not None for _, coarse, _ in calls] == chained
+    for (prev_mesh, _, prev_u), (mesh, coarse, _) in zip(calls, calls[1:]):
+        if coarse is not None:
+            assert coarse is prev_u and mesh.parent is prev_mesh
+
+
 def test_failed_certificate_exits_1_with_error_record(tmp_path, monkeypatch):
     from singfem import cli
     from singfem.plaplace import OptimalityReport

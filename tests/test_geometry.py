@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -372,6 +374,31 @@ def test_refine_records_the_chain_and_an_exact_prolongation(build):
     values = np.random.default_rng(8).standard_normal(m.num_vertices)
     assert (f.prolongation @ values).tobytes() == prolong(m, values).tobytes()
     assert refine(f).parent is f
+
+
+# Small unit squares, annuli and cusps: at most 3,665 vertices after two
+# refinements.
+COARSE_MESHES = st.one_of(
+    st.builds(build_unit_square, st.integers(1, 8)),
+    st.builds(lambda r_in, factor, n_radial, n_angular:
+              build_annulus(r_in, r_in * factor, n_radial, n_angular),
+              st.floats(0.05, 1.0), st.floats(1.5, 20.0),
+              st.integers(1, 4), st.integers(3, 16)),
+    st.builds(build_cusp, st.floats(1.0, 4.0), st.integers(2, 6)),
+)
+PROPERTIES = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+@PROPERTIES
+@given(mesh=COARSE_MESHES, levels=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_refine_chain_prolongs_exactly_and_keeps_the_area(mesh, levels, seed):
+    rng = np.random.default_rng(seed)
+    area = float(mesh.areas.sum())
+    for _ in range(levels):
+        mesh = refine(mesh)
+        v = rng.standard_normal(mesh.parent.num_vertices)
+        assert (mesh.prolongation @ v).tobytes() == prolong(mesh.parent, v).tobytes()
+        assert abs(float(mesh.areas.sum()) - area) <= 1e-12 * area
 
 
 def test_mesh_read_back_from_json_has_no_parent():

@@ -29,6 +29,7 @@ from singfem import (
 )
 from singfem import MixedProblem, fem, plaplace, refine
 from singfem.fem import FieldError
+from singfem.geometry import Mesh
 
 
 @pytest.fixture()
@@ -574,3 +575,100 @@ def test_large_p_minimizers_approach_the_aronsson_solution():
         errors.append(float(np.max(np.abs(u.values - u_inf))))
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 0.1 * errors[0]
+
+
+# -- nested iteration across refinement levels ------------------------------------
+
+
+def _sweep_cusp_chain(levels):
+    """The sweep's cusp data (k = 3, n = 6, Dirichlet on the right end,
+    f = y + 0.4 y^2) on levels 0 .. levels - 1 of one refine chain."""
+    mesh = build_cusp(3.0, 6)
+    out = []
+    for lev in range(levels):
+        if lev:
+            mesh = refine(mesh)
+        part = partition_by_tags(mesh, dirichlet=("right",), neumann=("lower", "upper"))
+        constraint = frozenset(int(i) for i in part.region_vertices("dirichlet"))
+        out.append((mesh, constraint,
+                    ScalarField.from_function(mesh, lambda x, y: y + 0.4 * y * y)))
+    return out
+
+
+def _factorizations(report):
+    """Band or SuperLU factorizations of a solve: one per Newton step,
+    plus the p = 2 warm start's unless it started from the parent."""
+    start = report.iterations[0]
+    return sum(s["iterations"] for s in report.iterations) + ("source" not in start)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 8.0, 32.0])
+def test_nested_solves_match_full_solves_up_the_refine_chain(p):
+    """Each level starts from the previous level's nested minimizer, as
+    sweep chains them, and must reach the minimizer the full schedule
+    finds with no more factorizations."""
+    coarse = None
+    for mesh, constraint, f in _sweep_cusp_chain(3):
+        problem = PlapProblem(mesh, constraint, f, p, tol=1e-8)
+        u_full, full = solve_p_laplace(problem)
+        if coarse is None:
+            coarse = u_full
+            continue
+        u, nested = solve_p_laplace(problem, coarse=coarse)
+        assert [s["stage"] for s in nested.iterations] == ["warm_start", "final"]
+        assert nested.iterations[0] == {"stage": "warm_start", "source": "parent",
+                                        "iterations": 0}
+        assert nested.stationarity <= 1e-8
+        assert nested.energy == pytest.approx(full.energy, rel=1e-10 if p == 4.0 else 1e-9)
+        assert _factorizations(nested) <= _factorizations(full)
+        coarse = u
+
+
+def test_nested_solve_keeps_the_dirichlet_values_and_assembles_no_stiffness(monkeypatch):
+    (coarse_mesh, _, coarse_f), (mesh, constraint, f) = _sweep_cusp_chain(2)
+    # a coarse field off the data on the constraint set: the fine solve
+    # must still pin f's values there
+    coarse = ScalarField(coarse_mesh, coarse_f.values + 1.0)
+    calls = []
+    monkeypatch.setattr(fem, "stiffness_matrix", lambda *a: calls.append(a))
+    u, report = solve_p_laplace(PlapProblem(mesh, constraint, f, 4.0), coarse=coarse)
+    assert calls == []
+    fixed = sorted(constraint)
+    assert np.array_equal(u.values[fixed], f.values[fixed])
+    start = mesh.prolongation @ coarse.values
+    start[fixed] = f.values[fixed]
+    scale = p_energy(ScalarField(mesh, start), 2.0)
+    assert report.iterations[-1]["eps"] == pytest.approx(1e-8 * scale, rel=1e-12)
+
+
+def _field_on(mesh):
+    return ScalarField.from_function(mesh, lambda x, y: x)
+
+
+def _side_problem(mesh):
+    part = partition_by_tags(mesh, dirichlet=("left", "right"), neumann=("bottom", "top"))
+    constraint = frozenset(int(i) for i in part.region_vertices("dirichlet"))
+    return PlapProblem(mesh, constraint, _field_on(mesh), 3.0)
+
+
+@pytest.mark.parametrize("meshes", [
+    lambda fine: (fine, fine),  # a field on the fine mesh itself
+    lambda fine: (fine, Mesh.from_json_dict(fine.parent.to_json_dict())),
+    lambda fine: (fine, build_unit_square(4)),  # equal to the parent, not it
+    # a mesh read back from JSON has no parent
+    lambda fine: (Mesh.from_json_dict(fine.to_json_dict()), fine.parent),
+    lambda fine: (fine.parent, fine.parent),
+], ids=["fine", "parent_from_json", "parent_rebuilt", "fine_from_json", "unrefined"])
+def test_coarse_field_must_live_on_the_parent_mesh(meshes):
+    mesh, coarse_mesh = meshes(refine(build_unit_square(4)))
+    with pytest.raises(ValueError, match="parent"):
+        solve_p_laplace(_side_problem(mesh), coarse=_field_on(coarse_mesh))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coarse_field_is_rejected(bad):
+    fine = refine(build_unit_square(4))
+    coarse = _field_on(fine.parent)
+    coarse.values[3] = bad  # ScalarField checks finiteness only when built
+    with pytest.raises(ValueError, match="finite"):
+        solve_p_laplace(_side_problem(fine), coarse=coarse)
