@@ -151,14 +151,24 @@ def vector_inner(beta, gamma):
 def lp_norm(field, p):
     """L^p norm of a field for p in [1, inf].
 
-    Vector fields use the exact element-wise magnitude.  Scalar fields
-    are evaluated at element centroids, except p = 2 which uses the
-    exact mass pairing.  p < 1 is rejected (not a norm).
+    A vector field v gives (sum_T area_T (v_x^2 + v_y^2)^(p/2))^(1/p),
+    and sqrt(max_T (v_x^2 + v_y^2)) at p = inf: the squared magnitude
+    of the p-Laplace energy, with no hypot.  Scalar fields are evaluated
+    at element centroids, except p = 2 which uses the exact mass
+    pairing.  p < 1 is rejected (not a norm).
     """
     if p != float("inf") and p < 1.0:
         raise ValueError(f"p = {p} < 1 does not define a norm")
     if isinstance(field, VectorField):
-        mags = np.hypot(field.values[:, 0], field.values[:, 1])
+        # One temporary for the squares; every later step works in place.
+        x, y = field.values[:, 0], field.values[:, 1]
+        mag2 = x * x
+        mag2 += y * y
+        if p == float("inf"):
+            return float(np.sqrt(mag2.max(initial=0.0)))
+        mag2 **= p / 2.0
+        mag2 *= field.mesh.areas
+        return float(np.sum(mag2) ** (1.0 / p))
     elif isinstance(field, ScalarField):
         if p == 2:
             return float(np.sqrt(scalar_inner(field, field)))
@@ -216,9 +226,13 @@ def grad_test_vector(mesh, beta_values):
 def hat_gradient_p_norms(mesh, p):
     """||grad hat_i||_{L^p} for every vertex i (exact, gradients are
     element-wise constant)."""
-    mags = np.hypot(mesh.grad_lambda[:, :, 0], mesh.grad_lambda[:, :, 1])
+    gl = mesh.grad_lambda
+    mag2 = gl[:, :, 0] * gl[:, :, 0]
+    mag2 += gl[:, :, 1] * gl[:, :, 1]
+    mag2 **= p / 2.0
+    mag2 *= mesh.areas[:, None]
     acc = np.zeros(mesh.num_vertices)
-    np.add.at(acc, mesh.triangles, mesh.areas[:, None] * mags**p)
+    np.add.at(acc, mesh.triangles, mag2)
     return acc ** (1.0 / p)
 
 

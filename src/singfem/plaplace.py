@@ -60,7 +60,9 @@ def sharp_p(beta, p):
 
 
 def p_energy(u, p):
-    """||grad u||_{L^p}, exact for P1 fields."""
+    """||grad u||_{L^p}, exact for P1 fields.  Bit for bit it is the
+    eps = 0 energy of _energy_terms to the power 1 / p: fem.lp_norm takes
+    the magnitude the same way."""
     return fem.lp_norm(fem.gradient(u), p)
 
 
@@ -108,21 +110,21 @@ def _grad_values(mesh, values):
     return np.einsum("tid,ti->td", mesh.grad_lambda, values[mesh.triangles])
 
 
-def _reg_energy(mesh, values, p, eps):
-    g = _grad_values(mesh, values)
-    mag2 = g[:, 0] ** 2 + g[:, 1] ** 2
-    return float(np.sum(mesh.areas * (mag2 + eps * eps) ** (p / 2.0)))
-
-
-def _energy_gradient(mesh, values, p, eps):
-    """One pass over the elements at the iterate.  Returns (energy, w, s,
-    g, m): the regularized energy sum_T area_T m^(p/2), the weights
-    w = m^((p-2)/2) and s_i = <w grad u, grad hat_i>, the energy gradient
-    over p, with the element gradients g = grad u and m = |g|^2 + eps^2.
-    w and s are None for a zero or non-finite energy."""
+def _energy_terms(mesh, values, p, eps):
+    """(energy, g, m): the regularized energy sum_T area_T m^(p/2) with
+    the element gradients g = grad u and m = |g|^2 + eps^2."""
     g = _grad_values(mesh, values)
     m = g[:, 0] ** 2 + g[:, 1] ** 2 + eps * eps
-    energy = float(np.sum(mesh.areas * m ** (p / 2.0)))
+    return float(np.sum(mesh.areas * m ** (p / 2.0))), g, m
+
+
+def _energy_gradient(mesh, values, p, eps, terms=None):
+    """One pass over the elements at the iterate.  Returns (energy, w, s,
+    g, m): _energy_terms, the weights w = m^((p-2)/2) and
+    s_i = <w grad u, grad hat_i>, the energy gradient over p.  terms,
+    when given, is _energy_terms of the iterate, which is then not
+    recomputed.  w and s are None for a zero or non-finite energy."""
+    energy, g, m = _energy_terms(mesh, values, p, eps) if terms is None else terms
     if energy == 0.0 or not math.isfinite(energy):
         return energy, None, None, g, m
     with np.errstate(divide="ignore"):
@@ -164,28 +166,44 @@ def p_stationarity(u, p, constraint_vertices):
     hat_norms = _hat_norms_or_none(mesh, p)
     if hat_norms is None:
         raise ValueError(f"hat-gradient L^{p:g} norms overflow double precision")
+    return _exact_stationarity(mesh, u.values, p, free_mask, hat_norms)[0]
+
+
+def _exact_stationarity(mesh, values, p, free_mask, hat_norms):
+    """(stationarity, energy) of the field at eps = 0, the energy being
+    sum_T area_T |grad u|^p.  Raises ValueError when it overflows."""
     with np.errstate(over="ignore"):
-        energy, _, s, _, _ = _energy_gradient(mesh, u.values, p, 0.0)
+        energy, _, s, _, _ = _energy_gradient(mesh, values, p, 0.0)
     if not math.isfinite(energy):
         raise ValueError(f"the {p:g}-energy overflows double precision")
-    return _stationarity(energy, s, p, free_mask, hat_norms)
+    return _stationarity(energy, s, p, free_mask, hat_norms), energy
 
 
 _UPPER = np.triu_indices(3)  # the six entries i <= j of an element matrix
 
 
-def _element_entries(mesh, w, g=None, c=None):
+def _gram_entries(mesh):
+    """The upper entries (in _UPPER order) of every element's Gram matrix
+    grad l_i . grad l_j, an (nt, 6) array that depends on the mesh only.
+    Column by column, it is einsum("tid,tjd->tij")[:, i, j] to the bit
+    without that (nt, 3, 3) temporary."""
+    gl = mesh.grad_lambda
+    out = np.empty((mesh.num_triangles, 6))
+    for k, (a, b) in enumerate(zip(*_UPPER)):
+        np.einsum("td,td->t", gl[:, a], gl[:, b], out=out[:, k])
+    return out
+
+
+def _element_entries(mesh, gram, w, g=None, c=None):
     """The upper entries (in _UPPER order) of every element matrix
     area_T (w_T grad l_i . grad l_j + c_T (grad l_i . g_T)(grad l_j . g_T)),
-    an (nt, 6) array.  Without c it is the w-weighted stiffness; with
-    c = (p - 2) w / m and the g, m, w of _energy_gradient it is the Hessian
-    of the regularized energy over p."""
+    an (nt, 6) array, from the mesh's _gram_entries.  Without c it is the
+    w-weighted stiffness; with c = (p - 2) w / m and the g, m, w of
+    _energy_gradient it is the Hessian of the regularized energy over p."""
     i, j = _UPPER
-    gl = mesh.grad_lambda
-    out = np.einsum("tid,tjd->tij", gl, gl)[:, i, j]
-    out *= (mesh.areas * w)[:, None]
+    out = gram * (mesh.areas * w)[:, None]
     if c is not None:
-        q = np.einsum("tid,td->ti", gl, g)
+        q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
         aniso = q[:, i]
         aniso *= q[:, j]
         aniso *= (mesh.areas * c)[:, None]
@@ -200,10 +218,13 @@ class _BandedStiffness:
     The free vertices are numbered by reverse Cuthill-McKee.  The band
     slot of each element entry (i, j) with both vertices free, taken on
     or below the diagonal in that numbering, depends only on the mesh and
-    the free set, so it is computed once.  One Fortran-ordered
-    (bw + 1, n) band is allocated once too: each system (the stiffness of
-    the warm start, then every Newton Hessian) refills it from the
-    element entries of _element_entries, and LAPACK factors it in place.
+    the free set, so it is computed once, and so are the element Gram
+    entries (gram, see _gram_entries) that every system of the solve
+    scales.  One Fortran-ordered (bw + 1, n) band is allocated once too:
+    each system (the stiffness of the warm start, then every Newton
+    Hessian) refills it from the element entries of _element_entries, and
+    LAPACK factors it in place.  Every system goes through this object,
+    band or not, so it holds gram either way.
 
     The band costs O(n bw) memory and O(n bw^2) time, about n^1.5 and n^2
     on a 2D mesh, against SuperLU's slower-growing fill.  So the band is
@@ -219,6 +240,10 @@ class _BandedStiffness:
     MAX_FILL = 40
 
     def __init__(self, mesh, free):
+        # First: allocated after the layout's temporaries, it left the heap
+        # fragmented and a cusp sweep's peak resident set 3-5 MB higher in
+        # many runs.
+        self.gram = _gram_entries(mesh)
         n = len(free)
         local = np.full(mesh.num_vertices, -1, dtype=np.int64)
         local[free] = np.arange(n)
@@ -307,7 +332,7 @@ def _newton_step(mesh, values, p, w, s, g, m, free, band):
     # Tiny relative floor on the isotropic part keeps the Hessian
     # factorable where the gradient degenerates; the step stays a descent
     # direction because the floored matrix is still SPD.
-    entries = _element_entries(mesh, w + 1e-14 * wmax, g, c)
+    entries = _element_entries(mesh, band.gram, w + 1e-14 * wmax, g, c)
     return _solve_assembled(mesh, values, entries, free, band, -s[free])
 
 
@@ -324,16 +349,18 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
     """Run damped Newton at fixed (p, eps).  Returns (values, iters, stat,
     line_search_ok).  Each step makes one pass over the elements for the
     energy gradient and solves the Hessian system by band Cholesky (see
-    _newton_step)."""
+    _newton_step).  The element terms of an iterate are computed once:
+    at the stage's entry, or by the line search that accepts it."""
     with np.errstate(over="ignore"):
-        energy = _reg_energy(mesh, values, p, eps)
+        terms = _energy_terms(mesh, values, p, eps)
+    energy = terms[0]
     if not math.isfinite(energy):
         raise PLaplaceError(
             f"regularized {p:g}-energy overflows double precision",
             best_field=fem.ScalarField(mesh, values),
         )
     for it in range(_MAX_INNER + 1):
-        _, w, s, g, m = _energy_gradient(mesh, values, p, eps)
+        _, w, s, g, m = _energy_gradient(mesh, values, p, eps, terms)
         stat = _stationarity(energy, s, p, free_mask, hat_norms)
         if stat <= tol or it == _MAX_INNER:
             return values, it, stat, True
@@ -350,7 +377,8 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
         while t >= 2.0**-40:
             trial = values.copy()
             trial[free] += t * delta
-            e_trial = _reg_energy(mesh, trial, p, eps)
+            terms = _energy_terms(mesh, trial, p, eps)
+            e_trial = terms[0]
             if e_trial <= energy + 0.45 * t * slope:
                 accepted = True
                 break
@@ -432,7 +460,8 @@ def solve_p_laplace(problem, coarse=None):
         values[free] = 0.0
         rhs = -(fem.stiffness_matrix(mesh) @ values)[free]
         values[free] = _solve_assembled(
-            mesh, values, _element_entries(mesh, np.ones(mesh.num_triangles)), free, band, rhs)
+            mesh, values, _element_entries(mesh, band.gram, np.ones(mesh.num_triangles)),
+            free, band, rhs)
         trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
 
     u2 = fem.ScalarField(mesh, values.copy())
@@ -465,7 +494,9 @@ def solve_p_laplace(problem, coarse=None):
                           "stationarity": stat, "line_search_ok": ok})
 
     u = fem.ScalarField(mesh, values)
-    stat_true = p_stationarity(u, problem.p, problem.constraint_vertices)
+    # The exact measure of p_stationarity, on the hat norms already held;
+    # its energy gives p_energy(u, p) to the bit.
+    stat_true, energy = _exact_stationarity(mesh, values, problem.p, free_mask, hat_norms)
     if not stat_true <= problem.tol:
         raise PLaplaceError(
             f"p-Laplace solve reached stationarity {stat_true:.3e} "
@@ -474,7 +505,7 @@ def solve_p_laplace(problem, coarse=None):
             stationarity=stat_true,
         )
     report = OptimalityReport(
-        energy=p_energy(u, problem.p),
+        energy=energy ** (1.0 / problem.p),
         stationarity=stat_true,
         iterations=trace_log,
         certificate=None,

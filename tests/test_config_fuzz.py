@@ -152,6 +152,48 @@ def plap_configs(draw):
     return cfg, broken is not None
 
 
+# Data expressions: valid, invalid (unknown name, syntax), wrong type.
+DATA_G = (["0", "x - y", "sin(3 * x * y)"], ["z + x", "gamma(x)", "x +"],
+          [3, None, ["x"]])
+DATA_THETA = (["0", "nx * x + ny * y", "1 + r"], ["nz", "gamma(nx)", "nx +"],
+              [3, None, ["nx"]])
+RTOL = ([1e-12, 1e-8], [0.0, -1e-6, 10**400], WRONG_FLOAT)
+# solve-laplace and solve-neumann field -> (valid, invalid, wrong type);
+# "data.*" keys are drawn into the data object
+LAPLACE = {
+    "data.f": (["0", "x"], ["x * q"], [1.5]),
+    "data.g": DATA_G,
+    "data.theta": DATA_THETA,
+    "rtol": RTOL,
+}
+NEUMANN = {
+    "data.g": DATA_G,
+    "data.theta": DATA_THETA,
+    "gauge": (["mean", "vertex"], ["Mean", "zero", ""], [None, 0, True, ["mean"]]),
+    "rtol": RTOL,
+}
+
+
+@st.composite
+def solve_configs(draw, fields, partition):
+    """A solve on a unit square with n <= 4 and at most one broken field,
+    each field optional; partition is the fixed partition config or None."""
+    cfg = {"domain": {"kind": "unit_square", "n": draw(st.sampled_from([2, 3, 4]))},
+           "data": {}}
+    if partition is not None:
+        cfg["partition"] = partition
+    broken = draw(st.sampled_from([None, *fields]))
+    for key, (valid, out, wrong) in fields.items():
+        if key == broken:
+            value, label = draw(_choice([], out, wrong, optional=False))
+        else:
+            value, label = draw(_choice(valid, [], []))
+        if label != "absent":
+            where, _, name = key.rpartition(".")
+            (cfg[where] if where else cfg)[name] = value
+    return cfg, broken is not None
+
+
 def _run(argv, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "run"
@@ -190,4 +232,20 @@ def test_verify_config_fuzz(drawn):
 def test_solve_plap_config_fuzz(drawn):
     cfg, usage_error = drawn
     code = _run(["solve-plap"], cfg)
+    assert (code == 2) == usage_error, cfg
+
+
+@FUZZ
+@given(solve_configs(LAPLACE, SIDES))
+def test_solve_laplace_config_fuzz(drawn):
+    cfg, usage_error = drawn
+    code = _run(["solve-laplace"], cfg)
+    assert (code == 2) == usage_error, cfg
+
+
+@FUZZ
+@given(solve_configs(NEUMANN, None))
+def test_solve_neumann_config_fuzz(drawn):
+    cfg, usage_error = drawn
+    code = _run(["solve-neumann"], cfg)
     assert (code == 2) == usage_error, cfg

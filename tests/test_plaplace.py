@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
@@ -66,6 +69,30 @@ def test_sharp_p_swaps_norms_crosswise(square, p):
     assert lp_norm(out, q) == pytest.approx(lp_norm(beta, p), rel=1e-12)
     # pairing against the original recovers the squared p-norm
     assert vector_inner(beta, out) == pytest.approx(lp_norm(beta, p) ** 2, rel=1e-12)
+
+
+# Small unit squares, annuli and cusps.
+SMALL_MESHES = st.one_of(
+    st.builds(build_unit_square, st.integers(1, 6)),
+    st.builds(lambda r_in, n_radial, n_angular: build_annulus(r_in, 1.0, n_radial, n_angular),
+              st.floats(0.1, 0.6), st.integers(1, 4), st.integers(3, 16)),
+    st.builds(build_cusp, st.floats(1.0, 4.0), st.integers(2, 5)),
+)
+PROPERTIES = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+@PROPERTIES
+@given(mesh=SMALL_MESHES, p=st.floats(1.1, 16.0), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.3]))
+def test_sharp_p_duality_on_random_fields(mesh, p, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((mesh.num_triangles, 2))
+    values[rng.random(mesh.num_triangles) < zero_share] = 0.0  # zero-magnitude elements
+    beta = VectorField(mesh, values)
+    out = sharp_p(beta, p)
+    norm = lp_norm(beta, p)
+    assert lp_norm(out, p / (p - 1.0)) == pytest.approx(norm, rel=1e-12)
+    assert vector_inner(beta, out) == pytest.approx(norm**2, rel=1e-12)
 
 
 def test_sharp_p_zero_field_and_bad_exponent(square):
@@ -250,7 +277,7 @@ def test_band_assembly_matches_the_stiffness_block(build):
                               replace=False))
     w = rng.uniform(0.1, 10.0, mesh.num_triangles)
     system = plaplace._BandedStiffness(mesh, free)
-    ab = system.band(plaplace._element_entries(mesh, w))
+    ab = system.band(plaplace._element_entries(mesh, system.gram, w))
     assert ab.flags.f_contiguous
     assert ab.shape == (system.bandwidth + 1, len(free))
     # entries past the matrix's last column stay zero
@@ -272,7 +299,8 @@ def test_band_solve_matches_superlu():
     assert system.bandwidth < len(free) // 4
     K_ff = fem.stiffness_matrix(mesh, w).tocsc()[free][:, free]
     ref = splu(K_ff.tocsc()).solve(rhs)
-    np.testing.assert_allclose(system.solve(plaplace._element_entries(mesh, w), rhs), ref,
+    entries = plaplace._element_entries(mesh, system.gram, w)
+    np.testing.assert_allclose(system.solve(entries, rhs), ref,
                                rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
 
@@ -283,7 +311,8 @@ def test_band_with_a_single_free_vertex():
     system = plaplace._BandedStiffness(mesh, np.array([center]))
     assert system.bandwidth == 0
     k_cc = fem.stiffness_matrix(mesh, w)[center, center]
-    assert (system.solve(plaplace._element_entries(mesh, w), np.array([3.0]))[0]
+    entries = plaplace._element_entries(mesh, system.gram, w)
+    assert (system.solve(entries, np.array([3.0]))[0]
             == pytest.approx(3.0 / k_cc, rel=1e-14))
 
 
@@ -311,6 +340,77 @@ def test_solve_assembles_once_and_passes_the_gradient_once_per_step(
     # one gradient pass per Newton step and per stage exit, plus the
     # final exact stationarity
     assert calls["grad_test"] == sum(s["iterations"] + 1 for s in stages) + 1
+
+
+@pytest.mark.parametrize("build", MESHES)
+def test_held_gram_entries_are_the_einsum_to_the_bit(build):
+    mesh = build()
+    free = np.arange(1, mesh.num_vertices)
+    system = plaplace._BandedStiffness(mesh, free)
+    gl = mesh.grad_lambda
+    i, j = plaplace._UPPER
+    full = np.einsum("tid,tjd->tij", gl, gl)
+    assert system.gram.tobytes() == full[:, i, j].tobytes()
+    w = np.random.default_rng(2).uniform(0.1, 10.0, mesh.num_triangles)
+    ref = full[:, i, j] * (mesh.areas * w)[:, None]
+    assert plaplace._element_entries(mesh, system.gram, w).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 7.3])
+@pytest.mark.parametrize("build", MESHES)
+def test_p_energy_is_the_newton_energy_to_the_bit(build, p):
+    mesh = build()
+    u = ScalarField(mesh, np.random.default_rng(4).standard_normal(mesh.num_vertices))
+    energy, g, m = plaplace._energy_terms(mesh, u.values, p, 0.0)
+    assert p_energy(u, p) == energy ** (1.0 / p)
+    assert lp_norm(fem.gradient(u), float("inf")) == float(np.sqrt(m.max()))
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count module.name's calls in the Counter calls[name]."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_solve_builds_the_gram_entries_once(square, side_constraints, monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, plaplace, "_gram_entries", calls)
+    coarse, _ = solve_p_laplace(_p4_problem(square, side_constraints))
+    assert calls["_gram_entries"] == 1
+    fine = _side_problem(refine(square))
+    solve_p_laplace(fine, coarse=coarse)  # nested: the final stage alone
+    assert calls["_gram_entries"] == 2
+
+
+def test_each_iterate_has_its_element_terms_computed_once(square, side_constraints,
+                                                          monkeypatch):
+    calls, gradient = Counter(), plaplace._energy_gradient
+
+    def entered(*args):
+        calls["_energy_gradient"] += 1
+        before = calls["_grad_values"]
+        out = gradient(*args)
+        calls["inside"] += calls["_grad_values"] - before
+        return out
+
+    monkeypatch.setattr(plaplace, "_energy_gradient", entered)
+    _count_calls(monkeypatch, plaplace, "_grad_values", calls)
+    _count_calls(monkeypatch, plaplace, "_energy_terms", calls)
+    u, report = solve_p_laplace(_p4_problem(square, side_constraints))
+    stages = [s for s in report.iterations if s["stage"] != "warm_start"]
+    # once per Newton step and per stage exit, plus the closing exact check
+    assert calls["_energy_gradient"] == sum(s["iterations"] + 1 for s in stages) + 1
+    # element gradients are taken only with their energy terms (at each
+    # stage's entry and for each line-search trial), and every Newton step
+    # reuses its iterate's: only the closing eps = 0 check takes them anew
+    assert calls["_grad_values"] == calls["_energy_terms"]
+    assert calls["inside"] == 1
+    assert report.energy == p_energy(u, 4.0)
 
 
 def test_stationarity_matches_its_direct_formula(square, side_constraints):
@@ -426,7 +526,9 @@ def test_exact_stationarity_is_finite_on_flat_elements_below_p_2(square,
 
 
 def test_nan_stationarity_is_not_a_success(square, side_constraints, monkeypatch):
-    monkeypatch.setattr(plaplace, "p_stationarity", lambda *args: float("nan"))
+    # the solve's closing check: the stationarity, then the energy
+    monkeypatch.setattr(plaplace, "_exact_stationarity",
+                        lambda *args: (float("nan"), 1.0))
     with pytest.raises(PLaplaceError, match="nan") as err:
         solve_p_laplace(_p4_problem(square, side_constraints))
     assert isinstance(err.value.best_field, ScalarField)
@@ -460,7 +562,8 @@ def _random_free_set(mesh, rng):
 
 def _hessian_entries(mesh, values, p, eps):
     _, w, _, g, m = plaplace._energy_gradient(mesh, values, p, eps)
-    return plaplace._element_entries(mesh, w, g, (p - 2.0) * w / m)
+    return plaplace._element_entries(mesh, plaplace._gram_entries(mesh), w, g,
+                                     (p - 2.0) * w / m)
 
 
 @pytest.mark.parametrize("p", [1.5, 4.0])

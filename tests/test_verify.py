@@ -150,7 +150,7 @@ def test_lower_bound_p2_agrees_with_eigen_solve():
 
 
 @pytest.mark.parametrize("build, bound", [
-    (lambda: build_unit_square(8), 0.31631366359746893),
+    (lambda: build_unit_square(8), 0.3163136635974689),
     (lambda: refine(refine(build_unit_square(4))), 0.3178022650932866),
 ])
 def test_lower_bound_p2_builds_its_solver_once(build, bound, monkeypatch):
