@@ -223,11 +223,20 @@ def compile_expression(text, field, variables=("x", "y", "r")):
             )
 
     def evaluate(**coords):
+        """Float values of the expression; a non-finite one is a ConfigError."""
         env = dict(_EXPR_NAMES)
         env.update(coords)
         if "x" in coords and "r" not in coords:
             env["r"] = np.hypot(coords["x"], coords["y"])
-        return eval(code, {"__builtins__": {}}, env)
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=np.float64)
+            finite = np.isfinite(values).all()
+        except ArithmeticError:  # 1/0 or 10**400 on Python numbers
+            finite = False
+        if not finite:
+            raise ConfigError(f"{field}: {text!r} is not finite at every point")
+        return values
 
     return evaluate
 
@@ -235,17 +244,13 @@ def compile_expression(text, field, variables=("x", "y", "r")):
 def _scalar_from_expr(mesh, text, field):
     fn = compile_expression(text, field)
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    vals = np.asarray(fn(x=x, y=y), dtype=np.float64) * np.ones(mesh.num_vertices)
-    return fem.ScalarField(mesh, vals)
+    return fem.ScalarField(mesh, fn(x=x, y=y) * np.ones(mesh.num_vertices))
 
 
 def _flux_from_expr(partition, region, text, field):
     fn = compile_expression(text, field, variables=("x", "y", "r", "nx", "ny"))
     return fem.flux_trace_from_function(
-        partition,
-        region,
-        lambda x, y, nx, ny: np.asarray(fn(x=x, y=y, nx=nx, ny=ny), dtype=np.float64),
-    )
+        partition, region, lambda x, y, nx, ny: fn(x=x, y=y, nx=nx, ny=ny))
 
 
 # -- artifacts ---------------------------------------------------------------

@@ -75,6 +75,33 @@ def _canonical_dumps(json_dict):
     return json.dumps(json_dict, sort_keys=True, separators=(",", ":"))
 
 
+def _int_rows_json(a):
+    """json.dumps(a.tolist()) for a 2-D array of non-negative integers,
+    written digit by digit into one uint8 buffer instead of through Python
+    ints.  Every value gets w digit slots, w the width of the largest; the
+    leading zeros are NUL bytes, dropped before decoding."""
+    n, k = a.shape
+    w = len(str(int(a.max()))) if a.size else 1
+    # Row layout: "[" then k cells of w digits + ", ", the last cell's ", "
+    # being "]," and the row's last byte " "; the final row loses its ", ".
+    buf = np.zeros((n, k * (w + 2) + 2), dtype=np.uint8)
+    cells = buf[:, 1:-1].reshape(n, k, w + 2)
+    buf[:, 0], buf[:, -1] = ord("["), ord(" ")
+    cells[:, :, w], cells[:, :, w + 1] = ord(","), ord(" ")
+    cells[:, -1, w], cells[:, -1, w + 1] = ord("]"), ord(",")
+    x = a.astype(np.int64)
+    digit = np.empty((n, k), dtype=np.uint8)
+    for j in range(w - 1, -1, -1):
+        np.remainder(x, 10, out=digit, casting="unsafe")
+        digit += ord("0")
+        if j < w - 1:
+            digit[x == 0] = 0
+        cells[:, :, j] = digit
+        np.floor_divide(x, 10, out=x)
+    text = buf.reshape(-1)[:-2].tobytes().translate(None, b"\0")
+    return "[" + text.decode("ascii") + "]"
+
+
 def _discover_boundary(triangles):
     """Directed boundary edges in triangle-major, local-edge-minor order.
 
@@ -273,23 +300,26 @@ class Mesh:
     def json_texts(self):
         """(canonical, spaced): to_json_dict() as JSON text with sorted
         keys, once with compact separators and once with json.dumps'
-        default ones, from one encode of the vertex and triangle lists.
+        default ones, from one encode of the vertex and triangle lists (the
+        triangles by _int_rows_json, without Python ints).
 
         The canonical text is what content_hash hashes and write_json
         writes; the spaced text is the bytes json.dumps(..., sort_keys=True)
         gives, for embedding in a larger artifact.  Keeps the content hash.
         """
-        d = self.to_json_dict()
-        # The tags are arbitrary strings: encode the edges both ways.
-        edges = d.pop("boundary_edges")
-        spaced = {"boundary_edges": json.dumps(edges)}
-        compact = {"boundary_edges": _canonical_dumps(edges)}
-        # The rest are number-only lists: int and float reprs never contain
-        # ", ", so dropping the space after each comma gives the compact
-        # text.  Popping frees each list once it is encoded.
-        for k in sorted(d):
-            spaced[k] = json.dumps(d.pop(k))
-            compact[k] = spaced[k].replace(", ", ",")
+        edges = [[a, b, tag]
+                 for (a, b), tag in zip(self.boundary_edges.tolist(), self.boundary_tags)]
+        spaced = {
+            "boundary_edges": json.dumps(edges),
+            "singular_vertices": json.dumps(sorted(self.singular_vertices)),
+            "triangles": _int_rows_json(self.triangles),
+            "vertices": json.dumps(self.vertices.tolist()),
+        }
+        # In number-only lists dropping the space after each comma gives the
+        # compact text, since int and float reprs never contain ", ".  The
+        # tags are arbitrary strings: encode the edges again.
+        compact = {k: text.replace(", ", ",") for k, text in spaced.items()}
+        compact["boundary_edges"] = _canonical_dumps(edges)
         canonical = "{" + ",".join(
             f"{json.dumps(k)}:{compact[k]}" for k in sorted(compact)) + "}"
         if self._hash is None:

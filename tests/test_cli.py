@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from singfem import geometry
 from singfem.cli import ConfigError, compile_expression, config_hash, main, substream_seed
 from singfem.geometry import Mesh
 
@@ -86,6 +88,17 @@ def test_solve_laplace_end_to_end(tmp_path):
     assert np.max(np.abs(values - xs)) <= 1e-9
 
 
+def _digest_of_artifact(out, command):
+    """(embedded mesh_hash, content hash of the embedded mesh)."""
+    if command == "mesh":
+        payload = json.loads((out / "mesh.json").read_text())
+        digest = payload["mesh_hash"]
+    else:
+        payload = json.loads((out / "solution.json").read_text())
+        digest = payload["solution"]["mesh_hash"]
+    return digest, Mesh.from_json_dict(payload["mesh"]).content_hash()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("mesh", []),
     ("solve-laplace", []),
@@ -93,20 +106,19 @@ def test_solve_laplace_end_to_end(tmp_path):
     ("solve-plap", ["--p", "3"]),
 ])
 def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra):
-    calls = []
-    build = Mesh.to_json_dict
-    monkeypatch.setattr(Mesh, "to_json_dict", lambda self: calls.append(1) or build(self))
+    """The mesh's triangle list is encoded exactly once per command, by the
+    integer-row kernel, and the embedded hash is the embedded mesh's."""
+    meshes, encoded = [], []
+    texts, encode = Mesh.json_texts, geometry._int_rows_json
+    monkeypatch.setattr(Mesh, "json_texts", lambda self: meshes.append(self) or texts(self))
+    monkeypatch.setattr(geometry, "_int_rows_json",
+                        lambda a: encoded.append(a) or encode(a))
     out = tmp_path / "run"
     assert main([command, "--config", laplace_config(tmp_path), "--out", str(out),
                  *extra]) == 0
-    assert len(calls) == 1
-    if command == "mesh":
-        payload = json.loads((out / "mesh.json").read_text())
-        digest = payload["mesh_hash"]
-    else:
-        payload = json.loads((out / "solution.json").read_text())
-        digest = payload["solution"]["mesh_hash"]
-    assert digest == Mesh.from_json_dict(payload["mesh"]).content_hash()
+    assert len(encoded) == 1 and encoded[0] is meshes[0].triangles
+    digest, recomputed = _digest_of_artifact(out, command)
+    assert digest == recomputed
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -130,32 +142,33 @@ def test_artifact_text_is_the_sorted_json_dumps_of_its_content(tmp_path, command
     ("solve-plap", ["--p", "3"]),
 ])
 def test_commands_encode_the_vertex_list_once(tmp_path, monkeypatch, command, extra):
-    vertex_lists = []
-    build = Mesh.to_json_dict
-
-    def to_json_dict(self):
-        d = build(self)
-        vertex_lists.append(d["vertices"])
-        return d
-
-    def holds_vertices(obj):
-        if any(obj is v for v in vertex_lists):
-            return True
-        return isinstance(obj, dict) and any(holds_vertices(v) for v in obj.values())
-
-    encodes = []
+    """json encodes the vertex list exactly once per command and never the
+    triangle list, which only the integer-row kernel encodes (once)."""
+    meshes, objects, encoded = [], [], []
+    texts, encode = Mesh.json_texts, geometry._int_rows_json
     iterencode = json.JSONEncoder.iterencode
 
     def counting_iterencode(self, o, *args, **kwargs):
-        encodes.append(holds_vertices(o))
+        objects.append(o)
         return iterencode(self, o, *args, **kwargs)
 
-    monkeypatch.setattr(Mesh, "to_json_dict", to_json_dict)
+    monkeypatch.setattr(Mesh, "json_texts", lambda self: meshes.append(self) or texts(self))
+    monkeypatch.setattr(geometry, "_int_rows_json",
+                        lambda a: encoded.append(a) or encode(a))
     monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
     assert main([command, "--config", laplace_config(tmp_path),
                  "--out", str(tmp_path / "run"), *extra]) == 0
-    assert len(vertex_lists) == 1
-    assert sum(encodes) == 1
+    mesh = meshes[0]
+
+    def count(target):
+        def holds(obj):
+            return obj == target or (
+                isinstance(obj, dict) and any(holds(v) for v in obj.values()))
+        return sum(holds(o) for o in objects)
+
+    assert count(mesh.vertices.tolist()) == 1
+    assert count(mesh.triangles.tolist()) == 0
+    assert len(encoded) == 1
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
@@ -241,6 +254,47 @@ def test_nan_p_in_config_is_a_usage_error(tmp_path):
     out = tmp_path / "flag"
     assert main(["solve-plap", "--config", cfg, "--out", str(out), "--p", "inf"]) == 2
     assert "p: must be finite" in json.loads((out / "error.json").read_text())["message"]
+
+
+@pytest.mark.parametrize("command, field, expr", [
+    ("solve-laplace", "data.g", "log(x)"),
+    ("solve-neumann", "data.theta", "1/x"),
+    ("solve-plap", "data.f", "sqrt(x - 2)"),
+])
+def test_non_finite_data_expression_is_a_usage_error(tmp_path, capsys, command, field,
+                                                       expr):
+    cfg = {"domain": {"kind": "unit_square", "n": 4}, "data": {field.split(".")[1]: expr}}
+    if command != "solve-neumann":
+        cfg["partition"] = {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]}
+    if command == "solve-plap":
+        cfg["p"] = 3
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)])
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{field}: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve-laplace"])
+def test_refined_artifact_with_five_digit_indices_round_trips(tmp_path, command):
+    cfg = {"domain": {"kind": "unit_square", "n": 64}, "refine": 1}
+    if command == "solve-laplace":
+        cfg.update(partition={"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+                   data={"f": "x", "g": "y"})
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    text = (out / ("mesh.json" if command == "mesh" else "solution.json")).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert len(json.loads(text)["mesh"]["vertices"]) == 16641
+    digest, recomputed = _digest_of_artifact(out, command)
+    assert digest == recomputed
 
 
 def test_library_value_error_exits_1_with_error_record(tmp_path, monkeypatch):

@@ -130,7 +130,8 @@ PLAP = {
     "certificate": ([True, False], [], ["no", "true", 0, 1, None, []]),
     "partition": ([SIDES], BAD_PARTITIONS, WRONG_PARTITIONS),
     "data": ([{"f": "sin(3 * x * y) + y"}, {"f": "x"}, {}],
-             [{"f": "z + x"}, {"f": "gamma(x)"}, {"f": "x +"}],
+             [{"f": "z + x"}, {"f": "gamma(x)"}, {"f": "x +"}, {"f": "log(x)"},
+              {"f": "1/0"}],
              [{"f": 3}, {"f": None}, {"f": ["x"]}, "x"]),
 }
 
@@ -152,16 +153,18 @@ def plap_configs(draw):
     return cfg, broken is not None
 
 
-# Data expressions: valid, invalid (unknown name, syntax), wrong type.
-DATA_G = (["0", "x - y", "sin(3 * x * y)"], ["z + x", "gamma(x)", "x +"],
-          [3, None, ["x"]])
-DATA_THETA = (["0", "nx * x + ny * y", "1 + r"], ["nz", "gamma(nx)", "nx +"],
+# Data expressions: valid, invalid (unknown name, syntax, a value that is
+# not finite somewhere on the mesh or the boundary), wrong type.
+DATA_G = (["0", "x - y", "sin(3 * x * y)"],
+          ["z + x", "gamma(x)", "x +", "log(x)", "exp(1000 * y)"], [3, None, ["x"]])
+DATA_THETA = (["0", "nx * x + ny * y", "1 + r"],
+              ["nz", "gamma(nx)", "nx +", "sqrt(-1 - r)", "10**400 * nx"],
               [3, None, ["nx"]])
 RTOL = ([1e-12, 1e-8], [0.0, -1e-6, 10**400], WRONG_FLOAT)
 # solve-laplace and solve-neumann field -> (valid, invalid, wrong type);
 # "data.*" keys are drawn into the data object
 LAPLACE = {
-    "data.f": (["0", "x"], ["x * q"], [1.5]),
+    "data.f": (["0", "x"], ["x * q", "1/x"], [1.5]),
     "data.g": DATA_G,
     "data.theta": DATA_THETA,
     "rtol": RTOL,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singfem.fem import (
     FieldError,
@@ -31,6 +33,7 @@ from singfem.geometry import (
     build_cusp,
     build_unit_square,
     partition_by_tags,
+    refine,
 )
 
 
@@ -258,6 +261,32 @@ def test_weak_divergence_closes_trace_identity(builder):
         resid = ibp_residual(part, u, beta, div, "boundary")
         scale = 1.0 + lp_norm(beta, 2) * w1p_norm(u, 2)
         assert abs(resid) <= 1e-11 * scale
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    mesh=st.one_of(
+        st.builds(build_cusp, st.floats(1.0, 4.0), st.integers(2, 5)),
+        st.builds(lambda r_in, factor, n_radial, n_angular:
+                  build_annulus(r_in, r_in * factor, n_radial, n_angular),
+                  st.floats(0.05, 1.0), st.floats(1.5, 20.0),
+                  st.integers(1, 3), st.integers(3, 12)),
+    ),
+    levels=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weak_divergence_closes_trace_identity_on_refined_meshes(mesh, levels, seed):
+    for _ in range(levels):
+        mesh = refine(mesh)
+    rng = np.random.default_rng(seed)
+    tags = sorted(set(mesh.boundary_tags))
+    dirichlet = [tag for tag in tags if rng.random() < 0.5]
+    part = partition_by_tags(mesh, dirichlet=dirichlet,
+                             neumann=[tag for tag in tags if tag not in dirichlet])
+    beta = VectorField(mesh, rng.standard_normal((mesh.num_triangles, 2)))
+    u = ScalarField(mesh, rng.standard_normal(mesh.num_vertices))
+    resid = ibp_residual(part, u, beta, weak_divergence(part, beta), "boundary")
+    assert abs(resid) <= 1e-11 * (1.0 + lp_norm(beta, 2) * w1p_norm(u, 2))
 
 
 def test_weak_divergence_of_linear_field(square, square_part):

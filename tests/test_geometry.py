@@ -29,7 +29,12 @@ from singfem.geometry import (
     prolong,
     refine,
 )
-from singfem.geometry import _canonical_dumps, _discover_boundary, _edge_midpoint_order
+from singfem.geometry import (
+    _canonical_dumps,
+    _discover_boundary,
+    _edge_midpoint_order,
+    _int_rows_json,
+)
 
 
 # -- generators -------------------------------------------------------------
@@ -234,6 +239,28 @@ def test_json_texts_encode_tags_with_separators_exactly():
     canonical, spaced = m.json_texts()
     assert canonical == _canonical_dumps(data)
     assert spaced == json.dumps(data, sort_keys=True)
+
+
+# Every digit width 1-19 occurs: 0, 9, 10, 99, 100, ..., 10^j - 1, 10^j,
+# ..., 2^63 - 1, plus arbitrary non-negative int64 values.
+WIDTH_EDGES = sorted({0, 2**63 - 1} | {10**j - d for j in range(1, 19) for d in (0, 1)})
+INT_ROWS = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(st.sampled_from(WIDTH_EDGES), st.integers(0, 2**63 - 1)),
+             min_size=k, max_size=k),
+    max_size=40).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, k)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(INT_ROWS)
+def test_int_rows_json_is_json_dumps_of_the_list(a):
+    assert _int_rows_json(a) == json.dumps(a.tolist())
+
+
+def test_int_rows_json_covers_every_digit_width():
+    column = np.array(WIDTH_EDGES, dtype=np.int64)
+    assert {len(str(v)) for v in WIDTH_EDGES} == set(range(1, 20))
+    for a in (column[:, None], np.column_stack([column, column[::-1], column % 97])):
+        assert _int_rows_json(a) == json.dumps(a.tolist())
 
 
 def test_from_json_dict_rejects_a_dropped_boundary_edge():
