@@ -223,19 +223,30 @@ def compile_expression(text, field, variables=("x", "y", "r")):
             )
 
     def evaluate(**coords):
-        """Float values of the expression; a non-finite one is a ConfigError."""
+        """Float values of the expression, one per point or one for all;
+        anything else (not finite, not real, not numbers, or of another
+        shape) is a ConfigError."""
         env = dict(_EXPR_NAMES)
         env.update(coords)
         if "x" in coords and "r" not in coords:
             env["r"] = np.hypot(coords["x"], coords["y"])
         try:
             with np.errstate(all="ignore"):
-                values = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=np.float64)
+                values = np.asarray(eval(code, {"__builtins__": {}}, env))
+                if values.dtype.kind == "c":
+                    raise ConfigError(f"{field}: {text!r} is not real at every point")
+                values = values.astype(np.float64)
             finite = np.isfinite(values).all()
         except ArithmeticError:  # 1/0 or 10**400 on Python numbers
             finite = False
+        except (TypeError, ValueError, LookupError, NameError) as exc:  # sin, x(1)
+            raise ConfigError(f"{field}: {text!r} does not evaluate to numbers ({exc})")
         if not finite:
             raise ConfigError(f"{field}: {text!r} is not finite at every point")
+        shape = np.shape(coords["x"])
+        if values.ndim and values.shape != shape:
+            raise ConfigError(
+                f"{field}: {text!r} gives values of shape {values.shape}, not {shape}")
         return values
 
     return evaluate

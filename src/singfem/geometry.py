@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -75,31 +75,72 @@ def _canonical_dumps(json_dict):
     return json.dumps(json_dict, sort_keys=True, separators=(",", ":"))
 
 
-def _int_rows_json(a):
-    """json.dumps(a.tolist()) for a 2-D array of non-negative integers,
-    written digit by digit into one uint8 buffer instead of through Python
-    ints.  Every value gets w digit slots, w the width of the largest; the
-    leading zeros are NUL bytes, dropped before decoding."""
-    n, k = a.shape
-    w = len(str(int(a.max()))) if a.size else 1
-    # Row layout: "[" then k cells of w digits + ", ", the last cell's ", "
+def _rows_json(n, k, w, fill):
+    """(compact, spaced): the JSON texts of an (n, k) array of numbers, with
+    json's compact "," and json.dumps' default ", " separators.
+
+    fill(cells) writes each number's ASCII text into cells, an (n, k, w)
+    uint8 view of one row buffer, w bytes per number; NUL bytes pad the
+    shorter texts and are dropped before decoding.
+    """
+    # Row layout: "[" then k cells of w bytes + ", ", the last cell's ", "
     # being "]," and the row's last byte " "; the final row loses its ", ".
+    # The spaces are NUL for the compact text and " " for the spaced one.
     buf = np.zeros((n, k * (w + 2) + 2), dtype=np.uint8)
     cells = buf[:, 1:-1].reshape(n, k, w + 2)
-    buf[:, 0], buf[:, -1] = ord("["), ord(" ")
-    cells[:, :, w], cells[:, :, w + 1] = ord(","), ord(" ")
+    fill(cells[:, :, :w])
+    buf[:, 0] = ord("[")
+    cells[:, :, w] = ord(",")
     cells[:, -1, w], cells[:, -1, w + 1] = ord("]"), ord(",")
-    x = a.astype(np.int64)
-    digit = np.empty((n, k), dtype=np.uint8)
-    for j in range(w - 1, -1, -1):
-        np.remainder(x, 10, out=digit, casting="unsafe")
-        digit += ord("0")
-        if j < w - 1:
-            digit[x == 0] = 0
-        cells[:, :, j] = digit
-        np.floor_divide(x, 10, out=x)
-    text = buf.reshape(-1)[:-2].tobytes().translate(None, b"\0")
-    return "[" + text.decode("ascii") + "]"
+    texts = []
+    for space in (0, ord(" ")):
+        cells[:, :-1, w + 1] = buf[:, -1] = space
+        text = buf.reshape(-1)[:-2].tobytes().translate(None, b"\0")
+        texts.append("[" + text.decode("ascii") + "]")
+    return tuple(texts)
+
+
+def _int_rows_json(a):
+    """(compact, spaced) json.dumps(a.tolist()) texts for a 2-D array of
+    non-negative integers, written digit by digit into _rows_json's buffer
+    instead of through Python ints.  Every value gets w digit slots, w the width of
+    the largest; the leading zeros are NUL bytes."""
+    n, k = a.shape
+    w = len(str(int(a.max()))) if a.size else 1
+
+    def fill(cells):
+        x = a.astype(np.int64)
+        digit = np.empty((n, k), dtype=np.uint8)
+        for j in range(w - 1, -1, -1):
+            np.remainder(x, 10, out=digit, casting="unsafe")
+            digit += ord("0")
+            if j < w - 1:
+                digit[x == 0] = 0
+            cells[:, :, j] = digit
+            np.floor_divide(x, 10, out=x)
+
+    return _rows_json(n, k, w, fill)
+
+
+def _float_rows_json(a):
+    """(compact, spaced) json.dumps(a.tolist()) texts for a 2-D float64
+    array, by _rows_json.  float.__repr__ runs once per distinct value: the
+    values are told apart by their bit patterns (so -0.0 stays apart from
+    0.0), printed in one json.dumps call and gathered into the cells from a
+    NUL-padded table.  Meshes repeat few coordinates many times: the
+    66,049-vertex refined square holds 257 distinct values."""
+    n, k = a.shape
+    bits, inverse = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    table = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "),
+                     dtype=bytes)
+    w = table.itemsize
+
+    def fill(cells):
+        cells[...] = np.take(table.view(np.uint8).reshape(-1, w), inverse.reshape(n, k),
+                             axis=0)
+
+    return _rows_json(n, k, w, fill)
 
 
 def _discover_boundary(triangles):
@@ -153,6 +194,10 @@ class Mesh:
     triangles: np.ndarray
     boundary_tags: tuple
     singular_vertices: frozenset = frozenset()
+    _: KW_ONLY
+    # (boundary_edges, boundary_tri) when the caller has already discovered
+    # them to line up the tags; None discovers them here.
+    _boundary: InitVar[tuple | None] = None
     areas: np.ndarray = field(init=False, repr=False)
     grad_lambda: np.ndarray = field(init=False, repr=False)
     boundary_edges: np.ndarray = field(init=False, repr=False)
@@ -168,7 +213,7 @@ class Mesh:
             raise AttributeError(f"Mesh is immutable; cannot set {name!r}")
         object.__setattr__(self, name, value)
 
-    def __post_init__(self):
+    def __post_init__(self, _boundary):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.boundary_tags = tuple(str(t) for t in self.boundary_tags)
@@ -176,6 +221,10 @@ class Mesh:
 
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        bad = np.nonzero(~np.isfinite(self.vertices).all(axis=1))[0]
+        if bad.size:
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate "
+                            f"{self.vertices[bad[0]].tolist()}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
         nv = len(self.vertices)
@@ -205,7 +254,8 @@ class Mesh:
         gl /= (2.0 * areas)[:, None, None]
         self.grad_lambda = gl
 
-        self.boundary_edges, self.boundary_tri = _discover_boundary(self.triangles)
+        self.boundary_edges, self.boundary_tri = (
+            _discover_boundary(self.triangles) if _boundary is None else _boundary)
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise MeshError("one tag required per boundary edge")
 
@@ -256,9 +306,10 @@ class Mesh:
         edge_tag is a callable (tail_index, head_index) -> str.
         """
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        edges, _ = _discover_boundary(triangles)
+        edges, tri = _discover_boundary(triangles)
         tags = tuple(edge_tag(int(a), int(b)) for a, b in edges)
-        return cls(vertices, triangles, tags, frozenset(singular_vertices))
+        return cls(vertices, triangles, tags, frozenset(singular_vertices),
+                   _boundary=(edges, tri))
 
     # -- counts ---------------------------------------------------------
 
@@ -299,9 +350,11 @@ class Mesh:
 
     def json_texts(self):
         """(canonical, spaced): to_json_dict() as JSON text with sorted
-        keys, once with compact separators and once with json.dumps'
-        default ones, from one encode of the vertex and triangle lists (the
-        triangles by _int_rows_json, without Python ints).
+        keys, once with compact separators and once with json.dumps' default
+        ones.  The number lists are encoded once, in numpy, into both
+        texts: the triangles by _int_rows_json, the vertices by
+        _float_rows_json (one float repr per distinct coordinate); json
+        encodes only the boundary edges and singular vertices.
 
         The canonical text is what content_hash hashes and write_json
         writes; the spaced text is the bytes json.dumps(..., sort_keys=True)
@@ -309,17 +362,13 @@ class Mesh:
         """
         edges = [[a, b, tag]
                  for (a, b), tag in zip(self.boundary_edges.tolist(), self.boundary_tags)]
-        spaced = {
-            "boundary_edges": json.dumps(edges),
-            "singular_vertices": json.dumps(sorted(self.singular_vertices)),
-            "triangles": _int_rows_json(self.triangles),
-            "vertices": json.dumps(self.vertices.tolist()),
-        }
-        # In number-only lists dropping the space after each comma gives the
-        # compact text, since int and float reprs never contain ", ".  The
-        # tags are arbitrary strings: encode the edges again.
-        compact = {k: text.replace(", ", ",") for k, text in spaced.items()}
-        compact["boundary_edges"] = _canonical_dumps(edges)
+        singular = sorted(self.singular_vertices)
+        compact = {"boundary_edges": _canonical_dumps(edges),
+                   "singular_vertices": _canonical_dumps(singular)}
+        spaced = {"boundary_edges": json.dumps(edges),
+                  "singular_vertices": json.dumps(singular)}
+        compact["triangles"], spaced["triangles"] = _int_rows_json(self.triangles)
+        compact["vertices"], spaced["vertices"] = _float_rows_json(self.vertices)
         canonical = "{" + ",".join(
             f"{json.dumps(k)}:{compact[k]}" for k in sorted(compact)) + "}"
         if self._hash is None:
@@ -351,7 +400,7 @@ class Mesh:
         stored = {}
         for a, b, tag in data["boundary_edges"]:
             stored[(min(a, b), max(a, b))] = str(tag)
-        edges, _ = _discover_boundary(triangles)
+        edges, tri = _discover_boundary(triangles)
         if len(edges) != len(stored):
             raise MeshError("stored boundary edges disagree with the triangulation")
         tags = []
@@ -361,7 +410,8 @@ class Mesh:
                 raise MeshError(f"stored boundary is missing edge {key}")
             tags.append(stored[key])
         return cls(vertices, triangles, tuple(tags),
-                   frozenset(int(i) for i in data.get("singular_vertices", ())))
+                   frozenset(int(i) for i in data.get("singular_vertices", ())),
+                   _boundary=(edges, tri))
 
     @classmethod
     def read_json(cls, path):

@@ -99,6 +99,19 @@ def _digest_of_artifact(out, command):
     return digest, Mesh.from_json_dict(payload["mesh"]).content_hash()
 
 
+def _record_mesh_encodes(monkeypatch):
+    """Record every Mesh.json_texts call (the meshes list) and the array each
+    numpy row kernel encodes (the ints and floats lists)."""
+    meshes, ints, floats = [], [], []
+    texts = Mesh.json_texts
+    monkeypatch.setattr(Mesh, "json_texts", lambda self: meshes.append(self) or texts(self))
+    for name, calls in (("_int_rows_json", ints), ("_float_rows_json", floats)):
+        kernel = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda a, kernel=kernel, calls=calls: calls.append(a) or kernel(a))
+    return meshes, ints, floats
+
+
 @pytest.mark.parametrize("command, extra", [
     ("mesh", []),
     ("solve-laplace", []),
@@ -106,32 +119,47 @@ def _digest_of_artifact(out, command):
     ("solve-plap", ["--p", "3"]),
 ])
 def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra):
-    """The mesh's triangle list is encoded exactly once per command, by the
-    integer-row kernel, and the embedded hash is the embedded mesh's."""
-    meshes, encoded = [], []
-    texts, encode = Mesh.json_texts, geometry._int_rows_json
-    monkeypatch.setattr(Mesh, "json_texts", lambda self: meshes.append(self) or texts(self))
-    monkeypatch.setattr(geometry, "_int_rows_json",
-                        lambda a: encoded.append(a) or encode(a))
+    """Each numpy row kernel runs exactly once per command, on the mesh's
+    triangles and on its vertices, and the embedded hash is the embedded
+    mesh's."""
+    meshes, ints, floats = _record_mesh_encodes(monkeypatch)
     out = tmp_path / "run"
     assert main([command, "--config", laplace_config(tmp_path), "--out", str(out),
                  *extra]) == 0
-    assert len(encoded) == 1 and encoded[0] is meshes[0].triangles
+    assert len(ints) == 1 and ints[0] is meshes[0].triangles
+    assert len(floats) == 1 and floats[0] is meshes[0].vertices
     digest, recomputed = _digest_of_artifact(out, command)
     assert digest == recomputed
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("mesh", []),
-    ("solve-laplace", []),
-    ("solve-neumann", []),
-    ("solve-plap", ["--p", "3"]),
-])
+ARTIFACT_CONFIGS = {
+    "square": {"domain": {"kind": "unit_square", "n": 4},
+               "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+               "data": {"f": "x", "g": "0", "theta": "nx"}},
+    # Refined meshes whose non-dyadic coordinates have reprs of up to 23 characters.
+    "cusp": {"domain": {"kind": "cusp", "k": 3, "n": 3}, "refine": 1,
+             "partition": {"dirichlet": ["right"], "neumann": ["lower", "upper"]},
+             "data": {"f": "x", "g": "y", "theta": "nx"}},
+    "annulus": {"domain": {"kind": "annulus", "n_radial": 2, "n_angular": 8}, "refine": 1,
+                "partition": {"dirichlet": ["outer"], "neumann": ["inner"]},
+                "data": {"f": "1", "g": "x", "theta": "ny"}},
+}
+
+
+COMMANDS = [("mesh", []), ("solve-laplace", []), ("solve-neumann", []),
+            ("solve-plap", ["--p", "3"])]
+
+
+@pytest.mark.parametrize("command, extra, domain", [
+    pytest.param(command, extra, domain,
+                 id=f"{command}-extra{i}" + ("" if domain == "square" else f"-{domain}"))
+    for domain in ARTIFACT_CONFIGS for i, (command, extra) in enumerate(COMMANDS)])
 def test_artifact_text_is_the_sorted_json_dumps_of_its_content(tmp_path, command,
-                                                                extra):
+                                                                extra, domain):
     out = tmp_path / "run"
-    assert main([command, "--config", laplace_config(tmp_path), "--out", str(out),
-                 *extra]) == 0
+    assert main([command, "--config", write_config(tmp_path / "c.json",
+                                                   ARTIFACT_CONFIGS[domain]),
+                 "--out", str(out), *extra]) == 0
     text = (out / ("mesh.json" if command == "mesh" else "solution.json")).read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True)
 
@@ -142,19 +170,17 @@ def test_artifact_text_is_the_sorted_json_dumps_of_its_content(tmp_path, command
     ("solve-plap", ["--p", "3"]),
 ])
 def test_commands_encode_the_vertex_list_once(tmp_path, monkeypatch, command, extra):
-    """json encodes the vertex list exactly once per command and never the
-    triangle list, which only the integer-row kernel encodes (once)."""
-    meshes, objects, encoded = [], [], []
-    texts, encode = Mesh.json_texts, geometry._int_rows_json
+    """json encodes neither number list of the mesh: the vertex list is
+    encoded once, by the float-row kernel, and the triangle list once, by
+    the integer-row kernel."""
+    meshes, ints, floats = _record_mesh_encodes(monkeypatch)
+    objects = []
     iterencode = json.JSONEncoder.iterencode
 
     def counting_iterencode(self, o, *args, **kwargs):
         objects.append(o)
         return iterencode(self, o, *args, **kwargs)
 
-    monkeypatch.setattr(Mesh, "json_texts", lambda self: meshes.append(self) or texts(self))
-    monkeypatch.setattr(geometry, "_int_rows_json",
-                        lambda a: encoded.append(a) or encode(a))
     monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
     assert main([command, "--config", laplace_config(tmp_path),
                  "--out", str(tmp_path / "run"), *extra]) == 0
@@ -166,9 +192,10 @@ def test_commands_encode_the_vertex_list_once(tmp_path, monkeypatch, command, ex
                 isinstance(obj, dict) and any(holds(v) for v in obj.values()))
         return sum(holds(o) for o in objects)
 
-    assert count(mesh.vertices.tolist()) == 1
+    assert count(mesh.vertices.tolist()) == 0
     assert count(mesh.triangles.tolist()) == 0
-    assert len(encoded) == 1
+    assert [a is mesh.vertices for a in floats] == [True]
+    assert [a is mesh.triangles for a in ints] == [True]
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
@@ -279,6 +306,31 @@ def test_non_finite_data_expression_is_a_usage_error(tmp_path, capsys, command, 
     assert record["message"].startswith(f"{field}: ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, reason", [
+    ("sin", "does not evaluate to numbers"),
+    ("x(1)", "does not evaluate to numbers"),
+    ("1j*x", "is not real at every point"),
+    ("[x, y]", "gives values of shape (2, 25)"),
+])
+def test_data_expression_without_one_real_value_per_point_is_a_usage_error(
+        tmp_path, capsys, expr, reason):
+    cfg = {"domain": {"kind": "unit_square", "n": 4},
+           "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+           "data": {"g": expr}}
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve-laplace", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)])
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"data.g: {expr!r} {reason}")
+    assert not caught
+    assert "Warning" not in capsys.readouterr().err
+    assert not (out / "solution.json").exists()
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve-laplace"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from singfem import geometry
 from singfem.geometry import (
     DomainSpec,
     Mesh,
@@ -33,6 +34,7 @@ from singfem.geometry import (
     _canonical_dumps,
     _discover_boundary,
     _edge_midpoint_order,
+    _float_rows_json,
     _int_rows_json,
 )
 
@@ -155,6 +157,32 @@ def test_nonmanifold_edge_rejected():
         Mesh.from_triangulation(vertices, triangles, lambda a, b: "x")
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_vertices_are_rejected(literal):
+    # NaN areas and a NaN polygon area pass every comparison-based check.
+    m = build_unit_square(2)
+    vertices = m.vertices.copy()
+    vertices[4, 0] = json.loads(literal)
+    with pytest.raises(MeshError, match="vertex 4 has a non-finite coordinate"):
+        Mesh(vertices, m.triangles, m.boundary_tags)
+    text = m.canonical_json().replace("[0.5,0.5]", f"[{literal},0.5]")
+    with pytest.raises(MeshError, match="vertex 4 has a non-finite coordinate"):
+        Mesh.from_json_dict(json.loads(text))
+
+
+def test_constructors_discover_the_boundary_once(monkeypatch):
+    calls = []
+    discover = geometry._discover_boundary
+    monkeypatch.setattr(geometry, "_discover_boundary",
+                        lambda triangles: calls.append(triangles) or discover(triangles))
+    m = build_cusp(3, 3)
+    assert len(calls) == 1
+    back = Mesh.from_json_dict(m.to_json_dict())
+    assert len(calls) == 2
+    assert back.content_hash() == m.content_hash()
+    assert np.array_equal(back.boundary_tri, m.boundary_tri)
+
+
 def test_boundary_normals_point_outward():
     m = build_unit_square(3)
     mids = m.edge_midpoints()
@@ -250,17 +278,62 @@ INT_ROWS = st.integers(1, 4).flatmap(lambda k: st.lists(
     max_size=40).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, k)))
 
 
+def _json_texts(a):
+    """(compact, spaced) json.dumps texts of a's list form: the reference
+    the numpy row kernels must match byte for byte."""
+    rows = a.tolist()
+    return json.dumps(rows, separators=(",", ":")), json.dumps(rows)
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(INT_ROWS)
 def test_int_rows_json_is_json_dumps_of_the_list(a):
-    assert _int_rows_json(a) == json.dumps(a.tolist())
+    assert _int_rows_json(a) == _json_texts(a)
 
 
 def test_int_rows_json_covers_every_digit_width():
     column = np.array(WIDTH_EDGES, dtype=np.int64)
     assert {len(str(v)) for v in WIDTH_EDGES} == set(range(1, 20))
     for a in (column[:, None], np.column_stack([column, column[::-1], column % 97])):
-        assert _int_rows_json(a) == json.dumps(a.tolist())
+        assert _int_rows_json(a) == _json_texts(a)
+
+
+# Signed zeros, the smallest subnormal and normal, and the points where
+# float.__repr__ switches between fixed and exponent notation.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e-5,
+               -1e-4, 9999999999999998.0, 1e16, 1e17, -1e16, 0.1, 1 / 3, 2.0**-53]
+FLOATS = st.one_of(st.sampled_from(FLOAT_EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def float_rows(draw):
+    """(n, k) float64 arrays, n in 1..40 and k in 1..3, whose columns are
+    either all distinct draws or a few values heavily repeated."""
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    columns = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            pool = draw(st.lists(FLOATS, min_size=1, max_size=3))
+            columns.append([pool[i] for i in draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))])
+        else:
+            columns.append(draw(st.lists(FLOATS, min_size=n, max_size=n,
+                                         unique_by=float.hex)))
+    return np.array(columns, dtype=np.float64).T.reshape(n, k)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(float_rows())
+def test_float_rows_json_is_json_dumps_of_the_list(a):
+    assert _float_rows_json(a) == _json_texts(a)
+
+
+def test_float_rows_json_keeps_signed_zeros_and_repr_switch_points_apart():
+    column = np.array(FLOAT_EDGES)
+    a = np.column_stack([column, column[::-1]])
+    assert _float_rows_json(a) == _json_texts(a)
+    assert _float_rows_json(np.array([[0.0, -0.0]]))[1] == "[[0.0, -0.0]]"
 
 
 def test_from_json_dict_rejects_a_dropped_boundary_edge():
