@@ -11,6 +11,7 @@ different hash is never overwritten.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -185,9 +186,10 @@ def _partition_from_config(cfg, mesh, default=None):
 
 # -- restricted expressions for problem data --------------------------------
 
-_EXPR_NAMES = {
-    "pi": math.pi,
-    "e": math.e,
+_EXPR_CONSTANTS = {"pi": math.pi, "e": math.e}
+# numpy ufuncs, called with exactly `nin` positional arguments: a further
+# one would be the ufunc's `out` array and overwrite it.
+_EXPR_FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -200,53 +202,85 @@ _EXPR_NAMES = {
     "minimum": np.minimum,
     "maximum": np.maximum,
 }
+_EXPR_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+                   ast.UAdd, ast.USub)
+
+
+def _check_expression(tree, text, field, variables):
+    """ConfigError unless the parsed expression is arithmetic on int and
+    float constants, the variables, pi and e, and calls of the whitelisted
+    functions with their number of positional arguments."""
+    values = set(_EXPR_CONSTANTS) | set(variables)
+
+    def fail(reason):
+        return ConfigError(f"{field}: {text!r} {reason}")
+
+    callees = set()
+    for node in ast.walk(tree.body):  # breadth first: a call before its callee
+        if isinstance(node, ast.Name):
+            if node.id not in values and node.id not in _EXPR_FUNCTIONS:
+                allowed = ", ".join(sorted(values | set(_EXPR_FUNCTIONS)))
+                raise ConfigError(f"{field}: unknown name {node.id!r} (allowed: {allowed})")
+            if (node.id in _EXPR_FUNCTIONS) != (node in callees):
+                what = "not a function" if node in callees else "a function"
+                raise fail(f"does not evaluate to numbers ({node.id!r} is {what})")
+        elif isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name):
+                raise fail(f"is not an arithmetic expression "
+                           f"({type(node.func).__name__} called)")
+            fn = _EXPR_FUNCTIONS.get(node.func.id)
+            if fn is not None and (node.keywords or len(node.args) != fn.nin):
+                raise fail(f"must call {node.func.id} with {fn.nin} positional "
+                           f"argument(s)")
+            callees.add(node.func)
+        elif isinstance(node, ast.Constant):
+            if isinstance(node.value, complex):
+                raise fail("is not real at every point")
+            if type(node.value) not in (int, float):
+                raise fail(f"does not evaluate to numbers (constant {node.value!r})")
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            if not isinstance(node.op, _EXPR_OPERATORS):
+                raise fail(f"uses the operator {type(node.op).__name__}")
+        elif not isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
+            raise fail(f"is not an arithmetic expression "
+                       f"({type(node).__name__} is not allowed)")
 
 
 def compile_expression(text, field, variables=("x", "y", "r")):
     """Compile a config expression over a whitelisted namespace.
 
     Coordinates x, y (and the derived radius r; plus the outward normal
-    nx, ny for flux data) are the only free variables.
+    nx, ny for flux data) are the only free variables.  The syntax tree
+    is checked before anything is compiled (see _check_expression).
     """
     if not isinstance(text, str):
         raise ConfigError(f"{field}: expected an expression string, got {text!r}")
     try:
-        code = compile(text, f"<{field}>", "eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"{field}: invalid expression ({exc.msg})")
-    allowed = set(_EXPR_NAMES) | set(variables)
-    for name in code.co_names:
-        if name not in allowed:
-            raise ConfigError(
-                f"{field}: unknown name {name!r} (allowed: "
-                f"{', '.join(sorted(allowed))})"
-            )
+        tree = ast.parse(text, mode="eval")
+        _check_expression(tree, text, field, variables)
+        code = compile(tree, f"<{field}>", "eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:  # a NUL; a deep tree
+        raise ConfigError(f"{field}: invalid expression ({getattr(exc, 'msg', exc)})")
 
     def evaluate(**coords):
         """Float values of the expression, one per point or one for all;
-        anything else (not finite, not real, not numbers, or of another
-        shape) is a ConfigError."""
-        env = dict(_EXPR_NAMES)
-        env.update(coords)
+        a value that is not finite or not real is a ConfigError."""
+        env = {**_EXPR_CONSTANTS, **_EXPR_FUNCTIONS, **coords}
         if "x" in coords and "r" not in coords:
             env["r"] = np.hypot(coords["x"], coords["y"])
         try:
             with np.errstate(all="ignore"):
                 values = np.asarray(eval(code, {"__builtins__": {}}, env))
-                if values.dtype.kind == "c":
+                if values.dtype.kind == "c":  # (-1)**0.5 on Python numbers
                     raise ConfigError(f"{field}: {text!r} is not real at every point")
                 values = values.astype(np.float64)
             finite = np.isfinite(values).all()
         except ArithmeticError:  # 1/0 or 10**400 on Python numbers
             finite = False
-        except (TypeError, ValueError, LookupError, NameError) as exc:  # sin, x(1)
+        except TypeError as exc:  # sin(10**400): no ufunc loop for such an int
             raise ConfigError(f"{field}: {text!r} does not evaluate to numbers ({exc})")
         if not finite:
             raise ConfigError(f"{field}: {text!r} is not finite at every point")
-        shape = np.shape(coords["x"])
-        if values.ndim and values.shape != shape:
-            raise ConfigError(
-                f"{field}: {text!r} gives values of shape {values.shape}, not {shape}")
         return values
 
     return evaluate

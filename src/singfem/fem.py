@@ -8,7 +8,6 @@ integration-by-parts residual that ties them together.
 
 from __future__ import annotations
 
-import json
 import hashlib
 from dataclasses import dataclass
 
@@ -364,20 +363,3 @@ def field_json_dict(field):
     else:
         raise FieldError(f"cannot serialize {type(field).__name__}")
     return {"kind": kind, "values": values, "mesh_hash": mesh.content_hash()}
-
-
-def write_field(field, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(field_json_dict(field), sort_keys=True))
-
-
-def read_scalar_field(path, mesh):
-    """Read a scalar field written by write_field, verifying it belongs
-    to the given mesh via the embedded mesh hash."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("kind") != "scalar":
-        raise FieldError(f"expected a scalar field file, got kind {data.get('kind')!r}")
-    if data.get("mesh_hash") != mesh.content_hash():
-        raise FieldError("field file belongs to a different mesh (hash mismatch)")
-    return ScalarField(mesh, np.asarray(data["values"], dtype=np.float64))

@@ -652,15 +652,18 @@ def refine(mesh):
     # Coarse boundary edge k is local edge j of triangle t = boundary_tri[k].
     # Its halves are local edge 0 of child 4t + j and local edge 2 of child
     # 4t + (j + 1) % 3; sorting by 3 * child + local edge puts them in the
-    # child's triangle-major discovery order, the order of the boundary
-    # the child derives, so each half takes its parent edge's tag.
+    # child's triangle-major discovery order, so they are the child's
+    # boundary as _discover_boundary would find it, and each half takes its
+    # parent edge's tag.
     t = mesh.boundary_tri
     j = np.argmax(mesh.triangles[t] == mesh.boundary_edges[:, :1], axis=1)
     child_of = np.concatenate((4 * t + j, 4 * t + (j + 1) % 3))
     local = np.repeat(np.array([0, 2]), len(t))
-    parent = np.argsort(3 * child_of + local) % len(t)
-    tags = tuple(mesh.boundary_tags[i] for i in parent.tolist())
-    child = Mesh(vertices, triangles, tags, mesh.singular_vertices)
+    order = np.argsort(3 * child_of + local)
+    tri, local = child_of[order], local[order]
+    edges = np.column_stack((triangles[tri, local], triangles[tri, (local + 1) % 3]))
+    tags = tuple(mesh.boundary_tags[i] for i in (order % len(t)).tolist())
+    child = Mesh(vertices, triangles, tags, mesh.singular_vertices, _boundary=(edges, tri))
 
     # Identity on the old vertices, the endpoint average on the midpoints.
     mid = nv + np.arange(len(pairs))
@@ -744,20 +747,6 @@ def mesh_size(mesh):
     p = mesh.vertices[mesh.triangles]
     sides = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
     return float(np.max(np.hypot(sides[:, 0], sides[:, 1])))
-
-
-def max_interior_angle(mesh):
-    """Largest interior angle over all triangles, in radians."""
-    pts = mesh.vertices[mesh.triangles]
-    worst = 0.0
-    for i in range(3):
-        u = pts[:, (i + 1) % 3] - pts[:, i]
-        v = pts[:, (i + 2) % 3] - pts[:, i]
-        cosang = np.einsum("td,td->t", u, v) / (
-            np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
-        )
-        worst = max(worst, float(np.arccos(np.clip(cosang, -1.0, 1.0)).max()))
-    return worst
 
 
 # -- boundary partition ---------------------------------------------------

@@ -483,50 +483,65 @@ def _holder_sample_pairs(mesh, values, n_pairs, seed):
     quarter of the budget is anchored at the two vertices extremizing
     u, where the Holder envelope is attained; the anchor set, and hence
     the sampled pairs, are invariant under affine maps of u.
+
+    The other n_random pairs come from random sources with
+    max(8, isqrt(n_random)) pairs each, so the Dijkstra rows grow like
+    sqrt(n_pairs), not like n_pairs.  Each source's positive distances
+    are sorted once by log distance (stable, so tied distances keep
+    vertex order on every CPU).  Each target t finds its window
+    |log10 d - t| <= log10(2)/2 there by binary search and takes the
+    window's k-th vertex in id order, k uniform; an empty window takes
+    the nearest log distance, lowest vertex id first.
     """
     rng = np.random.default_rng(seed)
     nv = mesh.num_vertices
     anchors = sorted({int(np.argmin(values)), int(np.argmax(values))})
     n_anchor = max(1, n_pairs // 8)
-    budget = [(a, n_anchor) for a in anchors]
-    n_random = n_pairs - n_anchor * len(anchors)
-    per_source = 8
-    while n_random > 0:
-        take = min(per_source, n_random)
-        budget.append((int(rng.integers(0, nv)), take))
-        n_random -= take
+    n_random = max(0, n_pairs - n_anchor * len(anchors))
+    per_source, rest = max(8, math.isqrt(n_random)), n_random
+    counts = [n_anchor] * len(anchors)
+    while rest > 0:
+        counts.append(min(per_source, rest))
+        rest -= counts[-1]
+    budget = anchors + rng.integers(0, nv, size=len(counts) - len(anchors)).tolist()
 
-    sources = np.unique([s for s, _ in budget])
-    row_of = {int(s): k for k, s in enumerate(sources)}
+    sources = np.unique(budget)
     dist_all = path_lengths(mesh, sources)
     if not np.all(np.isfinite(dist_all)):
         raise geometry.MeshError("mesh is not edge-connected")
 
+    # Scales below ~3 nearest-neighbor spacings are dominated by the
+    # lattice quantization of the path metric; start above them, and pad
+    # by the window half-width so the draw window cannot spill below the
+    # floor either.
+    half_window = 0.5 * math.log10(2.0)
     pair_i, pair_j, pair_d = [], [], []
-    for s, count in budget:
-        row = dist_all[row_of[s]]
-        positive = row[row > 0.0]
+    for s, count in zip(budget, counts):
+        row = dist_all[np.searchsorted(sources, s)]
+        ids = np.nonzero(row > 0.0)[0]
+        positive = row[ids]
         hi = math.log10(float(positive.max()))
-        # Scales below ~3 nearest-neighbor spacings are dominated by the
-        # lattice quantization of the path metric; start above them, and
-        # pad by the window half-width so the draw window cannot spill
-        # below the floor either.
-        half_window = 0.5 * math.log10(2.0)
         lo = min(math.log10(3.0 * float(positive.min())) + half_window, hi - 0.1)
-        logd = np.where(row > 0.0, np.log10(np.maximum(row, 1e-300)), np.inf)
-        for t in rng.uniform(lo, hi, size=count):
-            near = np.abs(logd - t) <= half_window
-            near[s] = False
-            cands = np.nonzero(near)[0]
-            if len(cands) == 0:
-                target = int(np.argmin(np.abs(logd - t)))
-            else:
-                target = int(cands[rng.integers(0, len(cands))])
-            pair_i.append(s)
-            pair_j.append(target)
-            pair_d.append(float(row[target]))
-    return (np.asarray(pair_i, dtype=np.int64), np.asarray(pair_j, dtype=np.int64),
-            np.asarray(pair_d, dtype=np.float64))
+        logd = np.log10(positive)
+        order = np.argsort(logd, kind="stable")
+        ids, logd = ids[order], logd[order]
+        t = rng.uniform(lo, hi, size=count)
+        left = np.searchsorted(logd, t - half_window, side="left")
+        width = np.searchsorted(logd, t + half_window, side="right") - left
+        k = rng.integers(0, np.maximum(width, 1))
+        # An empty window takes the nearest log distance, and of a tie the
+        # lowest vertex id, which the stable sort puts first.
+        below = np.maximum(left - 1, 0)
+        above = np.minimum(left, len(logd) - 1)
+        nearest = np.where(t - logd[below] <= logd[above] - t, below, above)
+        j = ids[np.searchsorted(logd, logd[nearest], side="left")]
+        # Any other window takes its k-th vertex in id order.
+        for q in np.nonzero(width)[0]:
+            j[q] = np.partition(ids[left[q]:left[q] + width[q]], k[q])[k[q]]
+        pair_i.append(np.full(count, s, dtype=np.int64))
+        pair_j.append(j)
+        pair_d.append(row[j])
+    return np.concatenate(pair_i), np.concatenate(pair_j), np.concatenate(pair_d)
 
 
 def holder_regression(mesh, u, n_pairs=2000, seed=0, n_bins=12):

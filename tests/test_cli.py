@@ -312,7 +312,7 @@ def test_non_finite_data_expression_is_a_usage_error(tmp_path, capsys, command, 
     ("sin", "does not evaluate to numbers"),
     ("x(1)", "does not evaluate to numbers"),
     ("1j*x", "is not real at every point"),
-    ("[x, y]", "gives values of shape (2, 25)"),
+    ("[x, y]", "is not an arithmetic expression (List is not allowed)"),
 ])
 def test_data_expression_without_one_real_value_per_point_is_a_usage_error(
         tmp_path, capsys, expr, reason):
@@ -331,6 +331,49 @@ def test_data_expression_without_one_real_value_per_point_is_a_usage_error(
     assert not caught
     assert "Warning" not in capsys.readouterr().err
     assert not (out / "solution.json").exists()
+
+
+def _solve_laplace_with_g(tmp_path, expr):
+    cfg = {"domain": {"kind": "unit_square", "n": 4},
+           "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+           "data": {"g": expr}}
+    out = tmp_path / "run"
+    code = main(["solve-laplace", "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)])
+    return code, out
+
+
+def test_data_expression_cannot_reach_python_objects_through_a_lambda(tmp_path):
+    # The lambda's body is a nested code object: its names and attributes
+    # are checked only because the whole syntax tree is.
+    expr = "(lambda: ().__class__.__base__.__subclasses__().__len__())()"
+    code, out = _solve_laplace_with_g(tmp_path, expr)
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"data.g: {expr!r} is not an arithmetic expression")
+    assert not (out / "solution.json").exists()
+
+
+def test_a_rejected_data_expression_runs_nothing(tmp_path):
+    marker = tmp_path / "ran.txt"
+    expr = ("(lambda: [c for c in ().__class__.__base__.__subclasses__() "
+            "if c.__name__ == 'catch_warnings'][0]()._module.__builtins__['open']"
+            f"({str(marker)!r}, 'w').close() or 0)()")
+    code, out = _solve_laplace_with_g(tmp_path, expr)
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("expr", ["sin(x, y)", "hypot(x)", "hypot(x, y=y)", "maximum(x)"])
+def test_data_functions_take_their_positional_arguments_only(tmp_path, expr):
+    # A ufunc's extra positional argument is its output array.
+    with pytest.raises(ConfigError, match="positional argument"):
+        compile_expression(expr, "data.g")
+    code, out = _solve_laplace_with_g(tmp_path, expr)
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["message"].startswith("data.g: ")
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve-laplace"])

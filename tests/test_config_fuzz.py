@@ -155,13 +155,16 @@ def plap_configs(draw):
 
 # Data expressions: valid, invalid (unknown name, syntax, a value that is
 # not finite somewhere on the mesh or the boundary, not numbers, not real,
-# not one value per point), wrong type.
+# not one value per point, and the attribute, lambda, subscript and keyword
+# forms outside the arithmetic whitelist), wrong type.
 DATA_G = (["0", "x - y", "sin(3 * x * y)"],
           ["z + x", "gamma(x)", "x +", "log(x)", "exp(1000 * y)",
-           "sin", "x(1)", "1j*x", "[x, y]"], [3, None, ["x"]])
+           "sin", "x(1)", "1j*x", "[x, y]", "x.real", "(lambda: x)()", "x[0]",
+           "hypot(x, y=y)"], [3, None, ["x"]])
 DATA_THETA = (["0", "nx * x + ny * y", "1 + r"],
               ["nz", "gamma(nx)", "nx +", "sqrt(-1 - r)", "10**400 * nx",
-               "1j * nx", "[nx, ny]"],
+               "1j * nx", "[nx, ny]", "nx.__class__", "(lambda n=nx: n)()",
+               "ny[1:]", "maximum(nx, ny, out=nx)"],
               [3, None, ["nx"]])
 RTOL = ([1e-12, 1e-8], [0.0, -1e-6, 10**400], WRONG_FLOAT)
 # solve-laplace and solve-neumann field -> (valid, invalid, wrong type);

@@ -19,14 +19,12 @@ from singfem.fem import (
     ibp_residual,
     lp_norm,
     mass_matrix,
-    read_scalar_field,
     scalar_inner,
     stiffness_matrix,
     trace,
     vector_inner,
     w1p_norm,
     weak_divergence,
-    write_field,
 )
 from singfem.geometry import (
     build_annulus,
@@ -309,23 +307,3 @@ def test_weak_divergence_of_linear_field(square, square_part):
         )
     )
     assert abs(div.values[center] - 2.0) < 0.05
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def test_field_round_trip(tmp_path, square):
-    u = ScalarField.from_function(square, lambda x, y: x * y)
-    path = tmp_path / "field.json"
-    write_field(u, path)
-    back = read_scalar_field(path, square)
-    assert np.array_equal(back.values, u.values)
-
-
-def test_field_read_rejects_foreign_mesh(tmp_path, square):
-    u = ScalarField.constant(square, 1.0)
-    path = tmp_path / "field.json"
-    write_field(u, path)
-    other = build_unit_square(3)
-    with pytest.raises(FieldError, match="hash"):
-        read_scalar_field(path, other)

@@ -8,6 +8,8 @@ from scipy.sparse.linalg import eigsh
 from singfem import (
     Report,
     ScalarField,
+    build_annulus,
+    build_cusp,
     build_unit_square,
     convergence_study,
     counterexample_punctured,
@@ -22,6 +24,7 @@ from singfem import (
     write_report_json,
 )
 from singfem import laplace, verify
+from singfem.geometry import path_lengths
 from singfem.fem import mass_matrix, stiffness_matrix
 from singfem.verify import _pw_quotient
 
@@ -243,6 +246,133 @@ def test_holder_regression_inputs_are_affine_invariant():
     au, _ = holder_exponent(mesh, u, n_pairs=1500, seed=3)
     av, _ = holder_exponent(mesh, v, n_pairs=1500, seed=3)
     assert au == pytest.approx(av, abs=1e-9)
+
+
+class _TargetRecorder(np.random.Generator):
+    """default_rng stand-in that records every uniform draw (the targets)."""
+
+    draws = []
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+
+    def uniform(self, *args, **kwargs):
+        out = super().uniform(*args, **kwargs)
+        _TargetRecorder.draws.append(out)
+        return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: refine(build_cusp(3.0, 4)),
+    lambda: refine(build_annulus(0.3, 1.0, 3, 12)),
+], ids=["cusp", "annulus"])
+@pytest.mark.parametrize("n_pairs", [100, 1200])
+def test_holder_pairs_lie_in_their_draw_windows(monkeypatch, build, n_pairs):
+    mesh = build()
+    values = np.sin(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 1]
+    _TargetRecorder.draws = []
+    monkeypatch.setattr(np.random, "default_rng", _TargetRecorder)
+    i, j, dist = verify._holder_sample_pairs(mesh, values, n_pairs, seed=5)
+    monkeypatch.undo()
+
+    assert len(i) == len(j) == len(dist) == n_pairs
+    assert np.all(i != j)
+    table = path_lengths(mesh, i)
+    assert dist.tobytes() == table[np.arange(n_pairs), j].tobytes()
+
+    # One target per pair, anchored or random, drawn in pair order.
+    targets = np.concatenate(_TargetRecorder.draws)
+    assert len(targets) == n_pairs
+    half = 0.5 * math.log10(2.0)
+    for k, t in enumerate(targets):
+        row = table[k]
+        logd = np.log10(row[row > 0.0])
+        got = math.log10(dist[k])
+        in_window = (logd >= t - half) & (logd <= t + half)
+        if in_window.any():
+            assert t - half <= got <= t + half
+        else:
+            assert abs(got - t) == np.abs(logd - t).min()
+
+
+@pytest.mark.parametrize("n_pairs, max_rows, per_source", [(1200, 32, 30), (100, 12, 8)])
+def test_holder_pairs_take_isqrt_pairs_per_random_source(monkeypatch, n_pairs, max_rows,
+                                                          per_source):
+    mesh = refine(build_cusp(3.0, 6))
+    values = mesh.vertices[:, 1].copy()
+    rows = []
+
+    def counting(mesh, sources):
+        rows.append(len(sources))
+        return path_lengths(mesh, sources)
+
+    monkeypatch.setattr(verify, "path_lengths", counting)
+    i, _, _ = verify._holder_sample_pairs(mesh, values, n_pairs, seed=11)
+    assert len(rows) == 1 and rows[0] <= max_rows
+    random_i = i[2 * (n_pairs // 8):]
+    runs = np.diff(np.flatnonzero(np.r_[True, random_i[1:] != random_i[:-1], True]))
+    assert runs[:-1].max() <= per_source and runs.sum() == len(random_i)
+    assert len(runs) <= -(-len(random_i) // per_source)
+
+
+def _pairs_by_mask(mesh, values, n_pairs, seed):
+    """Reference sampler: 8 pairs per source, each pair drawn by masking the
+    whole source row (the window's vertices in id order)."""
+    rng = np.random.default_rng(seed)
+    nv = mesh.num_vertices
+    anchors = sorted({int(np.argmin(values)), int(np.argmax(values))})
+    n_anchor = max(1, n_pairs // 8)
+    budget = [(a, n_anchor) for a in anchors]
+    n_random = n_pairs - n_anchor * len(anchors)
+    while n_random > 0:
+        take = min(8, n_random)
+        budget.append((int(rng.integers(0, nv)), take))
+        n_random -= take
+    out = []
+    for s, count in budget:
+        row = path_lengths(mesh, [s])[0]
+        positive = row[row > 0.0]
+        hi = math.log10(float(positive.max()))
+        half_window = 0.5 * math.log10(2.0)
+        lo = min(math.log10(3.0 * float(positive.min())) + half_window, hi - 0.1)
+        logd = np.where(row > 0.0, np.log10(np.maximum(row, 1e-300)), np.inf)
+        for t in rng.uniform(lo, hi, size=count):
+            cands = np.nonzero(np.abs(logd - t) <= half_window)[0]
+            if len(cands) == 0:
+                target = int(np.argmin(np.abs(logd - t)))
+            else:
+                target = int(cands[rng.integers(0, len(cands))])
+            out.append((s, target, float(row[target])))
+    i, j, d = zip(*out)
+    return np.asarray(i), np.asarray(j), np.asarray(d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: refine(build_cusp(3.0, 4)),
+    lambda: refine(build_annulus(0.3, 1.0, 3, 12)),
+    lambda: build_cusp(3.0, 3),
+], ids=["cusp", "annulus", "coarse-cusp"])
+@pytest.mark.parametrize("n_pairs", [10, 40, 100, 106])
+def test_small_holder_budgets_draw_the_pairs_of_the_mask_reference(build, n_pairs):
+    # Up to 80 random pairs the source rule gives 8 pairs per source, and
+    # the sorted windows must pick exactly what masking the row picks.
+    mesh = build()
+    values = np.sin(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 1]
+    for seed in range(4):
+        got = verify._holder_sample_pairs(mesh, values, n_pairs, seed)
+        for a, b in zip(got, _pairs_by_mask(mesh, values, n_pairs, seed)):
+            assert a.tobytes() == b.astype(a.dtype).tobytes()
+
+
+def test_holder_pairs_are_deterministic_in_the_seed():
+    mesh = refine(build_annulus(0.3, 1.0, 3, 12))
+    values = mesh.vertices[:, 0] ** 2
+    first = verify._holder_sample_pairs(mesh, values, 1200, seed=9)
+    again = verify._holder_sample_pairs(mesh, values, 1200, seed=9)
+    other = verify._holder_sample_pairs(mesh, values, 1200, seed=10)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(first[1], other[1])
 
 
 # -- convergence studies ---------------------------------------------------------
