@@ -17,6 +17,7 @@ import hashlib
 import inspect
 import json
 import math
+import operator
 import os
 import pathlib
 import sys
@@ -244,6 +245,39 @@ def _check_expression(tree, text, field, variables):
         elif not isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
             raise fail(f"is not an arithmetic expression "
                        f"({type(node).__name__} is not allowed)")
+    _check_integer_range(tree, fail)
+
+
+# 2**_FLOAT_BITS is the smallest power of two past float range.
+_FLOAT_BITS = 1024
+_INT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+            ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod, ast.Pow: operator.pow}
+
+
+def _check_integer_range(tree, fail):
+    """Fold the integer subexpressions of constants, operands first, and
+    refuse one past float range, a power before it is computed: Python's
+    exact integer arithmetic would run 9**9**9 for hours."""
+    too_large = fail("is not finite at every point (an integer past float range)")
+    ints = {}
+    for node in reversed(list(ast.walk(tree.body))):  # operands before operations
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            value = node.value
+        elif isinstance(node, ast.UnaryOp) and node.operand in ints:
+            value = -ints[node.operand] if isinstance(node.op, ast.USub) else ints[node.operand]
+        elif isinstance(node, ast.BinOp) and node.left in ints and node.right in ints:
+            a, b, op = ints[node.left], ints[node.right], type(node.op)
+            if (op is ast.Div or (op is ast.Pow and b < 0)
+                    or (op in (ast.FloorDiv, ast.Mod) and b == 0)):
+                continue  # a float, or an ArithmeticError when evaluated
+            if op is ast.Pow and abs(a) > 1 and (abs(a).bit_length() - 1) * b >= _FLOAT_BITS:
+                raise too_large
+            value = _INT_OPS[op](a, b)
+        else:
+            continue
+        if abs(value).bit_length() > _FLOAT_BITS:
+            raise too_large
+        ints[node] = value
 
 
 def compile_expression(text, field, variables=("x", "y", "r")):

@@ -1,25 +1,21 @@
-"""Mixed Dirichlet-Neumann and pure-Neumann Laplace solvers.
+"""Mixed Dirichlet-Neumann and pure-Neumann Laplace solvers, and
+`_FreeBlockSolver`, through which every SPD system of the package goes.
 
 Dirichlet data is imposed strongly at the vertices of the Dirichlet
-edges (which includes the singular vertices adjacent to them); the
-remaining symmetric positive definite block K_ff over the free vertices
-is solved by conjugate gradients preconditioned with a geometric
-multigrid V-cycle over the mesh's refinement chain (see `_free_solver`
-and `_multigrid`): 11 to 16 iterations on every level of a refined
-square or annulus, so the solve costs O(N).  The chain's root block is
-factored by SuperLU, so an unrefined mesh, a one-level chain, is solved
-directly (it needs SuperLU's memory rather than CG's).  The
+edges (which includes the singular vertices adjacent to them).  The
 pure-Neumann problem is checked for compatibility and made definite by
-pinning vertex 0, so it takes the same free-block solve; the zero-mean
-gauge then subtracts the solution's mean.  The Poincare routines in
-`verify` solve through the same path.
+pinning vertex 0; the zero-mean gauge then subtracts the solution's mean.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import fem
@@ -126,38 +122,154 @@ def _multigrid(mesh, A, free):
         levels.append((A, 1.0 / np.asarray(abs(A).sum(axis=1)).ravel(), P, R))
         A = (R @ A @ P).tocsr()
         mesh, free = mesh.parent, coarse
-    root = splu(A.tocsc())
-
-    def cycle(b, k=0):
-        if k == len(levels):
-            return root.solve(b)
-        A, dinv, P, R = levels[k]
-        x = dinv * b
-        for _ in range(_SMOOTHING_STEPS - 1):
-            x += dinv * (b - A @ x)
-        x += P @ cycle(R @ (b - A @ x), k + 1)
-        for _ in range(_SMOOTHING_STEPS):
-            x += dinv * (b - A @ x)
-        return x
-
-    return cycle
+    # Not a closure calling itself: that cycle kept the SuperLU factor alive.
+    return functools.partial(_vcycle, levels, splu(A.tocsc()))
 
 
-def _free_solver(mesh, K, free, rtol):
-    """Solver for K[free][:, free] x = rhs.
+def _vcycle(levels, root, b, k=0):
+    if k == len(levels):
+        return root.solve(b)
+    A, dinv, P, R = levels[k]
+    x = dinv * b
+    for _ in range(_SMOOTHING_STEPS - 1):
+        x += dinv * (b - A @ x)
+    x += P @ _vcycle(levels, root, R @ (b - A @ x), k + 1)
+    for _ in range(_SMOOTHING_STEPS):
+        x += dinv * (b - A @ x)
+    return x
 
-    Extracts the block and builds its V-cycle once; the returned
-    solve(rhs, x0=None) -> (x, iterations) runs multigrid-preconditioned
-    CG to relative residual rtol and may be called for many right-hand
-    sides.
-    """
-    K_ff = K.tocsc()[:, free][free].tocsr()
-    cycle = _multigrid(mesh, K_ff, free)
 
-    def solve(rhs, x0=None):
-        return conjugate_gradient(K_ff, rhs, cycle, x0=x0, rtol=rtol)
+_UPPER = np.triu_indices(3)  # the six entries i <= j of an element matrix
 
-    return solve
+
+def _gram_entries(mesh):
+    """The upper entries (in _UPPER order) of every element's Gram matrix
+    grad l_i . grad l_j, an (nt, 6) array that depends on the mesh only.
+    Column by column, it is einsum("tid,tjd->tij")[:, i, j] to the bit
+    without that (nt, 3, 3) temporary."""
+    gl = mesh.grad_lambda
+    out = np.empty((mesh.num_triangles, 6))
+    for k, (a, b) in enumerate(zip(*_UPPER)):
+        np.einsum("td,td->t", gl[:, a], gl[:, b], out=out[:, k])
+    return out
+
+
+def _element_entries(mesh, gram, w, g=None, c=None):
+    """The upper entries (in _UPPER order) of every element matrix
+    area_T (w_T grad l_i . grad l_j + c_T (grad l_i . g_T)(grad l_j . g_T)),
+    an (nt, 6) array, from the mesh's _gram_entries.  Without c it is the
+    w-weighted stiffness; with c = (p - 2) w / m and the g, m, w of
+    plaplace._energy_gradient it is the Hessian of the regularized energy
+    over p."""
+    i, j = _UPPER
+    out = gram * (mesh.areas * w)[:, None]
+    if c is not None:
+        q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
+        aniso = q[:, i]
+        aniso *= q[:, j]
+        aniso *= (mesh.areas * c)[:, None]
+        out += aniso
+    return out
+
+
+# Bytes a band may take: enough for the cusp k = 3, n = 6 through refine 4
+# (56.6 MiB), not for the square n = 64 refined twice (128 MiB).
+_BAND_BUDGET = 64 * 2**20
+
+
+def _band_order(K_ff):
+    """(perm, its inverse, bandwidth) of the reverse Cuthill-McKee order of
+    the CSR block's pattern; None if (bandwidth + 1) * n doubles exceed
+    _BAND_BUDGET."""
+    n = K_ff.shape[0]
+    perm = reverse_cuthill_mckee(K_ff, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    rows = np.repeat(rank, np.diff(K_ff.indptr))
+    bandwidth = int(np.abs(rows - rank[K_ff.indices]).max(initial=0))
+    if (bandwidth + 1) * n * 8 > _BAND_BUDGET:
+        return None
+    return perm, rank, bandwidth
+
+
+class _FreeBlockSolver:
+    """Solver of the free blocks, on one mesh and free set, of the
+    stiffness matrix K it is built from and of any matrix of (nt, 6)
+    element entries (_element_entries).  The rule (_band_order on K's
+    block): band Cholesky on the RCM order, the band refilled by each
+    system and factored in place, when it fits _BAND_BUDGET; otherwise
+    CG preconditioned by _multigrid, whose SuperLU root makes a mesh
+    without a parent a direct solve.  A band that cannot be allocated,
+    or meets a non-positive pivot from rounding, falls to MG-PCG.  gram,
+    the mesh's _gram_entries, is computed on first use."""
+
+    def __init__(self, mesh, K, free, rtol):
+        self.mesh, self.free, self.rtol, self.ab = mesh, free, rtol, None
+        K_ff = K.tocsc()[:, free][free].tocsr()
+        order = _band_order(K_ff)
+        if order is not None:
+            self.perm, rank, self.bandwidth = order
+            # gram before the slot arrays: allocated after their temporaries,
+            # it left the heap fragmented and a cusp sweep's peak resident set
+            # 3-5 MB higher in many runs.
+            self.gram
+            local = np.full(mesh.num_vertices, -1, dtype=np.int64)
+            local[free] = rank
+            a, b = (local[mesh.triangles[:, k]].ravel() for k in _UPPER)
+            self.pairs = np.nonzero((a >= 0) & (b >= 0))[0]  # into the flat (nt, 6)
+            a, b = a[self.pairs], b[self.pairs]
+            # the flat index of ab[|a - b|, min(a, b)] in Fortran order
+            self.slot = np.abs(a - b) + (self.bandwidth + 1) * np.minimum(a, b)
+            with contextlib.suppress(MemoryError):
+                self.ab = np.zeros((self.bandwidth + 1, len(free)), order="F")
+        # MG-PCG's block; one falling from the band is assembled instead.
+        self.K_ff = K_ff if self.ab is None else None
+
+    @functools.cached_property
+    def gram(self):
+        return _gram_entries(self.mesh)
+
+    def band(self, entries):
+        """Refill the band with the free block of the element entries,
+        permuted, and return it."""
+        self.ab.fill(0.0)
+        np.add.at(self.ab.reshape(-1, order="F"), self.slot,
+                  entries.reshape(-1)[self.pairs])
+        return self.ab
+
+    def system(self, entries=None):
+        """solve(rhs, x0=None) -> (x, iterations) of the block of the
+        element entries (K's when None).  A band solve reports 0 iterations
+        and lasts until the next call.  MG-PCG runs from x0 to relative
+        residual rtol; it raises SolverError, or SuperLU's RuntimeError on
+        a singular root."""
+        if self.ab is not None:
+            if entries is None:
+                entries = _element_entries(self.mesh, self.gram,
+                                           np.ones(self.mesh.num_triangles))
+            try:
+                cb = cholesky_banded(self.band(entries), lower=True, overwrite_ab=True,
+                                     check_finite=False)
+                return functools.partial(self._band_solve, cb)
+            except LinAlgError:
+                pass
+        A = self.K_ff if entries is None else self._assemble(entries)
+        cycle = _multigrid(self.mesh, A, self.free)
+        return lambda rhs, x0=None: conjugate_gradient(A, rhs, cycle, x0=x0, rtol=self.rtol)
+
+    def _band_solve(self, cb, rhs, x0=None):
+        x = cho_solve_banded((cb, True), rhs[self.perm], overwrite_b=True,
+                             check_finite=False)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out, 0
+
+    def _assemble(self, entries):
+        i, j = _UPPER
+        local = np.empty((self.mesh.num_triangles, 3, 3))
+        local[:, i, j] = entries
+        local[:, j, i] = entries
+        return fem._assemble(self.mesh, local).tocsc()[:, self.free][self.free].tocsr()
 
 
 @dataclass(eq=False)
@@ -254,9 +366,10 @@ _COMPATIBILITY_RTOL = 1e-8
 def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL):
     """Solve the mixed problem; returns (ScalarField, info dict).
 
-    info carries the CG iteration count and the final weak residual.
-    x0 optionally seeds the CG iteration (the solution is independent
-    of it up to the solver tolerance).
+    info carries the CG iteration count (0 for a band solve) and the
+    final weak residual.  x0 optionally seeds the CG iteration where the
+    solve takes MG-PCG (the solution is independent of it up to the
+    solver tolerance).
     """
     partition = problem.partition
     mesh = partition.mesh
@@ -276,7 +389,7 @@ def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL
         # u is zero on the free vertices here, so (K u)_f = K_fc u_c.
         rhs = b[free] - (K @ u)[free]
         start = None if x0 is None else x0.values[free]
-        u[free], iterations = _free_solver(mesh, K, free, rtol)(rhs, start)
+        u[free], iterations = _FreeBlockSolver(mesh, K, free, rtol).system()(rhs, start)
 
     field = fem.ScalarField(mesh, u)
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
@@ -317,7 +430,7 @@ def solve_neumann(problem, gauge="mean", rtol=1e-12):
     b = _theta_vector(partition, problem.theta) - M @ problem.g.values
     free = np.arange(1, mesh.num_vertices)
     u = np.zeros(mesh.num_vertices)
-    u[free], iterations = _free_solver(mesh, K, free, rtol)(b[free])
+    u[free], iterations = _FreeBlockSolver(mesh, K, free, rtol).system()(b[free])
     if gauge == "mean":
         ones = fem.ScalarField.constant(mesh, 1.0)
         area = fem.scalar_inner(ones, ones)

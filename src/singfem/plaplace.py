@@ -8,8 +8,10 @@ warm-started from the p = 2 solution and driven by continuation in p at
 a fixed eps, followed by one final stage at the target eps.  Given the
 minimizer on the parent of a refined mesh, the solve instead starts from
 its prolongation and runs the final stage alone (nested iteration).
-Also provides the normalized duality map, the first-order stationarity
-measure, and a randomized minimality certificate.
+The warm start and every Newton system go through the package's one
+free-block solver, laplace._FreeBlockSolver.  Also provides the
+normalized duality map, the first-order stationarity measure, and a
+randomized minimality certificate.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
+# Not called here, like conjugate_gradient below: perfbench/tracer.py
+# patches both names in this module.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from . import fem
-# Not called here: the p = 2 warm start is a band solve.  The name stays
-# bound because perfbench/tracer.py patches it in this module.
+from .laplace import _element_entries, _FreeBlockSolver
 from .laplace import conjugate_gradient  # noqa: F401
 
 
@@ -179,145 +179,18 @@ def _exact_stationarity(mesh, values, p, free_mask, hat_norms):
     return _stationarity(energy, s, p, free_mask, hat_norms), energy
 
 
-_UPPER = np.triu_indices(3)  # the six entries i <= j of an element matrix
-
-
-def _gram_entries(mesh):
-    """The upper entries (in _UPPER order) of every element's Gram matrix
-    grad l_i . grad l_j, an (nt, 6) array that depends on the mesh only.
-    Column by column, it is einsum("tid,tjd->tij")[:, i, j] to the bit
-    without that (nt, 3, 3) temporary."""
-    gl = mesh.grad_lambda
-    out = np.empty((mesh.num_triangles, 6))
-    for k, (a, b) in enumerate(zip(*_UPPER)):
-        np.einsum("td,td->t", gl[:, a], gl[:, b], out=out[:, k])
-    return out
-
-
-def _element_entries(mesh, gram, w, g=None, c=None):
-    """The upper entries (in _UPPER order) of every element matrix
-    area_T (w_T grad l_i . grad l_j + c_T (grad l_i . g_T)(grad l_j . g_T)),
-    an (nt, 6) array, from the mesh's _gram_entries.  Without c it is the
-    w-weighted stiffness; with c = (p - 2) w / m and the g, m, w of
-    _energy_gradient it is the Hessian of the regularized energy over p."""
-    i, j = _UPPER
-    out = gram * (mesh.areas * w)[:, None]
-    if c is not None:
-        q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
-        aniso = q[:, i]
-        aniso *= q[:, j]
-        aniso *= (mesh.areas * c)[:, None]
-        out += aniso
-    return out
-
-
-class _BandedStiffness:
-    """The free block of a matrix assembled from element matrices of one
-    mesh, held in LAPACK lower band storage and solved by band Cholesky.
-
-    The free vertices are numbered by reverse Cuthill-McKee.  The band
-    slot of each element entry (i, j) with both vertices free, taken on
-    or below the diagonal in that numbering, depends only on the mesh and
-    the free set, so it is computed once, and so are the element Gram
-    entries (gram, see _gram_entries) that every system of the solve
-    scales.  One Fortran-ordered (bw + 1, n) band is allocated once too:
-    each system (the stiffness of the warm start, then every Newton
-    Hessian) refills it from the element entries of _element_entries, and
-    LAPACK factors it in place.  Every system goes through this object,
-    band or not, so it holds gram either way.
-
-    The band costs O(n bw) memory and O(n bw^2) time, about n^1.5 and n^2
-    on a 2D mesh, against SuperLU's slower-growing fill.  So the band is
-    kept only while it holds at most MAX_FILL entries per structural
-    nonzero of the free block (and its allocation succeeds); otherwise ab
-    is None and every system goes to SuperLU.  On unit squares with
-    Dirichlet sides the ratio is 18 at n = 128 and 37 at n = 256, where
-    the band still factors 3x faster than SuperLU, whose L + U holds 14
-    and 19 entries per nonzero; it reaches about 73 at n = 512 (a 1 GB
-    band).
-    """
-
-    MAX_FILL = 40
-
-    def __init__(self, mesh, free):
-        # First: allocated after the layout's temporaries, it left the heap
-        # fragmented and a cusp sweep's peak resident set 3-5 MB higher in
-        # many runs.
-        self.gram = _gram_entries(mesh)
-        n = len(free)
-        local = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        local[free] = np.arange(n)
-        i, j = _UPPER
-        a = local[mesh.triangles[:, i]].ravel()
-        b = local[mesh.triangles[:, j]].ravel()
-        self.entries = np.nonzero((a >= 0) & (b >= 0))[0]  # into the flat (nt, 6)
-        a, b = a[self.entries], b[self.entries]
-        graph = csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])),
-                           shape=(n, n))
-        self.perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.perm] = np.arange(n)
-        lo = np.minimum(rank[a], rank[b])
-        depth = np.abs(rank[a] - rank[b])
-        self.bandwidth = int(depth.max())
-        self.slot = depth + (self.bandwidth + 1) * lo  # ab[depth, lo], Fortran order
-        self.ab = None
-        if (self.bandwidth + 1) * n <= self.MAX_FILL * graph.nnz:
-            try:
-                self.ab = np.zeros((self.bandwidth + 1, n), order="F")
-            except MemoryError:
-                pass
-
-    def band(self, entries):
-        """Refill the band with the free block assembled from the (nt, 6)
-        element entries, permuted, and return it."""
-        self.ab.fill(0.0)
-        np.add.at(self.ab.reshape(-1, order="F"), self.slot,
-                  entries.reshape(-1)[self.entries])
-        return self.ab
-
-    def solve(self, entries, rhs):
-        """The assembled free block's inverse applied to rhs; LinAlgError
-        on a non-positive pivot."""
-        cb = cholesky_banded(self.band(entries), lower=True, overwrite_ab=True,
-                             check_finite=False)
-        x = cho_solve_banded((cb, True), rhs[self.perm], overwrite_b=True,
-                             check_finite=False)
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
-
-
-def _sparse_block(mesh, entries, free):
-    """The free block, in CSC, of the matrix assembled from the (nt, 6)
-    element entries: the same matrix _BandedStiffness.band holds."""
-    i, j = _UPPER
-    local = np.empty((mesh.num_triangles, 3, 3))
-    local[:, i, j] = entries
-    local[:, j, i] = entries
-    return fem._assemble(mesh, local).tocsc()[free][:, free].tocsc()
-
-
-def _solve_assembled(mesh, values, entries, free, band, rhs):
-    """Solve with the free block assembled from the element entries, by
-    band Cholesky, or by SuperLU when the band was too wide to keep or
-    meets a non-positive pivot from rounding; a SuperLU failure raises
-    PLaplaceError carrying the iterate."""
-    if band.ab is not None:
-        try:
-            return band.solve(entries, rhs)
-        except LinAlgError:
-            pass
+def _solve(solver, entries, rhs, mesh, values):
+    """solver.system(entries)'s solution; PLaplaceError when MG-PCG fails."""
     try:
-        return splu(_sparse_block(mesh, entries, free)).solve(rhs)
-    except RuntimeError as exc:
-        raise PLaplaceError(f"Newton system is singular ({exc})",
+        return solver.system(entries)(rhs)[0]
+    except RuntimeError as exc:  # SolverError, or SuperLU's singular root
+        raise PLaplaceError(f"Newton system could not be solved: {exc}",
                             best_field=fem.ScalarField(mesh, values)) from exc
 
 
-def _newton_step(mesh, values, p, w, s, g, m, free, band):
+def _newton_step(mesh, values, p, w, s, g, m, free, solver):
     """Solve H_ff delta = -s_f with H the Hessian over p of the regularized
-    energy, from the output of _energy_gradient (see _solve_assembled).
+    energy, from the output of _energy_gradient (see _solve).
     Per element H is area_T grad l_i . A grad l_j with the tensor
     A = w (I + (p - 2) g g^T / m), whose eigenvalues w and
     w (1 + (p - 2) |g|^2 / m) >= (p - 1) w are positive for every p > 1.
@@ -332,8 +205,8 @@ def _newton_step(mesh, values, p, w, s, g, m, free, band):
     # Tiny relative floor on the isotropic part keeps the Hessian
     # factorable where the gradient degenerates; the step stays a descent
     # direction because the floored matrix is still SPD.
-    entries = _element_entries(mesh, band.gram, w + 1e-14 * wmax, g, c)
-    return _solve_assembled(mesh, values, entries, free, band, -s[free])
+    entries = _element_entries(mesh, solver.gram, w + 1e-14 * wmax, g, c)
+    return _solve(solver, entries, -s[free], mesh, values)
 
 
 # The continuation schedule of solve_p_laplace: p grows by at most the
@@ -343,13 +216,14 @@ def _newton_step(mesh, values, p, w, s, g, m, free, band):
 _P_STEP = 1.5
 _EPS_START_FACTOR = 1e-2
 _MAX_INNER = 120
+# Relative residual of a system that takes MG-PCG (see _FreeBlockSolver).
+_NEWTON_RTOL = 1e-12
 
 
-def _newton_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
+def _newton_stage(mesh, values, p, eps, free, free_mask, solver, hat_norms, tol):
     """Run damped Newton at fixed (p, eps).  Returns (values, iters, stat,
     line_search_ok).  Each step makes one pass over the elements for the
-    energy gradient and solves the Hessian system by band Cholesky (see
-    _newton_step).  The element terms of an iterate are computed once:
+    energy gradient and solves the Hessian system (see _newton_step).  The element terms of an iterate are computed once:
     at the stage's entry, or by the line search that accepts it."""
     with np.errstate(over="ignore"):
         terms = _energy_terms(mesh, values, p, eps)
@@ -365,7 +239,7 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, band, hat_norms, tol):
         if stat <= tol or it == _MAX_INNER:
             return values, it, stat, True
 
-        delta = _newton_step(mesh, values, p, w, s, g, m, free, band)
+        delta = _newton_step(mesh, values, p, w, s, g, m, free, solver)
         slope = p * float(s[free] @ delta)
 
         # Near the minimizer the full Newton step gains about half its
@@ -418,12 +292,10 @@ def solve_p_laplace(problem, coarse=None):
     2-energy of that prolonged start, and the trace's "warm_start" entry
     carries "source": "parent".  A `coarse` on any other mesh, or with a
     non-finite value, raises ValueError.  The regularized energy never
-    increases along accepted steps.  The mesh and the free set are fixed
-    throughout, so one band layout under one reverse Cuthill-McKee
-    ordering serves the warm start (the system at unit weights) and every
-    Newton factorization of the solve (see _BandedStiffness).  If the final stationarity misses the
-    problem tolerance, the hat-gradient norms or an energy overflow
-    double precision, or a Newton system cannot be factored, a
+    increases along accepted steps.  One laplace._FreeBlockSolver serves
+    the warm start and every Newton system.  If the final stationarity misses
+    the problem tolerance, the hat-gradient norms or an energy overflow
+    double precision, or a Newton system cannot be solved, a
     PLaplaceError carrying the best iterate is raised.
     """
     mesh = problem.mesh
@@ -449,7 +321,8 @@ def solve_p_laplace(problem, coarse=None):
             certificate=None,
         )
 
-    band = _BandedStiffness(mesh, free)
+    K = fem.stiffness_matrix(mesh)
+    solver = _FreeBlockSolver(mesh, K, free, _NEWTON_RTOL)
     if coarse is not None:
         values[free] = (mesh.prolongation @ coarse.values)[free]
         trace_log.append({"stage": "warm_start", "source": "parent", "iterations": 0})
@@ -458,11 +331,9 @@ def solve_p_laplace(problem, coarse=None):
         # p = 2 (unit weights, no (p - 2) term).  values is zero on the
         # free vertices for the product.
         values[free] = 0.0
-        rhs = -(fem.stiffness_matrix(mesh) @ values)[free]
-        values[free] = _solve_assembled(
-            mesh, values, _element_entries(mesh, band.gram, np.ones(mesh.num_triangles)),
-            free, band, rhs)
+        values[free] = _solve(solver, None, -(K @ values)[free], mesh, values)
         trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
+    del K  # freed before the Newton systems, which it would outlive
 
     u2 = fem.ScalarField(mesh, values.copy())
     scale = p_energy(u2, 2)
@@ -489,7 +360,7 @@ def solve_p_laplace(problem, coarse=None):
     for pk, eps, tol, name in schedule:
         hn = hat_norms if pk == problem.p else hat_norms_at(pk)
         values, iters, stat, ok = _newton_stage(
-            mesh, values, pk, eps, free, free_mask, band, hn, tol)
+            mesh, values, pk, eps, free, free_mask, solver, hn, tol)
         trace_log.append({"stage": name, "p": pk, "eps": eps, "iterations": iters,
                           "stationarity": stat, "line_search_ok": ok})
 

@@ -19,12 +19,13 @@ from .laplace import (
     MixedProblem,
     NeumannProblem,
     SolverError,
-    _free_solver,
+    _element_entries,
+    _FreeBlockSolver,
     solve_mixed,
     solve_neumann,
 )
-# Not called here: every solve goes through _free_solver.  The name stays
-# bound because perfbench/tracer.py patches it in this module.
+# Not called here: every solve goes through _FreeBlockSolver.  The name
+# stays bound because perfbench/tracer.py patches it in this module.
 from .laplace import conjugate_gradient  # noqa: F401
 from .plaplace import PlapProblem, solve_p_laplace
 
@@ -183,7 +184,7 @@ def poincare_constant_2(mesh, mode="wirtinger", partition=None, region=None):
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    solve = _free_solver(mesh, K, free, 1e-10)
+    solve = _FreeBlockSolver(mesh, K, free, 1e-10).system()
     lam_old = math.inf
     for _ in range(_POINCARE_MAXITER):
         y = apply_inverse(M @ x)
@@ -245,18 +246,21 @@ def _best_shift(mesh, values, p):
         ones = fem.ScalarField.constant(mesh, 1.0)
         a = fem.scalar_inner(u, ones) / fem.scalar_inner(ones, ones)
         return a, fem.lp_norm(fem.ScalarField(mesh, values - a), 2)
-    # Imported at its only use, so that importing singfem loads neither
-    # scipy.optimize nor the scipy.special, fft and spatial it pulls in.
-    from scipy.optimize import minimize_scalar
-
+    # a -> sum_T area_T |c_T - a|^p over the centroid values c is convex: its
+    # derivative over p (at p = 1 a subgradient), the sum below, is
+    # nondecreasing in a.  Bisect for its sign change to 1e-12.
     cent = values[mesh.triangles].mean(axis=1)
-
-    def objective(a):
-        return float(np.sum(mesh.areas * np.abs(cent - a) ** p))
-
-    res = minimize_scalar(objective, bounds=(float(cent.min()), float(cent.max())),
-                          method="bounded", options={"xatol": 1e-12})
-    a = float(res.x)
+    lo, hi = float(cent.min()), float(cent.max())
+    while hi - lo > 1e-12:
+        a = 0.5 * (lo + hi)
+        if a in (lo, hi):
+            break
+        d = a - cent
+        if np.sum(mesh.areas * np.abs(d) ** (p - 1.0) * np.sign(d)) < 0.0:
+            lo = a
+        else:
+            hi = a
+    a = 0.5 * (lo + hi)
     return a, fem.lp_norm(fem.ScalarField(mesh, values - a), p)
 
 
@@ -306,8 +310,9 @@ def poincare_lower_bound_p(mesh, p, seeds=(0, 1, 2), iters=30, inits=None,
     best = 0.0
     best_field = None
     M = fem.mass_matrix(mesh)
-    # At p = 2 the system never changes: one solver serves every step.
-    solve = _free_solver(mesh, fem.stiffness_matrix(mesh), free, 1e-8) if p == 2 else None
+    # One solver serves every step; at p = 2 its system never changes.
+    solver = _FreeBlockSolver(mesh, fem.stiffness_matrix(mesh), free, 1e-8)
+    solve = solver.system() if p == 2 else None
     for v0 in starts:
         u = normalized(v0)
         if u is None:
@@ -322,8 +327,8 @@ def poincare_lower_bound_p(mesh, p, seeds=(0, 1, 2), iters=30, inits=None,
                 g = np.einsum("tid,ti->td", mesh.grad_lambda, u[mesh.triangles])
                 mag2 = g[:, 0] ** 2 + g[:, 1] ** 2
                 floor = 1e-12 * float(mag2.max(initial=0.0)) + 1e-300
-                K = fem.stiffness_matrix(mesh, (mag2 + floor) ** ((p - 2.0) / 2.0))
-                solve = _free_solver(mesh, K, free, 1e-8)
+                weights = (mag2 + floor) ** ((p - 2.0) / 2.0)
+                solve = solver.system(_element_entries(mesh, solver.gram, weights))
                 cent = u[mesh.triangles].mean(axis=1)
                 per_tri = mesh.areas * np.abs(cent) ** (p - 1.0) * np.sign(cent) / 3.0
                 r = np.zeros(nv)

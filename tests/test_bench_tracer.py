@@ -13,6 +13,8 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 def test_tracer_installs_and_counts_a_refined_laplace_solve(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    # this small square would take the band, which calls no CG
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
     tracer_mod = importlib.import_module("tracer")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -89,6 +91,7 @@ def test_tracer_sees_the_sweep_cells(tmp_path, monkeypatch):
     # the final stage alone; neither warm_start entry is a stage.
     assert metrics["plaplace.stages"] == 3
     assert metrics["plaplace.useful_stages"] / metrics["plaplace.stages"] == 1.0
-    assert metrics["fem.stiffness_calls"] == 1  # the level-0 p = 2 warm start
+    # one per level: each builds its solver from the stiffness pattern
+    assert metrics["fem.stiffness_calls"] == 2
     assert metrics["geometry.refine_calls"] >= 1
     assert metrics["geometry.partition_calls"] >= 1

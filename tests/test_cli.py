@@ -366,6 +366,25 @@ def test_a_rejected_data_expression_runs_nothing(tmp_path):
     assert not marker.exists()
 
 
+@pytest.mark.parametrize("expr", ["9**9**9", "9**9**7 * x", "-(2**600 * 2**600)"])
+def test_an_integer_past_float_range_is_refused_before_it_is_computed(tmp_path, expr):
+    # 9**9**9 would run for hours of Python integer arithmetic
+    code, out = _solve_laplace_with_g(tmp_path, expr)
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"] == (f"data.g: {expr!r} is not finite at every point "
+                                 "(an integer past float range)")
+
+
+@pytest.mark.parametrize("expr", ["2**1023", "-2**1023 * x", "(-1)**10**100", "9**9**2"])
+def test_integers_within_float_range_still_evaluate(expr):
+    x = np.linspace(0.0, 1.0, 5)
+    fn = compile_expression(expr, "data.g")
+    ref = np.asarray(eval(expr, {"x": x}), dtype=np.float64)
+    assert np.array_equal(fn(x=x, y=x) * np.ones_like(x), ref * np.ones_like(x))
+
+
 @pytest.mark.parametrize("expr", ["sin(x, y)", "hypot(x)", "hypot(x, y=y)", "maximum(x)"])
 def test_data_functions_take_their_positional_arguments_only(tmp_path, expr):
     # A ufunc's extra positional argument is its output array.

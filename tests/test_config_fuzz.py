@@ -160,7 +160,7 @@ def plap_configs(draw):
 DATA_G = (["0", "x - y", "sin(3 * x * y)"],
           ["z + x", "gamma(x)", "x +", "log(x)", "exp(1000 * y)",
            "sin", "x(1)", "1j*x", "[x, y]", "x.real", "(lambda: x)()", "x[0]",
-           "hypot(x, y=y)"], [3, None, ["x"]])
+           "hypot(x, y=y)", "9**9**9"], [3, None, ["x"]])
 DATA_THETA = (["0", "nx * x + ny * y", "1 + r"],
               ["nz", "gamma(nx)", "nx +", "sqrt(-1 - r)", "10**400 * nx",
                "1j * nx", "[nx, ny]", "nx.__class__", "(lambda n=nx: n)()",

@@ -305,21 +305,31 @@ def _chain_mesh(name, levels):
     return mesh, partition_by_tags(mesh, dirichlet=dirichlet, neumann=neumann)
 
 
-@pytest.mark.parametrize("extra_constraints", [False, True],
-                         ids=["tag_free_set", "random_free_set"])
-@pytest.mark.parametrize("name", sorted(_CHAINS))
-def test_multigrid_cg_matches_superlu(name, extra_constraints):
-    mesh, part = _chain_mesh(name, 2)
-    rng = np.random.default_rng(4)
+@pytest.fixture()
+def multigrid_only(monkeypatch):
+    """A band budget of 0 bytes: every system takes MG-PCG."""
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
+
+
+def _free_set(mesh, part, rng, extra_constraints):
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[part.region_vertices("dirichlet")] = False
     if extra_constraints:
         mask[rng.choice(mesh.num_vertices, size=mesh.num_vertices // 10,
                         replace=False)] = False
-    free = np.nonzero(mask)[0]
+    return np.nonzero(mask)[0]
+
+
+@pytest.mark.parametrize("extra_constraints", [False, True],
+                         ids=["tag_free_set", "random_free_set"])
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_multigrid_cg_matches_superlu(name, extra_constraints, multigrid_only):
+    mesh, part = _chain_mesh(name, 2)
+    rng = np.random.default_rng(4)
+    free = _free_set(mesh, part, rng, extra_constraints)
     K = stiffness_matrix(mesh)
     rhs = rng.standard_normal(len(free))
-    x, iterations = laplace._free_solver(mesh, K, free, 1e-12)(rhs)
+    x, iterations = laplace._FreeBlockSolver(mesh, K, free, 1e-12).system()(rhs)
     ref = splu(K.tocsc()[:, free][free].tocsc()).solve(rhs)
     assert iterations > 1
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -332,7 +342,7 @@ def _iterations(mesh, part):
     return info["iterations"]
 
 
-def test_multigrid_iterations_stay_flat_under_refinement():
+def test_multigrid_iterations_stay_flat_under_refinement(multigrid_only):
     mesh = build_unit_square(4)
     counts = []
     for _ in range(5):
@@ -344,11 +354,11 @@ def test_multigrid_iterations_stay_flat_under_refinement():
     assert max(counts) <= 1.5 * counts[0]
 
 
-def test_unrefined_mesh_is_solved_by_the_direct_root(square, mixed_part):
+def test_unrefined_mesh_is_solved_by_the_direct_root(square, mixed_part, multigrid_only):
     assert _iterations(square, mixed_part) <= 2
 
 
-def test_chain_with_an_empty_coarse_level():
+def test_chain_with_an_empty_coarse_level(multigrid_only):
     # every vertex of the one-cell square lies on the Dirichlet boundary,
     # so only the refined mesh has free vertices
     mesh = refine(build_unit_square(1))
@@ -356,7 +366,7 @@ def test_chain_with_an_empty_coarse_level():
     assert _iterations(mesh, part) <= 2
 
 
-def test_refined_cusp_solves_through_the_one_cg_entry(monkeypatch):
+def test_refined_cusp_solves_through_the_one_cg_entry(monkeypatch, multigrid_only):
     mesh, part = _chain_mesh("cusp", 3)
     calls = []
     cg = laplace.conjugate_gradient
@@ -366,7 +376,7 @@ def test_refined_cusp_solves_through_the_one_cg_entry(monkeypatch):
     assert len(calls) == 1
 
 
-def test_vertex_gauge_takes_the_multigrid_path():
+def test_vertex_gauge_takes_the_multigrid_path(multigrid_only):
     mesh = refine(refine(build_unit_square(4)))
     part = partition_by_tags(mesh, neumann=("left", "right", "bottom", "top"))
     theta = flux_trace_from_function(part, "boundary", lambda x, y, nx, ny: nx * y + ny * x)
@@ -374,9 +384,112 @@ def test_vertex_gauge_takes_the_multigrid_path():
     problem = NeumannProblem(part, g, theta)
     u_vertex, info = solve_neumann(problem, gauge="vertex")
     u_mean, _ = solve_neumann(problem, gauge="mean")
-    assert info["iterations"] <= 25
+    assert 0 < info["iterations"] <= 25
     shift = u_vertex.values - u_mean.values
     assert np.ptp(shift) <= 1e-9
+
+
+# -- the one free-block solver ------------------------------------------------------
+
+
+def _stiffness_block(mesh, part):
+    free = np.setdiff1d(np.arange(mesh.num_vertices), part.region_vertices("dirichlet"))
+    return stiffness_matrix(mesh).tocsc()[:, free][free].tocsr()
+
+
+def test_band_rule_reads_the_block_pattern_alone(monkeypatch):
+    # The square n = 64 refined twice, Dirichlet left and right, needs a
+    # 128 MiB band; the cusp k = 3, n = 6 refined 4 times, Dirichlet on
+    # the right end, 56.6 MiB.  Nothing is allocated to decide.
+    square = refine(refine(build_unit_square(64)))
+    part = partition_by_tags(square, dirichlet=("left", "right"), neumann=("bottom", "top"))
+    assert laplace._band_order(_stiffness_block(square, part)) is None
+    cusp = build_cusp(3.0, 6)
+    for _ in range(4):
+        cusp = refine(cusp)
+    part = partition_by_tags(cusp, dirichlet=("right",), neumann=("lower", "upper"))
+    K_ff = _stiffness_block(cusp, part)
+    perm, rank, bandwidth = laplace._band_order(K_ff)
+    assert np.array_equal(rank[perm], np.arange(K_ff.shape[0]))
+    assert (bandwidth, K_ff.shape[0]) == (130, 56608)
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
+    assert laplace._band_order(K_ff) is None
+
+
+def _smooth_hessian_entries(mesh, gram, p):
+    from singfem import plaplace
+
+    values = np.sin(3.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1]) + mesh.vertices[:, 1]
+    _, w, _, g, m = plaplace._energy_gradient(mesh, values, p, 0.1)
+    return laplace._element_entries(mesh, gram, w, g, (p - 2.0) * w / m)
+
+
+@pytest.mark.parametrize("hessian", [False, True], ids=["laplace", "p4_hessian"])
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_band_and_multigrid_paths_agree(name, hessian, monkeypatch):
+    mesh, part = _chain_mesh(name, 2)
+    rng = np.random.default_rng(6)
+    free = _free_set(mesh, part, rng, False)
+    K = stiffness_matrix(mesh)
+    rhs = rng.standard_normal(len(free))
+    band = laplace._FreeBlockSolver(mesh, K, free, 1e-14)
+    entries = _smooth_hessian_entries(mesh, band.gram, 4.0) if hessian else None
+    x_band, band_iterations = band.system(entries)(rhs)
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
+    multigrid = laplace._FreeBlockSolver(mesh, K, free, 1e-14)
+    assert band.ab is not None and multigrid.ab is None
+    x_mg, mg_iterations = multigrid.system(entries)(rhs)
+    assert band_iterations == 0 and mg_iterations > 1
+    assert np.linalg.norm(x_mg - x_band) <= 1e-10 * np.linalg.norm(x_band)
+
+
+def test_a_multigrid_system_builds_no_band_layout(multigrid_only):
+    mesh, part = _chain_mesh("square", 2)
+    free = np.setdiff1d(np.arange(mesh.num_vertices), part.region_vertices("dirichlet"))
+    solver = laplace._FreeBlockSolver(mesh, stiffness_matrix(mesh), free, 1e-12)
+    solver.system()(np.ones(len(free)))
+    assert solver.ab is None
+    assert not {"gram", "slot", "pairs", "perm"} & set(vars(solver))
+
+
+def test_cholesky_breakdown_in_a_mixed_solve_falls_to_multigrid(mixed_part, monkeypatch):
+    mesh = refine(mixed_part.mesh)
+    part = partition_by_tags(mesh, dirichlet=("left", "right"), neumann=("bottom", "top"))
+    g = ScalarField.from_function(mesh, lambda x, y: np.sin(4.0 * x * y))
+    f = ScalarField.from_function(mesh, lambda x, y: x * x - y)
+    u_ref, info_ref = solve_mixed(MixedProblem(part, g, f))
+
+    def breakdown(*args, **kwargs):
+        raise laplace.LinAlgError("forced non-positive pivot")
+
+    monkeypatch.setattr(laplace, "cholesky_banded", breakdown)
+    u, info = solve_mixed(MixedProblem(part, g, f))
+    assert info_ref["iterations"] == 0 and info["iterations"] > 1
+    assert info["residual"] <= 1e-10
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-10 * np.max(np.abs(u_ref.values))
+
+
+def _count_solvers(monkeypatch):
+    builds, init = [], laplace._FreeBlockSolver.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(laplace._FreeBlockSolver, "__init__", counted)
+    return builds
+
+
+def test_mixed_and_neumann_solves_build_one_solver(mixed_part, neumann_part, monkeypatch):
+    builds = _count_solvers(monkeypatch)
+    mesh = mixed_part.mesh
+    g = ScalarField.constant(mesh, 0.0)
+    solve_mixed(MixedProblem(mixed_part, g, ScalarField.from_function(mesh, lambda x, y: x)))
+    assert len(builds) == 1
+    theta = flux_trace_from_function(neumann_part, "boundary",
+                                     lambda x, y, nx, ny: nx * y + ny * x)
+    solve_neumann(NeumannProblem(neumann_part, g, theta))
+    assert len(builds) == 2
 
 
 def test_mean_gauge_matches_a_pinned_superlu_solve():

@@ -30,7 +30,7 @@ from singfem import (
     vector_inner,
     w1p_norm,
 )
-from singfem import MixedProblem, fem, plaplace, refine
+from singfem import MixedProblem, fem, laplace, plaplace, refine
 from singfem.fem import FieldError
 from singfem.geometry import Mesh
 
@@ -262,6 +262,11 @@ def _dense_from_band(ab):
     return dense + np.tril(dense, -1).T
 
 
+def _solver(mesh, free):
+    """The free-block solver of the unit-weight stiffness on this free set."""
+    return laplace._FreeBlockSolver(mesh, fem.stiffness_matrix(mesh), free, 1e-12)
+
+
 MESHES = [
     lambda: build_unit_square(6),
     lambda: build_annulus(0.3, 1.0, 4, 16),
@@ -276,8 +281,8 @@ def test_band_assembly_matches_the_stiffness_block(build):
     free = np.sort(rng.choice(mesh.num_vertices, size=2 * mesh.num_vertices // 3,
                               replace=False))
     w = rng.uniform(0.1, 10.0, mesh.num_triangles)
-    system = plaplace._BandedStiffness(mesh, free)
-    ab = system.band(plaplace._element_entries(mesh, system.gram, w))
+    system = _solver(mesh, free)
+    ab = system.band(laplace._element_entries(mesh, system.gram, w))
     assert ab.flags.f_contiguous
     assert ab.shape == (system.bandwidth + 1, len(free))
     # entries past the matrix's last column stay zero
@@ -295,24 +300,25 @@ def test_band_solve_matches_superlu():
     free = np.setdiff1d(np.arange(mesh.num_vertices), part.region_vertices("dirichlet"))
     w = rng.uniform(0.5, 2.0, mesh.num_triangles)
     rhs = rng.standard_normal(len(free))
-    system = plaplace._BandedStiffness(mesh, free)
+    system = _solver(mesh, free)
     assert system.bandwidth < len(free) // 4
     K_ff = fem.stiffness_matrix(mesh, w).tocsc()[free][:, free]
     ref = splu(K_ff.tocsc()).solve(rhs)
-    entries = plaplace._element_entries(mesh, system.gram, w)
-    np.testing.assert_allclose(system.solve(entries, rhs), ref,
-                               rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+    entries = laplace._element_entries(mesh, system.gram, w)
+    x, iterations = system.system(entries)(rhs)
+    assert iterations == 0
+    np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
 
 def test_band_with_a_single_free_vertex():
     mesh = build_unit_square(2)
     center = int(np.argmin(np.hypot(mesh.vertices[:, 0] - 0.5, mesh.vertices[:, 1] - 0.5)))
     w = np.linspace(1.0, 2.0, mesh.num_triangles)
-    system = plaplace._BandedStiffness(mesh, np.array([center]))
+    system = _solver(mesh, np.array([center]))
     assert system.bandwidth == 0
     k_cc = fem.stiffness_matrix(mesh, w)[center, center]
-    entries = plaplace._element_entries(mesh, system.gram, w)
-    assert (system.solve(entries, np.array([3.0]))[0]
+    entries = laplace._element_entries(mesh, system.gram, w)
+    assert (system.system(entries)(np.array([3.0]))[0][0]
             == pytest.approx(3.0 / k_cc, rel=1e-14))
 
 
@@ -346,14 +352,14 @@ def test_solve_assembles_once_and_passes_the_gradient_once_per_step(
 def test_held_gram_entries_are_the_einsum_to_the_bit(build):
     mesh = build()
     free = np.arange(1, mesh.num_vertices)
-    system = plaplace._BandedStiffness(mesh, free)
+    system = _solver(mesh, free)
     gl = mesh.grad_lambda
-    i, j = plaplace._UPPER
+    i, j = laplace._UPPER
     full = np.einsum("tid,tjd->tij", gl, gl)
     assert system.gram.tobytes() == full[:, i, j].tobytes()
     w = np.random.default_rng(2).uniform(0.1, 10.0, mesh.num_triangles)
     ref = full[:, i, j] * (mesh.areas * w)[:, None]
-    assert plaplace._element_entries(mesh, system.gram, w).tobytes() == ref.tobytes()
+    assert laplace._element_entries(mesh, system.gram, w).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 7.3])
@@ -379,7 +385,7 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_solve_builds_the_gram_entries_once(square, side_constraints, monkeypatch):
     calls = Counter()
-    _count_calls(monkeypatch, plaplace, "_gram_entries", calls)
+    _count_calls(monkeypatch, laplace, "_gram_entries", calls)
     coarse, _ = solve_p_laplace(_p4_problem(square, side_constraints))
     assert calls["_gram_entries"] == 1
     fine = _side_problem(refine(square))
@@ -427,33 +433,58 @@ def test_stationarity_matches_its_direct_formula(square, side_constraints):
     assert p_stationarity(u, p, side_constraints) == ref
 
 
+def _counted_root(monkeypatch):
+    """Count the factorizations of the multigrid root.  On an unrefined
+    mesh that root is the whole block, so MG-PCG is a SuperLU solve."""
+    factor, calls = laplace.splu, []
+    monkeypatch.setattr(laplace, "splu", lambda A: calls.append(1) or factor(A))
+    return calls
+
+
+def _breakdown(*args, **kwargs):
+    raise LinAlgError("forced non-positive pivot")
+
+
 def test_cholesky_breakdown_is_rescued_by_superlu(square, side_constraints,
                                                   monkeypatch):
     problem = _p4_problem(square, side_constraints)
     u_ref, _ = solve_p_laplace(problem)
-
-    def breakdown(*args, **kwargs):
-        raise LinAlgError("forced non-positive pivot")
-
-    factor, calls = plaplace.splu, []
-    monkeypatch.setattr(plaplace, "cholesky_banded", breakdown)
-    monkeypatch.setattr(plaplace, "splu", lambda A: calls.append(1) or factor(A))
+    monkeypatch.setattr(laplace, "cholesky_banded", _breakdown)
+    calls = _counted_root(monkeypatch)
     u, report = solve_p_laplace(problem)
-    assert calls
+    # the warm start and every Newton system fell to MG-PCG
+    steps = sum(s["iterations"] for s in report.iterations if s["stage"] != "warm_start")
+    assert len(calls) == steps + 1
+    assert report.stationarity <= problem.tol
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-10
+
+
+def test_cholesky_breakdown_on_a_refined_mesh_falls_to_multigrid_cg(monkeypatch):
+    side = _side_problem(refine(build_unit_square(6)))
+    problem = PlapProblem(side.mesh, side.constraint_vertices, side.f, 4.0)
+    u_ref, _ = solve_p_laplace(problem)
+    monkeypatch.setattr(laplace, "cholesky_banded", _breakdown)
+    iterations, cg = [], laplace.conjugate_gradient
+
+    def counted(*args, **kwargs):
+        x, its = cg(*args, **kwargs)
+        iterations.append(its)
+        return x, its
+
+    monkeypatch.setattr(laplace, "conjugate_gradient", counted)
+    u, report = solve_p_laplace(problem)
+    assert iterations and min(iterations) > 1
     assert report.stationarity <= problem.tol
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-10
 
 
 def test_double_factorization_failure_carries_the_iterate(square, side_constraints,
                                                           monkeypatch):
-    def breakdown(*args, **kwargs):
-        raise LinAlgError("forced non-positive pivot")
-
     def singular(A):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(plaplace, "cholesky_banded", breakdown)
-    monkeypatch.setattr(plaplace, "splu", singular)
+    monkeypatch.setattr(laplace, "cholesky_banded", _breakdown)
+    monkeypatch.setattr(laplace, "splu", singular)
     with pytest.raises(PLaplaceError, match="singular") as err:
         solve_p_laplace(_p4_problem(square, side_constraints))
     assert isinstance(err.value.best_field, ScalarField)
@@ -476,13 +507,12 @@ def test_overflowing_exponent_is_an_error_not_a_success():
 
 def test_band_too_wide_to_keep_goes_to_superlu(square, side_constraints, monkeypatch):
     problem = _p4_problem(square, side_constraints)
-    u_ref, ref = solve_p_laplace(problem)
-    factor, calls = plaplace.splu, []
-    monkeypatch.setattr(plaplace._BandedStiffness, "MAX_FILL", 0)
-    monkeypatch.setattr(plaplace, "splu", lambda A: calls.append(1) or factor(A))
+    u_ref, _ = solve_p_laplace(problem)
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
+    calls = _counted_root(monkeypatch)
     u, report = solve_p_laplace(problem)
-    steps = sum(s["iterations"] for s in ref.iterations if s["stage"] != "warm_start")
-    assert len(calls) >= steps > 0
+    steps = sum(s["iterations"] for s in report.iterations if s["stage"] != "warm_start")
+    assert len(calls) == steps + 1 and steps > 0
     assert report.stationarity <= problem.tol
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-10
 
@@ -499,9 +529,14 @@ def test_band_allocation_failure_leaves_the_band_unset(square, side_constraints,
         return zeros(*args, order=order, **kwargs)
 
     monkeypatch.setattr(np, "zeros", no_memory_for_the_band)
-    system = plaplace._BandedStiffness(square, free)
+    system = _solver(square, free)
     monkeypatch.undo()
     assert system.ab is None and system.bandwidth > 0
+    calls = _counted_root(monkeypatch)
+    rhs = np.ones(len(free))
+    x, _ = system.system()(rhs)
+    assert calls == [1]
+    np.testing.assert_allclose(system.K_ff @ x, rhs, rtol=1e-12)
 
 
 def test_exact_stationarity_is_finite_on_flat_elements_below_p_2(square,
@@ -562,7 +597,7 @@ def _random_free_set(mesh, rng):
 
 def _hessian_entries(mesh, values, p, eps):
     _, w, _, g, m = plaplace._energy_gradient(mesh, values, p, eps)
-    return plaplace._element_entries(mesh, plaplace._gram_entries(mesh), w, g,
+    return laplace._element_entries(mesh, laplace._gram_entries(mesh), w, g,
                                      (p - 2.0) * w / m)
 
 
@@ -574,7 +609,7 @@ def test_band_hessian_matches_a_central_difference_of_the_gradient(build, p):
     free = _random_free_set(mesh, rng)
     values = rng.standard_normal(mesh.num_vertices)
     eps, h = 0.1, 1e-6
-    system = plaplace._BandedStiffness(mesh, free)
+    system = _solver(mesh, free)
     hessian = _dense_from_band(system.band(_hessian_entries(mesh, values, p, eps)))
     ref = np.empty((len(free), len(free)))
     for col, k in enumerate(free):
@@ -594,9 +629,10 @@ def test_superlu_route_solves_the_band_matrix(build):
     rng = np.random.default_rng(8)
     free = _random_free_set(mesh, rng)
     entries = _hessian_entries(mesh, rng.standard_normal(mesh.num_vertices), 4.0, 0.1)
-    system = plaplace._BandedStiffness(mesh, free)
+    system = _solver(mesh, free)
     band = _dense_from_band(system.band(entries))
-    block = plaplace._sparse_block(mesh, entries, free).toarray()
+    # the block that MG-PCG solves; its SuperLU root on these unrefined meshes
+    block = system._assemble(entries).toarray()
     block = block[np.ix_(system.perm, system.perm)]
     np.testing.assert_allclose(band, block, rtol=1e-13, atol=1e-13 * np.abs(block).max())
 
@@ -727,15 +763,17 @@ def test_nested_solves_match_full_solves_up_the_refine_chain(p):
         coarse = u
 
 
-def test_nested_solve_keeps_the_dirichlet_values_and_assembles_no_stiffness(monkeypatch):
+def test_nested_solve_keeps_the_dirichlet_values_and_assembles_the_stiffness_once(
+        monkeypatch):
     (coarse_mesh, _, coarse_f), (mesh, constraint, f) = _sweep_cusp_chain(2)
     # a coarse field off the data on the constraint set: the fine solve
     # must still pin f's values there
     coarse = ScalarField(coarse_mesh, coarse_f.values + 1.0)
-    calls = []
-    monkeypatch.setattr(fem, "stiffness_matrix", lambda *a: calls.append(a))
+    calls = Counter()
+    _count_calls(monkeypatch, fem, "stiffness_matrix", calls)
     u, report = solve_p_laplace(PlapProblem(mesh, constraint, f, 4.0), coarse=coarse)
-    assert calls == []
+    # the pattern of the one free-block solver; no p = 2 solve uses it
+    assert calls["stiffness_matrix"] == 1
     fixed = sorted(constraint)
     assert np.array_equal(u.values[fixed], f.values[fixed])
     start = mesh.prolongation @ coarse.values

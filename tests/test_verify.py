@@ -23,7 +23,7 @@ from singfem import (
     write_report_csv,
     write_report_json,
 )
-from singfem import laplace, verify
+from singfem import fem, laplace, verify
 from singfem.geometry import path_lengths
 from singfem.fem import mass_matrix, stiffness_matrix
 from singfem.verify import _pw_quotient
@@ -121,6 +121,7 @@ def test_poincare_constant_matches_a_sparse_eigen_solve(mode, monkeypatch):
     for _ in range(3):
         mesh = refine(mesh)
     part = partition_by_tags(mesh, dirichlet=("left",), neumann=("right", "bottom", "top"))
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)  # MG-PCG, not the band
     iterations = []
     cg = laplace.conjugate_gradient
 
@@ -157,12 +158,53 @@ def test_lower_bound_p2_agrees_with_eigen_solve():
     (lambda: refine(refine(build_unit_square(4))), 0.3178022650932866),
 ])
 def test_lower_bound_p2_builds_its_solver_once(build, bound, monkeypatch):
-    builds, free_solver = [], verify._free_solver
-    monkeypatch.setattr(verify, "_free_solver",
-                        lambda *args: builds.append(1) or free_solver(*args))
-    # the bound a solver rebuilt on every ascent step gives, to the bit
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)  # MG-PCG, not the band
+    builds = _count_solvers(monkeypatch)
+    # the bound an MG-PCG solver rebuilt on every ascent step gives, to the bit
     assert poincare_lower_bound_p(build(), 2.0) == bound
     assert len(builds) == 1
+
+
+def _count_solvers(monkeypatch):
+    builds, init = [], laplace._FreeBlockSolver.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(laplace._FreeBlockSolver, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("run", [
+    lambda mesh: poincare_constant_2(mesh),
+    lambda mesh: poincare_lower_bound_p(mesh, 2.0, seeds=(0,), iters=10),
+    lambda mesh: poincare_lower_bound_p(mesh, 4.0, seeds=(0,), iters=10),
+], ids=["constant_2", "lower_bound_p2", "lower_bound_p4"])
+def test_poincare_routines_build_one_solver(run, monkeypatch):
+    builds = _count_solvers(monkeypatch)
+    assert run(refine(build_unit_square(4))) > 0.0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+def test_best_shift_minimizes_like_scipy(p):
+    from scipy.optimize import minimize_scalar
+
+    mesh = refine(build_cusp(3.0, 4))
+    values = np.random.default_rng(9).standard_normal(mesh.num_vertices) ** 3
+    cent = values[mesh.triangles].mean(axis=1)
+
+    def objective(a):
+        return float(np.sum(mesh.areas * np.abs(cent - a) ** p))
+
+    ref = minimize_scalar(objective, bounds=(float(cent.min()), float(cent.max())),
+                          method="bounded", options={"xatol": 1e-12})
+    a, norm = verify._best_shift(mesh, values, p)
+    assert objective(a) <= objective(ref.x) * (1.0 + 1e-12)
+    if p > 1.0:  # strictly convex: one minimizer
+        assert a == pytest.approx(ref.x, abs=1e-7)
+    assert norm == fem.lp_norm(fem.ScalarField(mesh, values - a), p)
 
 
 def test_lower_bound_keeps_best_and_returns_its_field():
