@@ -4,8 +4,9 @@ Each subcommand checks its config fields, builds and hashes the effective
 configuration, and warns about every config key outside it; `verify`
 runs an experiment of `verify.EXPERIMENTS`, whose signature gives its
 keys and defaults.  Every artifact embeds the hash; reruns with the same
-configuration are bit-identical and an existing artifact with a
-different hash is never overwritten.
+configuration are bit-identical.  A command claims its artifacts as soon
+as the hash is known, before it solves anything: an existing artifact
+with a different hash is never overwritten.  _write_artifact writes them.
 """
 
 from __future__ import annotations
@@ -355,34 +356,43 @@ def _embedded_hash(path):
     return None
 
 
-def _guard_overwrite(path, new_hash):
-    if not path.exists():
-        return
-    old = _embedded_hash(path)
-    if old != new_hash:
-        raise ConfigError(
-            f"refusing to overwrite {path}: existing artifact carries "
-            f"config hash {old!r}, this run has {new_hash!r}"
-        )
+def _claim(out_dir, cfg_hash, *names):
+    """Paths of this run's artifacts, claimed before anything is solved:
+    an existing artifact that carries another configuration hash is
+    refused, so a changed configuration runs nothing."""
+    paths = [out_dir / name for name in names]
+    for path in paths:
+        old = _embedded_hash(path) if path.exists() else cfg_hash
+        if old != cfg_hash:
+            raise ConfigError(
+                f"refusing to overwrite {path}: existing artifact carries "
+                f"config hash {old!r}, this run has {cfg_hash!r}"
+            )
+    return paths
 
 
-def _write_json_artifact(path, payload, mesh_json, cfg_hash):
-    """Write payload plus "mesh" and "config_hash" as one JSON object.
+def _json_chunks(fields, mesh_json=None):
+    """json.dumps(fields, sort_keys=True) as a list of text pieces, plus
+    mesh_json, a mesh's spaced text from Mesh.json_texts(), under "mesh":
+    the mesh is not encoded again, and no piece is joined into a copy of
+    the whole."""
+    texts = {key: json.dumps(value, sort_keys=True) for key, value in fields.items()}
+    if mesh_json is not None:
+        texts["mesh"] = mesh_json
+    chunks = ["{"]
+    for i, key in enumerate(sorted(texts)):
+        chunks += [f"{', ' if i else ''}{json.dumps(key)}: ", texts[key]]
+    return chunks + ["}"]
 
-    mesh_json is the mesh's spaced text from Mesh.json_texts(), inserted as
-    is; every other value is encoded here.  The bytes are those of
-    json.dumps(whole, sort_keys=True), without encoding the mesh again.
-    """
-    fields = {key: json.dumps(value, sort_keys=True) for key, value in payload.items()}
-    fields["mesh"] = mesh_json
-    fields["config_hash"] = json.dumps(cfg_hash)
-    _guard_overwrite(path, cfg_hash)
-    with open(path, "w") as fh:
-        fh.write("{")
-        for i, key in enumerate(sorted(fields)):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            fh.write(fields[key])
-        fh.write("}")
+
+def _write_artifact(path, chunks):
+    """Write a claimed artifact from its text pieces; an OSError (a dangling
+    symlink, a full disk) is a ConfigError naming the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} ({exc.strerror or exc})")
     print(f"wrote {path}")
 
 
@@ -398,9 +408,10 @@ def _styled(text, ok, stream):
 def _cmd_mesh(args, cfg, out_dir):
     mesh, dom, levels = _domain_from_config(cfg)
     h = _effective_hash(cfg, {"command": "mesh", "domain": dom, "refine": levels})
+    path, = _claim(out_dir, h, "mesh.json")
     _, mesh_json = mesh.json_texts()
-    payload = {"mesh_hash": mesh.content_hash()}
-    _write_json_artifact(out_dir / "mesh.json", payload, mesh_json, h)
+    payload = {"mesh_hash": mesh.content_hash(), "config_hash": h}
+    _write_artifact(path, _json_chunks(payload, mesh_json))
     print(
         f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
         f"{mesh.num_boundary_edges} boundary edges, h={mesh_size(mesh):.6g}"
@@ -443,14 +454,16 @@ def _cmd_solve_laplace(args, cfg, out_dir):
         "rtol": rtol,
     }
     h = _effective_hash(cfg, effective)
+    path, = _claim(out_dir, h, "solution.json")
     u, info = solve_mixed(MixedProblem(partition, g, f, theta), rtol=rtol)
     _, mesh_json = mesh.json_texts()
     payload = {
         "solution": fem.field_json_dict(u),
         "info": {"iterations": int(info["iterations"]),
                  "residual": float(info["residual"])},
+        "config_hash": h,
     }
-    _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
+    _write_artifact(path, _json_chunks(payload, mesh_json))
     print(f"solved: {info['iterations']} iterations, "
           f"weak residual {info['residual']:.3e}")
 
@@ -473,6 +486,7 @@ def _cmd_solve_neumann(args, cfg, out_dir):
         "gauge": gauge, "rtol": rtol,
     }
     h = _effective_hash(cfg, effective)
+    path, = _claim(out_dir, h, "solution.json")
     u, info = solve_neumann(NeumannProblem(partition, g, theta), gauge=gauge, rtol=rtol)
     _, mesh_json = mesh.json_texts()
     payload = {
@@ -481,8 +495,9 @@ def _cmd_solve_neumann(args, cfg, out_dir):
                  "residual": float(info["residual"]),
                  "defect": float(info["defect"]),
                  "gauge": gauge},
+        "config_hash": h,
     }
-    _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
+    _write_artifact(path, _json_chunks(payload, mesh_json))
     print(f"solved: {info['iterations']} iterations, weak residual "
           f"{info['residual']:.3e}, compatibility defect {info['defect']:.3e}")
 
@@ -511,6 +526,7 @@ def _cmd_solve_plap(args, cfg, out_dir):
         "p": p, "tol": tol, "certificate": want_cert, "seed": seed,
     }
     h = _effective_hash(cfg, effective)
+    path, = _claim(out_dir, h, "solution.json")
     u, report = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
     info = {
         "energy": float(report.energy),
@@ -524,8 +540,8 @@ def _cmd_solve_plap(args, cfg, out_dir):
         )
         info["certificate"] = cert_report.certificate
     _, mesh_json = mesh.json_texts()
-    payload = {"solution": fem.field_json_dict(u), "info": info}
-    _write_json_artifact(out_dir / "solution.json", payload, mesh_json, h)
+    payload = {"solution": fem.field_json_dict(u), "info": info, "config_hash": h}
+    _write_artifact(path, _json_chunks(payload, mesh_json))
     line = (f"solved: p={p:g}, energy {report.energy:.12g}, "
             f"stationarity {report.stationarity:.3e}")
     if want_cert:
@@ -543,18 +559,13 @@ def _cmd_verify(args, cfg, out_dir):
     kwargs = {key: _typed_field(cfg, key, par.default)
               for key, par in params.items() if key in cfg}
     h = config_hash({"command": "verify", "experiment": args.experiment, "config": cfg})
+    csv_path, json_path = _claim(out_dir, h, "report.csv", "summary.json")
     try:
         report = run(**kwargs)
     except verify.ParameterError as exc:
         raise ConfigError(str(exc))
-
-    writers = {out_dir / "report.csv": verify.write_report_csv,
-               out_dir / "summary.json": verify.write_report_json}
-    for path in writers:
-        _guard_overwrite(path, h)
-    for path, write in writers.items():
-        write(report, path, config_hash=h)
-        print(f"wrote {path}")
+    _write_artifact(csv_path, [verify.report_csv(report, h)])
+    _write_artifact(json_path, _json_chunks(verify.report_summary(report, h)))
     for name, ok in report.passed.items():
         print(f"[{_styled('PASS' if ok else 'FAIL', ok, sys.stdout)}] {name}")
     failed = [name for name, ok in report.passed.items() if not ok]
@@ -576,6 +587,7 @@ def _cmd_sweep(args, cfg, out_dir):
         "p_values": p_values, "levels": level_list, "tol": tol, "seed": seed,
     }
     h = _effective_hash(cfg, effective)
+    path, = _claim(out_dir, h, "sweep.csv")
 
     # Each level's mesh, constraint set and source, shared by every exponent.
     cells = {}
@@ -587,8 +599,7 @@ def _cmd_sweep(args, cfg, out_dir):
             constraint = frozenset(int(v) for v in part.region_vertices("dirichlet"))
             cells[lev] = (mesh, constraint, _scalar_from_expr(mesh, f_expr, "data.f"))
 
-    lines = [f"# config_hash={h}",
-             "p,level,h,n_vertices,energy,stationarity,alpha,fit_r2,status"]
+    rows = []
     failures = 0
     for p in p_values:
         prev_u = None  # the previous cell's minimizer, if it succeeded
@@ -611,17 +622,11 @@ def _cmd_sweep(args, cfg, out_dir):
                 energy, stat, status = float("nan"), float("nan"), type(exc).__name__
                 alpha, fit = float("nan"), float("nan")
                 failures += 1
-            lines.append(",".join([
-                repr(float(p)), str(int(lev)), repr(mesh_size(mesh)),
-                str(int(mesh.num_vertices)), repr(float(energy)),
-                repr(float(stat)), repr(float(alpha)), repr(float(fit)), status,
-            ]))
+            rows.append([p, lev, mesh_size(mesh), mesh.num_vertices, energy, stat,
+                         alpha, fit, status])
 
-    csv_path = out_dir / "sweep.csv"
-    _guard_overwrite(csv_path, h)
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
+    header = "p,level,h,n_vertices,energy,stationarity,alpha,fit_r2,status".split(",")
+    _write_artifact(path, [verify.csv_text(h, header, rows)])
     print(f"sweep: {len(p_values) * len(level_list)} cells, {failures} failed")
     if failures:
         raise ChecksFailed(f"{failures} sweep cells failed")

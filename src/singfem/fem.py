@@ -349,17 +349,9 @@ def ibp_residual(partition, u, beta, div_beta, region):
 
 
 def field_json_dict(field):
-    if isinstance(field, ScalarField):
-        kind, values = "scalar", field.values.tolist()
-        mesh = field.mesh
-    elif isinstance(field, VectorField):
-        kind = "vector"
-        values = field.values.tolist()
-        mesh = field.mesh
-    elif isinstance(field, BoundaryTrace):
-        kind = "trace"
-        values = field.values.tolist()
-        mesh = field.partition.mesh
-    else:
+    """The "solution" object of a solution.json artifact: a scalar field's
+    nodal values and its mesh's content hash."""
+    if not isinstance(field, ScalarField):
         raise FieldError(f"cannot serialize {type(field).__name__}")
-    return {"kind": kind, "values": values, "mesh_hash": mesh.content_hash()}
+    return {"kind": "scalar", "values": field.values.tolist(),
+            "mesh_hash": field.mesh.content_hash()}

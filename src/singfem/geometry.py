@@ -356,9 +356,9 @@ class Mesh:
         _float_rows_json (one float repr per distinct coordinate); json
         encodes only the boundary edges and singular vertices.
 
-        The canonical text is what content_hash hashes and write_json
-        writes; the spaced text is the bytes json.dumps(..., sort_keys=True)
-        gives, for embedding in a larger artifact.  Keeps the content hash.
+        The canonical text is what content_hash hashes; the spaced text
+        is the bytes json.dumps(..., sort_keys=True) gives, for embedding
+        in a larger artifact.  Keeps the content hash.
         """
         edges = [[a, b, tag]
                  for (a, b), tag in zip(self.boundary_edges.tolist(), self.boundary_tags)]
@@ -389,10 +389,6 @@ class Mesh:
             self.json_texts()
         return self._hash
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.canonical_json())
-
     @classmethod
     def from_json_dict(cls, data):
         vertices = np.asarray(data["vertices"], dtype=np.float64)
@@ -412,11 +408,6 @@ class Mesh:
         return cls(vertices, triangles, tuple(tags),
                    frozenset(int(i) for i in data.get("singular_vertices", ())),
                    _boundary=(edges, tri))
-
-    @classmethod
-    def read_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # -- structured generators ----------------------------------------------
@@ -725,17 +716,21 @@ def inner_metric(mesh, i, j):
     return float(dist[dst])
 
 
-def path_lengths(mesh, sources, chunk=256):
+# Sources per Dijkstra call in path_lengths, to bound its working memory.
+_DIJKSTRA_CHUNK = 256
+
+
+def path_lengths(mesh, sources):
     """Edge-path distances from each source vertex to every vertex.
 
     Returns an array of shape (len(sources), nv); sources are processed
-    in chunks to bound memory.
+    in chunks of _DIJKSTRA_CHUNK to bound memory.
     """
     graph = _edge_graph(mesh)
     sources = np.asarray(sources, dtype=np.int64)
     out = np.empty((len(sources), mesh.num_vertices))
-    for start in range(0, len(sources), chunk):
-        idx = sources[start:start + chunk]
+    for start in range(0, len(sources), _DIJKSTRA_CHUNK):
+        idx = sources[start:start + _DIJKSTRA_CHUNK]
         out[start:start + len(idx)] = _csgraph_dijkstra(
             graph, directed=True, indices=idx
         )

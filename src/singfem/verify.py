@@ -79,30 +79,30 @@ def _csv_cell(x):
     return repr(float(x))
 
 
-def write_report_csv(report, path, config_hash=None):
-    """One row per level: level, h, then the measurement columns.
+def csv_text(config_hash, header, rows):
+    """CSV text: a "# config_hash=" line, the header, then one line per row.
 
     Floats are written through repr, which round-trips 64-bit values
     exactly; a rerun with identical inputs is bit-identical.
     """
+    lines = [f"# config_hash={config_hash}", ",".join(header)]
+    lines += [",".join(_csv_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def report_csv(report, config_hash):
+    """report.csv's text: one row per level, with level, h, then the
+    measurement columns."""
     cols = [k for k in report.measurements if k != "h"]
-    lines = []
-    if config_hash is not None:
-        lines.append(f"# config_hash={config_hash}")
-    lines.append(",".join(["level", "h"] + cols))
     h = report.measurements.get("h", [float("nan")] * len(report.levels))
-    for row in range(len(report.levels)):
-        cells = [str(int(report.levels[row])), _csv_cell(h[row])]
-        cells += [_csv_cell(report.measurements[c][row]) for c in cols]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [[int(level), h[row]] + [report.measurements[c][row] for c in cols]
+            for row, level in enumerate(report.levels)]
+    return csv_text(config_hash, ["level", "h"] + cols, rows)
 
 
-def write_report_json(report, path, config_hash=None):
-    import json
-
-    payload = {
+def report_summary(report, config_hash):
+    """summary.json's fields."""
+    return {
         "experiment": report.experiment,
         "fitted_value": report.fitted,
         "tolerance": report.tolerances,
@@ -110,11 +110,8 @@ def write_report_json(report, path, config_hash=None):
         "passed": report.passed,
         "params": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in report.params.items()},
+        "config_hash": config_hash,
     }
-    if config_hash is not None:
-        payload["config_hash"] = config_hash
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
 
 
 def fit_rate(hs, errors):
@@ -549,11 +546,16 @@ def _holder_sample_pairs(mesh, values, n_pairs, seed):
     return np.concatenate(pair_i), np.concatenate(pair_j), np.concatenate(pair_d)
 
 
-def holder_regression(mesh, u, n_pairs=2000, seed=0, n_bins=12):
+# Log-distance bins of the Holder envelope fit.
+_HOLDER_BINS = 12
+
+
+def holder_regression(mesh, u, n_pairs=2000, seed=0):
     """Envelope table for the Holder fit.
 
     Samples random vertex pairs, computes their inner-metric distances,
-    bins |u_i - u_j| by log distance and keeps the per-bin maximum.
+    bins |u_i - u_j| by log distance (_HOLDER_BINS bins) and keeps the
+    per-bin maximum.
     Returns a dict with the kept bin log-centers and log-maxima, the
     lower-half selection mask, and the raw pair/bin assignment (so
     affine-invariance of the regression inputs is checkable bit-level).
@@ -563,6 +565,7 @@ def holder_regression(mesh, u, n_pairs=2000, seed=0, n_bins=12):
 
     ld = np.log10(dist)
     lo, hi = float(ld.min()), float(ld.max())
+    n_bins = _HOLDER_BINS
     if hi - lo < 1e-12:
         edges = np.asarray([lo - 0.5, hi + 0.5])
         n_bins = 1
@@ -602,7 +605,7 @@ def holder_regression(mesh, u, n_pairs=2000, seed=0, n_bins=12):
     }
 
 
-def holder_exponent(mesh, u, n_pairs=2000, seed=0, n_bins=12):
+def holder_exponent(mesh, u, n_pairs=2000, seed=0):
     """Estimated Holder exponent (slope) and regression R^2.
 
     Regresses the log envelope of |u_i - u_j| against log inner-metric
@@ -612,7 +615,7 @@ def holder_exponent(mesh, u, n_pairs=2000, seed=0, n_bins=12):
     span = float(u.values.max() - u.values.min())
     if span == 0.0:
         return (float("nan"), 0.0)
-    table = holder_regression(mesh, u, n_pairs=n_pairs, seed=seed, n_bins=n_bins)
+    table = holder_regression(mesh, u, n_pairs=n_pairs, seed=seed)
     sel = table["keep_bin"] & table["lower_half"]
     if int(sel.sum()) < 2:
         sel = table["keep_bin"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singfem import geometry
+from singfem import cli, geometry, verify
 from singfem.cli import ConfigError, compile_expression, config_hash, main, substream_seed
 from singfem.geometry import Mesh
 
@@ -216,6 +216,93 @@ def test_solve_laplace_refuses_changed_config_overwrite(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["exit_code"] == 2
     assert "refusing to overwrite" in record["message"]
+
+
+SWEEP_CONFIG = {
+    "domain": {"kind": "unit_square", "n": 2},
+    "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+    "data": {"f": "x + 0.2 * y"},
+    "p_values": [2.0],
+    "levels": [0],
+}
+VERIFY_CONFIG = {"levels": 3, "base_n": 4}
+
+
+def _ran_before_the_claim(*args, **kwargs):
+    raise AssertionError("a solve ran before the artifacts were claimed")
+
+
+@pytest.mark.parametrize("command, artifacts, cfg, changed, stub", [
+    (["solve-laplace"], ["solution.json"], ARTIFACT_CONFIGS["square"],
+     {"data": {"f": "x + y"}}, lambda patch, fail: patch.setattr(cli, "solve_mixed", fail)),
+    (["solve-plap"], ["solution.json"], {**ARTIFACT_CONFIGS["square"], "p": 3.0},
+     {"p": 4.0}, lambda patch, fail: patch.setattr(cli, "solve_p_laplace", fail)),
+    (["sweep"], ["sweep.csv"], SWEEP_CONFIG, {"p_values": [3.0]},
+     lambda patch, fail: patch.setattr(cli, "solve_p_laplace", fail)),
+    (["verify", "ibp_smooth"], ["report.csv", "summary.json"], VERIFY_CONFIG,
+     {"base_n": 5},
+     lambda patch, fail: patch.setitem(verify.EXPERIMENTS, "ibp_smooth", fail)),
+], ids=["solve-laplace", "solve-plap", "sweep", "verify"])
+def test_a_changed_config_is_refused_before_anything_runs(tmp_path, monkeypatch, command,
+                                                          artifacts, cfg, changed, stub):
+    out = tmp_path / "run"
+    assert main([*command, "--config", write_config(tmp_path / "a.json", cfg),
+                 "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in artifacts}
+    stub(monkeypatch, _ran_before_the_claim)
+    other = write_config(tmp_path / "b.json", {**cfg, **changed})
+    assert main([*command, "--config", other, "--out", str(out)]) == 2
+    assert "refusing to overwrite" in json.loads((out / "error.json").read_text())["message"]
+    assert {name: (out / name).read_bytes() for name in artifacts} == before
+
+
+def test_verify_claims_both_artifacts_before_it_runs(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "summary.json").write_text(json.dumps({"config_hash": "stale"}))
+    monkeypatch.setitem(verify.EXPERIMENTS, "ibp_smooth", _ran_before_the_claim)
+    assert main(["verify", "ibp_smooth", "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["message"].startswith(f"refusing to overwrite {out / 'summary.json'}")
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command, artifact, cfg", [
+    (["mesh"], "mesh.json", {}),
+    (["verify", "ibp_smooth"], "report.csv", VERIFY_CONFIG),
+], ids=["mesh", "verify"])
+def test_an_unwritable_artifact_exits_2_with_error_record(tmp_path, capsys, command,
+                                                          artifact, cfg):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / artifact).symlink_to(tmp_path / "missing" / artifact)  # dangling
+    assert main([*command, "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert record["message"].startswith(f"cannot write {out / artifact} (")
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg, artifacts", [
+    (["mesh"], ARTIFACT_CONFIGS["square"], ["mesh.json"]),
+    (["solve-laplace"], ARTIFACT_CONFIGS["square"], ["solution.json"]),
+    (["solve-neumann"], ARTIFACT_CONFIGS["square"], ["solution.json"]),
+    (["solve-plap", "--p", "3"], ARTIFACT_CONFIGS["square"], ["solution.json"]),
+    (["verify", "ibp_smooth"], VERIFY_CONFIG, ["report.csv", "summary.json"]),
+    (["sweep"], SWEEP_CONFIG, ["sweep.csv"]),
+], ids=["mesh", "solve-laplace", "solve-neumann", "solve-plap", "verify", "sweep"])
+def test_every_artifact_embeds_the_hash_of_its_run(tmp_path, monkeypatch, command, cfg,
+                                                   artifacts):
+    hashes = []
+    monkeypatch.setattr(cli, "config_hash",
+                        lambda effective: hashes.append(config_hash(effective)) or hashes[-1])
+    out = tmp_path / "run"
+    assert main([*command, "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    assert len(hashes) == 1
+    assert [cli._embedded_hash(out / name) for name in artifacts] == hashes * len(artifacts)
 
 
 def test_solve_laplace_theta_needs_neumann_region(tmp_path):
@@ -538,7 +625,9 @@ def test_verify_experiment_writes_reports(tmp_path, capsys):
     assert main(["verify", "ibp_smooth", "--config", cfg, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "[PASS]" in stdout and "[FAIL]" not in stdout
-    summary = json.loads((out / "summary.json").read_text())
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, sort_keys=True)
     assert summary["pass"] is True
     csv_lines = (out / "report.csv").read_text().splitlines()
     assert csv_lines[0].startswith("# config_hash=")
