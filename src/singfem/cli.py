@@ -21,6 +21,7 @@ import math
 import operator
 import os
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -336,9 +337,22 @@ def _flux_from_expr(partition, region, text, field):
 # -- artifacts ---------------------------------------------------------------
 
 
+# The head of every JSON artifact: keys are sorted, so config_hash comes first.
+_JSON_HASH_HEAD = re.compile(r'\{"config_hash": "([0-9a-f]{64})"[,}]')
+_JSON_HASH_HEAD_CHARS = len('{"config_hash": "') + 64 + 2
+
+
 def _embedded_hash(path):
+    """The configuration hash an artifact carries, or None.  A JSON
+    artifact is read only as far as its head; any other file (a CSV, a
+    hand-edited JSON) is read whole."""
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            text = fh.read(_JSON_HASH_HEAD_CHARS)
+            head = _JSON_HASH_HEAD.match(text)
+            if head:
+                return head.group(1)
+            text += fh.read()
     except OSError:
         return None
     head = text.lstrip()

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .geometry import Mesh, BoundaryPartition, PartitionError
@@ -124,6 +124,21 @@ def gradient(u):
     return VectorField(u.mesh, np.einsum("tid,ti->td", u.mesh.grad_lambda, vals))
 
 
+def gradient_operator(mesh):
+    """CSR matrix G, shape (2 nt, nv), of the element gradient: row
+    2 t + d holds grad_lambda[t, i, d] at column triangles[t, i] for
+    i = 0, 1, 2, so (G @ values).reshape(nt, 2) equals gradient's einsum
+    bit for bit.  It pays off over repeated gradients on one mesh; build
+    it per call site, nothing caches it.  Indices are int32 when the mesh
+    allows it."""
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    index = np.int32 if nv < 2**31 else np.int64
+    cols = np.repeat(mesh.triangles.astype(index), 2, axis=0).reshape(-1)
+    data = mesh.grad_lambda.transpose(0, 2, 1).reshape(-1)
+    indptr = np.arange(0, 6 * nt + 1, 3, dtype=index)
+    return csr_matrix((data, cols, indptr), shape=(2 * nt, nv))
+
+
 def scalar_inner(u, v):
     """Exact integral of the product of two P1 fields.
 
@@ -159,15 +174,7 @@ def lp_norm(field, p):
     if p != float("inf") and p < 1.0:
         raise ValueError(f"p = {p} < 1 does not define a norm")
     if isinstance(field, VectorField):
-        # One temporary for the squares; every later step works in place.
-        x, y = field.values[:, 0], field.values[:, 1]
-        mag2 = x * x
-        mag2 += y * y
-        if p == float("inf"):
-            return float(np.sqrt(mag2.max(initial=0.0)))
-        mag2 **= p / 2.0
-        mag2 *= field.mesh.areas
-        return float(np.sum(mag2) ** (1.0 / p))
+        return _vector_lp_norm(field.values[:, 0], field.values[:, 1], field.mesh.areas, p)
     elif isinstance(field, ScalarField):
         if p == 2:
             return float(np.sqrt(scalar_inner(field, field)))
@@ -177,6 +184,18 @@ def lp_norm(field, p):
     if p == float("inf"):
         return float(mags.max(initial=0.0))
     return float(np.sum(field.mesh.areas * mags**p) ** (1.0 / p))
+
+
+def _vector_lp_norm(x, y, areas, p):
+    """lp_norm of the element-wise vector field with components x and y."""
+    # One temporary for the squares; every later step works in place.
+    mag2 = x * x
+    mag2 += y * y
+    if p == float("inf"):
+        return float(np.sqrt(mag2.max(initial=0.0)))
+    mag2 **= p / 2.0
+    mag2 *= areas
+    return float(np.sum(mag2) ** (1.0 / p))
 
 
 def w1p_norm(u, p):
@@ -217,9 +236,9 @@ def grad_test_vector(mesh, beta_values):
     """Vector s with s_i = <beta, grad hat_i> for every hat function."""
     contrib = np.einsum("tid,td->ti", mesh.grad_lambda, beta_values)
     contrib *= mesh.areas[:, None]
-    s = np.zeros(mesh.num_vertices)
-    np.add.at(s, mesh.triangles, contrib)
-    return s
+    # bincount sums in input order, as np.add.at would, and faster.
+    return np.bincount(mesh.triangles.reshape(-1), weights=contrib.reshape(-1),
+                       minlength=mesh.num_vertices)
 
 
 def hat_gradient_p_norms(mesh, p):
@@ -230,8 +249,8 @@ def hat_gradient_p_norms(mesh, p):
     mag2 += gl[:, :, 1] * gl[:, :, 1]
     mag2 **= p / 2.0
     mag2 *= mesh.areas[:, None]
-    acc = np.zeros(mesh.num_vertices)
-    np.add.at(acc, mesh.triangles, mag2)
+    acc = np.bincount(mesh.triangles.reshape(-1), weights=mag2.reshape(-1),
+                      minlength=mesh.num_vertices)
     return acc ** (1.0 / p)
 
 

@@ -216,12 +216,17 @@ class _FreeBlockSolver:
             local = np.full(mesh.num_vertices, -1, dtype=np.int64)
             local[free] = rank
             a, b = (local[mesh.triangles[:, k]].ravel() for k in _UPPER)
-            self.pairs = np.nonzero((a >= 0) & (b >= 0))[0]  # into the flat (nt, 6)
-            a, b = a[self.pairs], b[self.pairs]
-            # the flat index of ab[|a - b|, min(a, b)] in Fortran order
-            self.slot = np.abs(a - b) + (self.bandwidth + 1) * np.minimum(a, b)
+            # Per entry of the flat (nt, 6), the flat index of ab[|a - b|,
+            # min(a, b)] in Fortran order; an entry on a constrained vertex
+            # goes to the first slot of a spare column past the band.  The
+            # budget keeps every index within int32.
+            rows = self.bandwidth + 1
+            self.slot = np.where((a >= 0) & (b >= 0), np.abs(a - b) + rows * np.minimum(a, b),
+                                 rows * len(free)).astype(np.int32)
             with contextlib.suppress(MemoryError):
-                self.ab = np.zeros((self.bandwidth + 1, len(free)), order="F")
+                padded = np.zeros((rows, len(free) + 1), order="F")
+                self.padded = padded.reshape(-1, order="F")
+                self.ab = padded[:, :-1]  # still Fortran-contiguous
         # MG-PCG's block; one falling from the band is assembled instead.
         self.K_ff = K_ff if self.ab is None else None
 
@@ -232,9 +237,8 @@ class _FreeBlockSolver:
     def band(self, entries):
         """Refill the band with the free block of the element entries,
         permuted, and return it."""
-        self.ab.fill(0.0)
-        np.add.at(self.ab.reshape(-1, order="F"), self.slot,
-                  entries.reshape(-1)[self.pairs])
+        self.padded.fill(0.0)
+        np.add.at(self.padded, self.slot, entries.reshape(-1))
         return self.ab
 
     def system(self, entries=None):

@@ -106,25 +106,28 @@ class PlapProblem:
             raise ValueError("eps_final must be >= 0")
 
 
-def _grad_values(mesh, values):
-    return np.einsum("tid,ti->td", mesh.grad_lambda, values[mesh.triangles])
+def _grad_values(mesh, G, values):
+    """The element gradients, (nt, 2), of nodal values through G, the
+    mesh's fem.gradient_operator: fem.gradient's values, bit for bit."""
+    return (G @ values).reshape(mesh.num_triangles, 2)
 
 
-def _energy_terms(mesh, values, p, eps):
+def _energy_terms(mesh, G, values, p, eps):
     """(energy, g, m): the regularized energy sum_T area_T m^(p/2) with
-    the element gradients g = grad u and m = |g|^2 + eps^2."""
-    g = _grad_values(mesh, values)
+    the element gradients g = grad u (through G, see _grad_values) and
+    m = |g|^2 + eps^2."""
+    g = _grad_values(mesh, G, values)
     m = g[:, 0] ** 2 + g[:, 1] ** 2 + eps * eps
     return float(np.sum(mesh.areas * m ** (p / 2.0))), g, m
 
 
-def _energy_gradient(mesh, values, p, eps, terms=None):
+def _energy_gradient(mesh, G, values, p, eps, terms=None):
     """One pass over the elements at the iterate.  Returns (energy, w, s,
     g, m): _energy_terms, the weights w = m^((p-2)/2) and
     s_i = <w grad u, grad hat_i>, the energy gradient over p.  terms,
     when given, is _energy_terms of the iterate, which is then not
     recomputed.  w and s are None for a zero or non-finite energy."""
-    energy, g, m = _energy_terms(mesh, values, p, eps) if terms is None else terms
+    energy, g, m = _energy_terms(mesh, G, values, p, eps) if terms is None else terms
     if energy == 0.0 or not math.isfinite(energy):
         return energy, None, None, g, m
     with np.errstate(divide="ignore"):
@@ -166,14 +169,15 @@ def p_stationarity(u, p, constraint_vertices):
     hat_norms = _hat_norms_or_none(mesh, p)
     if hat_norms is None:
         raise ValueError(f"hat-gradient L^{p:g} norms overflow double precision")
-    return _exact_stationarity(mesh, u.values, p, free_mask, hat_norms)[0]
+    G = fem.gradient_operator(mesh)
+    return _exact_stationarity(mesh, G, u.values, p, free_mask, hat_norms)[0]
 
 
-def _exact_stationarity(mesh, values, p, free_mask, hat_norms):
+def _exact_stationarity(mesh, G, values, p, free_mask, hat_norms):
     """(stationarity, energy) of the field at eps = 0, the energy being
     sum_T area_T |grad u|^p.  Raises ValueError when it overflows."""
     with np.errstate(over="ignore"):
-        energy, _, s, _, _ = _energy_gradient(mesh, values, p, 0.0)
+        energy, _, s, _, _ = _energy_gradient(mesh, G, values, p, 0.0)
     if not math.isfinite(energy):
         raise ValueError(f"the {p:g}-energy overflows double precision")
     return _stationarity(energy, s, p, free_mask, hat_norms), energy
@@ -220,13 +224,15 @@ _MAX_INNER = 120
 _NEWTON_RTOL = 1e-12
 
 
-def _newton_stage(mesh, values, p, eps, free, free_mask, solver, hat_norms, tol):
+def _newton_stage(mesh, G, values, p, eps, free, free_mask, solver, hat_norms, tol):
     """Run damped Newton at fixed (p, eps).  Returns (values, iters, stat,
     line_search_ok).  Each step makes one pass over the elements for the
-    energy gradient and solves the Hessian system (see _newton_step).  The element terms of an iterate are computed once:
-    at the stage's entry, or by the line search that accepts it."""
+    energy gradient and solves the Hessian system (see _newton_step).  The
+    element terms of an iterate, its gradients taken through G, are
+    computed once: at the stage's entry, or by the line search that
+    accepts it."""
     with np.errstate(over="ignore"):
-        terms = _energy_terms(mesh, values, p, eps)
+        terms = _energy_terms(mesh, G, values, p, eps)
     energy = terms[0]
     if not math.isfinite(energy):
         raise PLaplaceError(
@@ -234,7 +240,7 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, solver, hat_norms, tol)
             best_field=fem.ScalarField(mesh, values),
         )
     for it in range(_MAX_INNER + 1):
-        _, w, s, g, m = _energy_gradient(mesh, values, p, eps, terms)
+        _, w, s, g, m = _energy_gradient(mesh, G, values, p, eps, terms)
         stat = _stationarity(energy, s, p, free_mask, hat_norms)
         if stat <= tol or it == _MAX_INNER:
             return values, it, stat, True
@@ -251,7 +257,7 @@ def _newton_stage(mesh, values, p, eps, free, free_mask, solver, hat_norms, tol)
         while t >= 2.0**-40:
             trial = values.copy()
             trial[free] += t * delta
-            terms = _energy_terms(mesh, trial, p, eps)
+            terms = _energy_terms(mesh, G, trial, p, eps)
             e_trial = terms[0]
             if e_trial <= energy + 0.45 * t * slope:
                 accepted = True
@@ -335,8 +341,8 @@ def solve_p_laplace(problem, coarse=None):
         trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
     del K  # freed before the Newton systems, which it would outlive
 
-    u2 = fem.ScalarField(mesh, values.copy())
-    scale = p_energy(u2, 2)
+    G = fem.gradient_operator(mesh)
+    scale = _energy_terms(mesh, G, values, 2.0, 0.0)[0] ** 0.5  # p_energy, to the bit
     if scale == 0.0:
         scale = 1.0
     eps0 = _EPS_START_FACTOR * scale
@@ -360,14 +366,14 @@ def solve_p_laplace(problem, coarse=None):
     for pk, eps, tol, name in schedule:
         hn = hat_norms if pk == problem.p else hat_norms_at(pk)
         values, iters, stat, ok = _newton_stage(
-            mesh, values, pk, eps, free, free_mask, solver, hn, tol)
+            mesh, G, values, pk, eps, free, free_mask, solver, hn, tol)
         trace_log.append({"stage": name, "p": pk, "eps": eps, "iterations": iters,
                           "stationarity": stat, "line_search_ok": ok})
 
     u = fem.ScalarField(mesh, values)
     # The exact measure of p_stationarity, on the hat norms already held;
     # its energy gives p_energy(u, p) to the bit.
-    stat_true, energy = _exact_stationarity(mesh, values, problem.p, free_mask, hat_norms)
+    stat_true, energy = _exact_stationarity(mesh, G, values, problem.p, free_mask, hat_norms)
     if not stat_true <= problem.tol:
         raise PLaplaceError(
             f"p-Laplace solve reached stationarity {stat_true:.3e} "
@@ -408,14 +414,22 @@ class OptimalityReport:
 def perturbation_margin(u, delta, p, t, e0=None):
     """p_energy(u + t * delta) - p_energy(u); exactly zero for the zero
     direction.  e0, when given, is p_energy(u, p), saving its recomputation."""
-    gu = fem.gradient(u)
-    return _margin(gu, fem.gradient(delta), p, t, fem.lp_norm(gu, p) if e0 is None else e0)
+    gu, gd = fem.gradient(u), fem.gradient(delta)
+    if e0 is None:
+        e0 = fem.lp_norm(gu, p)
+    return _margin(u.mesh.areas, gu.values.T, gd.values.T, p, t, e0)
 
 
-def _margin(gu, gd, p, t, e0):
-    """perturbation_margin from the gradients of u and delta: the P1
-    gradient is linear, so grad(u + t delta) = grad u + t grad delta."""
-    return fem.lp_norm(fem.VectorField(gu.mesh, gu.values + t * gd.values), p) - e0
+def _margin(areas, gu, gd, p, t, e0):
+    """perturbation_margin from the x and y components, gu = (gux, guy) and
+    gd, of the gradients of u and delta: the P1 gradient is linear, so
+    grad(u + t delta) = grad u + t grad delta, and fem.lp_norm's steps
+    follow."""
+    x = t * gd[0]
+    x += gu[0]
+    y = t * gd[1]
+    y += gu[1]
+    return fem._vector_lp_norm(x, y, areas, p) - e0
 
 
 _CERTIFICATE_STEPS = (1e-3, 1e-2)  # perturbation sizes, relative to the energy
@@ -431,13 +445,15 @@ def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0):
     for steps t in {+-1e-3, +-1e-2} * scale, with scale = p_energy(u) (or 1
     for a flat field).  Returns an OptimalityReport whose certificate
     records the worst margin and any violations.  The gradients of u and
-    of each direction are taken once (see _margin).
+    of each direction are taken once, through one fem.gradient_operator,
+    and split into contiguous x and y components (see _margin).
     """
     mesh = u.mesh
     fixed = np.asarray(sorted(constraint_vertices), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    gu = fem.gradient(u)
-    e0 = fem.lp_norm(gu, p)
+    G = fem.gradient_operator(mesh)
+    gu = np.ascontiguousarray(_grad_values(mesh, G, u.values).T)
+    e0 = fem._vector_lp_norm(gu[0], gu[1], mesh.areas, p)
     scale = e0 if e0 > 0.0 else 1.0
 
     worst = float("inf")
@@ -445,14 +461,14 @@ def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0):
     for _ in range(trials):
         direction = rng.standard_normal(mesh.num_vertices)
         direction[fixed] = 0.0
-        gd = fem.gradient(fem.ScalarField(mesh, direction))
-        dnorm = fem.lp_norm(gd, p)
+        gd = np.ascontiguousarray(_grad_values(mesh, G, direction).T)
+        dnorm = fem._vector_lp_norm(gd[0], gd[1], mesh.areas, p)
         if dnorm == 0.0:
             continue
-        gd = fem.VectorField(mesh, gd.values / dnorm)
+        gd /= dnorm
         for step in _CERTIFICATE_STEPS:
             for t in (step * scale, -step * scale):
-                margin = _margin(gu, gd, p, t, e0)
+                margin = _margin(mesh.areas, gu, gd, p, t, e0)
                 worst = min(worst, margin)
                 if margin < -_CERTIFICATE_MARGIN_TOL * scale:
                     violations += 1

@@ -489,11 +489,13 @@ def _holder_sample_pairs(mesh, values, n_pairs, seed):
     The other n_random pairs come from random sources with
     max(8, isqrt(n_random)) pairs each, so the Dijkstra rows grow like
     sqrt(n_pairs), not like n_pairs.  Each source's positive distances
-    are sorted once by log distance (stable, so tied distances keep
-    vertex order on every CPU).  Each target t finds its window
+    are sorted once by log distance.  Each target t finds its window
     |log10 d - t| <= log10(2)/2 there by binary search and takes the
     window's k-th vertex in id order, k uniform; an empty window takes
-    the nearest log distance, lowest vertex id first.
+    the nearest log distance, lowest vertex id first.  Either pick
+    depends only on a set of tied or windowed vertices, not on the
+    order the sort leaves ties in, so the pairs are the same on every
+    CPU.
     """
     rng = np.random.default_rng(seed)
     nv = mesh.num_vertices
@@ -525,20 +527,23 @@ def _holder_sample_pairs(mesh, values, n_pairs, seed):
         hi = math.log10(float(positive.max()))
         lo = min(math.log10(3.0 * float(positive.min())) + half_window, hi - 0.1)
         logd = np.log10(positive)
-        order = np.argsort(logd, kind="stable")
+        order = np.argsort(logd)
         ids, logd = ids[order], logd[order]
         t = rng.uniform(lo, hi, size=count)
         left = np.searchsorted(logd, t - half_window, side="left")
         width = np.searchsorted(logd, t + half_window, side="right") - left
         k = rng.integers(0, np.maximum(width, 1))
-        # An empty window takes the nearest log distance, and of a tie the
-        # lowest vertex id, which the stable sort puts first.
+        # An empty window becomes the run of positions tied at the nearest
+        # log distance, and takes the run's lowest vertex id (k = 0).
         below = np.maximum(left - 1, 0)
         above = np.minimum(left, len(logd) - 1)
-        nearest = np.where(t - logd[below] <= logd[above] - t, below, above)
-        j = ids[np.searchsorted(logd, logd[nearest], side="left")]
-        # Any other window takes its k-th vertex in id order.
-        for q in np.nonzero(width)[0]:
+        nearest = np.where(t - logd[below] <= logd[above] - t, logd[below], logd[above])
+        empty = width == 0
+        left[empty] = np.searchsorted(logd, nearest[empty], side="left")
+        width[empty] = np.searchsorted(logd, nearest[empty], side="right") - left[empty]
+        # Each window takes its k-th vertex in id order.
+        j = ids[left]
+        for q in np.nonzero(width > 1)[0]:
             j[q] = np.partition(ids[left[q]:left[q] + width[q]], k[q])[k[q]]
         pair_i.append(np.full(count, s, dtype=np.int64))
         pair_j.append(j)

@@ -616,6 +616,56 @@ def test_solve_plap_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("p", [1.5, 4.0, 8.0])
+def test_solve_plap_artifact_does_not_depend_on_the_gradient_operator(tmp_path, monkeypatch,
+                                                                     p):
+    # Every element gradient of the solve and the certificate goes through
+    # plaplace._grad_values; fem.gradient's einsum must give the same bytes.
+    from singfem import plaplace
+
+    cfg = _plap_config(tmp_path, 8, p)
+    assert main(["solve-plap", "--config", cfg, "--out", str(tmp_path / "a"),
+                 "--certificate"]) == 0
+    monkeypatch.setattr(plaplace, "_grad_values", lambda mesh, G, values: np.einsum(
+        "tid,ti->td", mesh.grad_lambda, values[mesh.triangles]))
+    assert main(["solve-plap", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--certificate"]) == 0
+    first, second = ((tmp_path / out / "solution.json").read_bytes() for out in "ab")
+    assert first == second
+
+
+def test_embedded_hash_reads_only_the_head_of_a_json_artifact(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["solve-laplace", "--config", laplace_config(tmp_path),
+                 "--out", str(out)]) == 0
+    artifact = out / "solution.json"
+    expected = json.loads(artifact.read_text())["config_hash"]
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the whole artifact was parsed")
+
+    monkeypatch.setattr(json, "loads", no_parse)
+    assert cli._embedded_hash(artifact) == expected
+    assert cli._claim(out, expected, "solution.json") == [artifact]
+
+
+_HASH = "0123456789abcdef" * 4
+
+
+@pytest.mark.parametrize("text, expected", [
+    (json.dumps({"config_hash": _HASH, "info": {}}, indent=2), _HASH),
+    ("  " + json.dumps({"config_hash": _HASH}), _HASH),
+    (json.dumps({"a": 1, "config_hash": _HASH}), _HASH),
+    (json.dumps({"config_hash": _HASH + "0"}), _HASH + "0"),
+    (json.dumps({"config_hash": _HASH})[:-1], None),
+], ids=["indented", "leading-space", "hash-not-first", "long-hash", "truncated"])
+def test_embedded_hash_falls_back_to_the_full_parse(tmp_path, text, expected):
+    # A file whose head is not the writer's keeps the full parse's verdict.
+    path = tmp_path / "solution.json"
+    path.write_text(text)
+    assert cli._embedded_hash(path) == expected
+
+
 # -- verify and sweep --------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from singfem.fem import (
     flux_trace_from_function,
     grad_test_vector,
     gradient,
+    gradient_operator,
     hat_gradient_p_norms,
     ibp_residual,
     lp_norm,
@@ -165,6 +166,66 @@ def test_grad_test_vector_is_stiffness_action(square):
     assert np.allclose(
         grad_test_vector(square, gradient(u).values), K @ u.values, atol=1e-13
     )
+
+
+_BYTE_MESHES = {
+    "square": lambda: build_unit_square(8),
+    "annulus": lambda: build_annulus(0.3, 1.0, 3, 12),
+    "cusp": lambda: build_cusp(3.0, 4),
+}
+
+
+def _byte_mesh(name, levels):
+    mesh = _BYTE_MESHES[name]()
+    for _ in range(levels):
+        mesh = refine(mesh)
+    return mesh
+
+
+def _fields_with_signed_zeros(mesh, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = rng.standard_normal(mesh.num_vertices)
+        v[rng.random(mesh.num_vertices) < 0.3] = 0.0
+        v[rng.random(mesh.num_vertices) < 0.2] = -0.0
+        yield v
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_gradient_operator_is_the_einsum_gradient_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    G = gradient_operator(mesh)
+    assert G.shape == (2 * mesh.num_triangles, mesh.num_vertices)
+    assert G.indices.dtype == G.indptr.dtype == np.int32
+    for v in _fields_with_signed_zeros(mesh, 10, seed=levels):
+        got = (G @ v).reshape(mesh.num_triangles, 2)
+        assert got.tobytes() == gradient(ScalarField(mesh, v)).values.tobytes()
+    # an all-zero field of either sign, vertex by vertex
+    for v in (np.zeros(mesh.num_vertices), np.full(mesh.num_vertices, -0.0)):
+        ref = np.einsum("tid,ti->td", mesh.grad_lambda, v[mesh.triangles])
+        assert (G @ v).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_vertex_sums_are_the_add_at_sums_bit_for_bit(name, levels):
+    # grad_test_vector and hat_gradient_p_norms accumulate per vertex in
+    # triangle order, as np.add.at does.
+    mesh = _byte_mesh(name, levels)
+    for x, y in zip(_fields_with_signed_zeros(mesh, 3, seed=levels),
+                    _fields_with_signed_zeros(mesh, 3, seed=levels + 1)):
+        beta = np.column_stack((x[mesh.triangles[:, 0]], y[mesh.triangles[:, 1]]))
+        contrib = np.einsum("tid,td->ti", mesh.grad_lambda, beta) * mesh.areas[:, None]
+        ref = np.zeros(mesh.num_vertices)
+        np.add.at(ref, mesh.triangles, contrib)
+        assert grad_test_vector(mesh, beta).tobytes() == ref.tobytes()
+    gl = mesh.grad_lambda
+    for p in (1.5, 2.0, 3.0, 8.0):
+        mag2 = (gl[:, :, 0] * gl[:, :, 0] + gl[:, :, 1] * gl[:, :, 1]) ** (p / 2.0)
+        ref = np.zeros(mesh.num_vertices)
+        np.add.at(ref, mesh.triangles, mag2 * mesh.areas[:, None])
+        assert hat_gradient_p_norms(mesh, p).tobytes() == (ref ** (1.0 / p)).tobytes()
 
 
 def test_hat_gradient_p_norms_positive(square):

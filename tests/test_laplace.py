@@ -18,7 +18,7 @@ from singfem import (
     w1p_norm,
     weak_residual,
 )
-from singfem import laplace
+from singfem import fem, laplace
 from singfem.fem import (
     FieldError,
     boundary_functional,
@@ -108,8 +108,6 @@ def test_cg_non_finite_iterate_raises():
 
 def test_solves_assemble_the_stiffness_matrix_once(square, mixed_part, neumann_part,
                                                    monkeypatch):
-    from singfem import fem
-
     calls = []
     assemble = fem.stiffness_matrix
     monkeypatch.setattr(fem, "stiffness_matrix", lambda *a: calls.append(1) or assemble(*a))
@@ -420,7 +418,8 @@ def _smooth_hessian_entries(mesh, gram, p):
     from singfem import plaplace
 
     values = np.sin(3.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1]) + mesh.vertices[:, 1]
-    _, w, _, g, m = plaplace._energy_gradient(mesh, values, p, 0.1)
+    G = fem.gradient_operator(mesh)
+    _, w, _, g, m = plaplace._energy_gradient(mesh, G, values, p, 0.1)
     return laplace._element_entries(mesh, gram, w, g, (p - 2.0) * w / m)
 
 

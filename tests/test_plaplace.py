@@ -230,11 +230,67 @@ def test_certificate_accepts_minimizer_and_rejects_perturbation(
 def test_certificate_takes_one_gradient_per_direction(square, side_constraints,
                                                      monkeypatch):
     u = ScalarField.from_function(square, lambda x, y: x + 0.2 * y * y)
-    calls, gradient = [], fem.gradient
-    monkeypatch.setattr(fem, "gradient", lambda f: calls.append(1) or gradient(f))
+    products, operators, build = [], [], fem.gradient_operator
+
+    class Counted:
+        """The gradient operator, counting its products."""
+
+        def __init__(self, mesh):
+            self.G = build(mesh)
+            operators.append(self)
+
+        def __matmul__(self, values):
+            products.append(1)
+            return self.G @ values
+
+    monkeypatch.setattr(fem, "gradient_operator", Counted)
+    monkeypatch.setattr(fem, "gradient", lambda f: pytest.fail("einsum gradient taken"))
     report = minimality_certificate(u, 3.0, side_constraints, trials=10, seed=5)
     assert report.certificate["trials"] == 10
-    assert len(calls) == 1 + 10  # u once, then each direction once
+    assert len(operators) == 1
+    assert len(products) == 1 + 10  # u once, then each direction once
+
+
+def _certificate_by_trials(u, p, constraint_vertices, trials=40, seed=0):
+    """Reference certificate: (passed, worst_margin, violations) from one
+    fem.gradient per direction and one lp_norm of a VectorField per margin."""
+    mesh = u.mesh
+    fixed = np.asarray(sorted(constraint_vertices), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    gu = fem.gradient(u)
+    e0 = lp_norm(gu, p)
+    scale = e0 if e0 > 0.0 else 1.0
+    worst, violations = float("inf"), 0
+    for _ in range(trials):
+        direction = rng.standard_normal(mesh.num_vertices)
+        direction[fixed] = 0.0
+        gd = fem.gradient(ScalarField(mesh, direction))
+        dnorm = lp_norm(gd, p)
+        if dnorm == 0.0:
+            continue
+        gd = VectorField(mesh, gd.values / dnorm)
+        for step in (1e-3, 1e-2):
+            for t in (step * scale, -step * scale):
+                margin = lp_norm(VectorField(mesh, gu.values + t * gd.values), p) - e0
+                worst = min(worst, margin)
+                violations += margin < -1e-10 * scale
+    return violations == 0, worst if worst != float("inf") else 0.0, violations
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 8.0])
+def test_certificate_is_the_per_trial_reference_bit_for_bit(p):
+    mesh = build_unit_square(8)
+    part = partition_by_tags(mesh, dirichlet=("left", "right"), neumann=("bottom", "top"))
+    constraint = frozenset(int(i) for i in part.region_vertices("dirichlet"))
+    f = ScalarField.from_function(mesh, lambda x, y: np.sin(3.0 * x * y) + x)
+    u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p))
+    bumped = u.values.copy()
+    bumped[mesh.num_vertices // 2] += 0.5
+    for field in (u, ScalarField(mesh, bumped)):
+        for seed in range(5):
+            cert = minimality_certificate(field, p, constraint, seed=seed).certificate
+            got = (cert["passed"], cert["worst_margin"], cert["violations"])
+            assert got == _certificate_by_trials(field, p, constraint, seed=seed)
 
 
 def test_certificate_on_flat_field(square, side_constraints):
@@ -367,7 +423,7 @@ def test_held_gram_entries_are_the_einsum_to_the_bit(build):
 def test_p_energy_is_the_newton_energy_to_the_bit(build, p):
     mesh = build()
     u = ScalarField(mesh, np.random.default_rng(4).standard_normal(mesh.num_vertices))
-    energy, g, m = plaplace._energy_terms(mesh, u.values, p, 0.0)
+    energy, g, m = plaplace._energy_terms(mesh, fem.gradient_operator(mesh), u.values, p, 0.0)
     assert p_energy(u, p) == energy ** (1.0 / p)
     assert lp_norm(fem.gradient(u), float("inf")) == float(np.sqrt(m.max()))
 
@@ -596,7 +652,8 @@ def _random_free_set(mesh, rng):
 
 
 def _hessian_entries(mesh, values, p, eps):
-    _, w, _, g, m = plaplace._energy_gradient(mesh, values, p, eps)
+    _, w, _, g, m = plaplace._energy_gradient(mesh, fem.gradient_operator(mesh), values,
+                                              p, eps)
     return laplace._element_entries(mesh, laplace._gram_entries(mesh), w, g,
                                      (p - 2.0) * w / m)
 
@@ -610,14 +667,15 @@ def test_band_hessian_matches_a_central_difference_of_the_gradient(build, p):
     values = rng.standard_normal(mesh.num_vertices)
     eps, h = 0.1, 1e-6
     system = _solver(mesh, free)
+    G = fem.gradient_operator(mesh)
     hessian = _dense_from_band(system.band(_hessian_entries(mesh, values, p, eps)))
     ref = np.empty((len(free), len(free)))
     for col, k in enumerate(free):
         up, down = values.copy(), values.copy()
         up[k] += h
         down[k] -= h
-        s_up = plaplace._energy_gradient(mesh, up, p, eps)[2]
-        s_down = plaplace._energy_gradient(mesh, down, p, eps)[2]
+        s_up = plaplace._energy_gradient(mesh, G, up, p, eps)[2]
+        s_down = plaplace._energy_gradient(mesh, G, down, p, eps)[2]
         ref[:, col] = (s_up[free] - s_down[free]) / (2.0 * h)
     ref = ref[np.ix_(system.perm, system.perm)]
     np.testing.assert_allclose(hessian, ref, rtol=1e-6, atol=1e-7 * np.abs(ref).max())

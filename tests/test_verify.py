@@ -402,6 +402,67 @@ def test_small_holder_budgets_draw_the_pairs_of_the_mask_reference(build, n_pair
             assert a.tobytes() == b.astype(a.dtype).tobytes()
 
 
+def _pairs_by_stable_sort(mesh, values, n_pairs, seed):
+    """Reference sampler: verify._holder_sample_pairs as it was with each
+    source row sorted stably, so that a tie run starts at its lowest id."""
+    rng = np.random.default_rng(seed)
+    nv = mesh.num_vertices
+    anchors = sorted({int(np.argmin(values)), int(np.argmax(values))})
+    n_anchor = max(1, n_pairs // 8)
+    n_random = max(0, n_pairs - n_anchor * len(anchors))
+    per_source, rest = max(8, math.isqrt(n_random)), n_random
+    counts = [n_anchor] * len(anchors)
+    while rest > 0:
+        counts.append(min(per_source, rest))
+        rest -= counts[-1]
+    budget = anchors + rng.integers(0, nv, size=len(counts) - len(anchors)).tolist()
+    sources = np.unique(budget)
+    dist_all = path_lengths(mesh, sources)
+    half_window = 0.5 * math.log10(2.0)
+    pair_i, pair_j, pair_d = [], [], []
+    for s, count in zip(budget, counts):
+        row = dist_all[np.searchsorted(sources, s)]
+        ids = np.nonzero(row > 0.0)[0]
+        positive = row[ids]
+        hi = math.log10(float(positive.max()))
+        lo = min(math.log10(3.0 * float(positive.min())) + half_window, hi - 0.1)
+        logd = np.log10(positive)
+        order = np.argsort(logd, kind="stable")
+        ids, logd = ids[order], logd[order]
+        t = rng.uniform(lo, hi, size=count)
+        left = np.searchsorted(logd, t - half_window, side="left")
+        width = np.searchsorted(logd, t + half_window, side="right") - left
+        k = rng.integers(0, np.maximum(width, 1))
+        below = np.maximum(left - 1, 0)
+        above = np.minimum(left, len(logd) - 1)
+        nearest = np.where(t - logd[below] <= logd[above] - t, below, above)
+        j = ids[np.searchsorted(logd, logd[nearest], side="left")]
+        for q in np.nonzero(width)[0]:
+            j[q] = np.partition(ids[left[q]:left[q] + width[q]], k[q])[k[q]]
+        pair_i.append(np.full(count, s, dtype=np.int64))
+        pair_j.append(j)
+        pair_d.append(row[j])
+    return np.concatenate(pair_i), np.concatenate(pair_j), np.concatenate(pair_d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_cusp(3.0, 6),
+    lambda: refine(build_cusp(3.0, 6)),
+    lambda: refine(refine(build_cusp(3.0, 6))),
+    lambda: build_unit_square(16),
+    lambda: build_annulus(0.3, 1.0, 4, 16),
+], ids=["cusp-L0", "cusp-L1", "cusp-L2", "square", "annulus"])
+def test_holder_pairs_do_not_depend_on_the_order_of_tied_distances(build):
+    # The square's lattice ties many path distances; the pairs must be the
+    # stable sort's, whatever order the default sort leaves the ties in.
+    mesh = build()
+    values = np.sin(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 1]
+    for seed in range(20):
+        got = verify._holder_sample_pairs(mesh, values, 1200, seed)
+        for a, b in zip(got, _pairs_by_stable_sort(mesh, values, 1200, seed)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_holder_pairs_are_deterministic_in_the_seed():
     mesh = refine(build_annulus(0.3, 1.0, 3, 12))
     values = mesh.vertices[:, 0] ** 2
