@@ -8,14 +8,13 @@ integration-by-parts residual that ties them together.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .geometry import Mesh, BoundaryPartition, PartitionError
+from .geometry import Mesh, BoundaryPartition
 
 
 class FieldError(Exception):

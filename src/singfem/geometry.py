@@ -1,16 +1,14 @@
 """Triangulated planar domains with tagged boundaries.
 
 Structured generators (rectangle, annulus, cusp wedge), boundary
-partitioning into Dirichlet/Neumann regions by tag, uniform red refinement,
-the shortest-edge-path inner metric, and the codimension threshold
-exponent for constraint sets.
+partitioning into Dirichlet/Neumann regions by tag, uniform red refinement
+with its exact prolongation, and the shortest-edge-path inner metric.
 """
 
 from __future__ import annotations
 
 import json
 import hashlib
-import math
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
@@ -508,12 +506,17 @@ def build_annulus(r_in, r_out, n_radial, n_angular):
     return Mesh.from_triangulation(vertices, triangles, edge_tag)
 
 
-def build_cusp(k, n, ratio=0.7):
+# The cusp's grading: each block of stations shrinks x by this factor.
+_CUSP_RATIO = 0.7
+
+
+def build_cusp(k, n):
     """Triangulated cusp wedge {0 < x < 1, |y| < x**k / 2}.
 
     The tip at the origin is declared a singular vertex.  Vertex
     abscissas form a geometric sequence toward the tip: n stations per
-    grading block of ratio `ratio` (per-station ratio ratio**(1/n)),
+    grading block of ratio _CUSP_RATIO (per-station ratio
+    _CUSP_RATIO**(1/n)),
     with n blocks in total, and an n-triangle fan closing the tip.
     Boundary regions: "lower", "upper" (the curved sides) and "right"
     (the segment x = 1).
@@ -522,12 +525,10 @@ def build_cusp(k, n, ratio=0.7):
         raise MeshError("cusp exponent k must be >= 1")
     if n < 2:
         raise MeshError("cusp resolution n must be >= 2")
-    if not 0.0 < ratio < 1.0:
-        raise MeshError("grading ratio must lie in (0, 1)")
 
-    q = ratio ** (1.0 / n)
+    q = _CUSP_RATIO ** (1.0 / n)
     n_stations = n * n + 1  # n blocks, n stations each, plus x = 1
-    xs = q ** np.arange(n_stations)[::-1]  # ascending, from ratio**n to 1
+    xs = q ** np.arange(n_stations)[::-1]  # ascending, from _CUSP_RATIO**n to 1
     xs[-1] = 1.0
     m = n  # cross-stream intervals per column
 
@@ -696,26 +697,6 @@ def _edge_graph(mesh):
                       shape=(nv, nv)).tocsr()
 
 
-def inner_metric(mesh, i, j):
-    """Shortest edge-path length between vertices i and j.
-
-    Dominates the Euclidean distance; symmetric bit-for-bit because the
-    source vertex is canonicalized.  Raises MeshError when no path
-    exists (disconnected triangulation).
-    """
-    nv = mesh.num_vertices
-    i, j = int(i), int(j)
-    if not (0 <= i < nv and 0 <= j < nv):
-        raise MeshError("vertex index out of range")
-    if i == j:
-        return 0.0
-    src, dst = (i, j) if i < j else (j, i)
-    dist = _csgraph_dijkstra(_edge_graph(mesh), directed=True, indices=src)
-    if not math.isfinite(dist[dst]):
-        raise MeshError(f"vertices {i} and {j} are not edge-connected")
-    return float(dist[dst])
-
-
 # Sources per Dijkstra call in path_lengths, to bound its working memory.
 _DIJKSTRA_CHUNK = 256
 
@@ -837,32 +818,3 @@ def partition_by_tags(mesh, dirichlet=(), neumann=()):
         edge_regions=edge_regions,
         singular_vertices=mesh.singular_vertices | frozenset(changes.tolist()),
     )
-
-
-# -- threshold exponent ---------------------------------------------------
-
-NEG_INF = float("-inf")
-
-
-def p_threshold(dim_constraint_frontier=NEG_INF, dim_singular=NEG_INF):
-    """Threshold exponent 2 - max(declared dimensions).
-
-    The two declared dimensions (of the constraint set's frontier
-    inside the boundary, and of the singular set) are caller-supplied
-    metadata, each -inf (empty) or an integer below the ambient
-    dimension 2.  Returns +inf when both are -inf.
-    """
-    for name, d in (
-        ("dim_constraint_frontier", dim_constraint_frontier),
-        ("dim_singular", dim_singular),
-    ):
-        if d == NEG_INF:
-            continue
-        if d != int(d) or not 0 <= d <= 1:
-            raise ValueError(
-                f"{name}={d!r} invalid: must be -inf or an integer in [0, 1]"
-            )
-    top = max(dim_constraint_frontier, dim_singular)
-    if top == NEG_INF:
-        return float("inf")
-    return 2.0 - float(top)

@@ -161,14 +161,13 @@ def _element_entries(mesh, gram, w, g=None, c=None):
     w-weighted stiffness; with c = (p - 2) w / m and the g, m, w of
     plaplace._energy_gradient it is the Hessian of the regularized energy
     over p."""
-    i, j = _UPPER
     out = gram * (mesh.areas * w)[:, None]
     if c is not None:
+        # One column at a time, without an (nt, 6) temporary.
         q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
-        aniso = q[:, i]
-        aniso *= q[:, j]
-        aniso *= (mesh.areas * c)[:, None]
-        out += aniso
+        ac = mesh.areas * c
+        for k, (a, b) in enumerate(zip(*_UPPER)):
+            out[:, k] += q[:, a] * q[:, b] * ac
     return out
 
 
@@ -363,11 +362,13 @@ def _weak_residual(K, M, partition, u, g, theta):
     return num / den
 
 
+# The largest weak residual a mixed solve may leave (a Neumann solve: plus
+# its data's compatibility defect).
 _DEFAULT_RESIDUAL_TOL = 1e-10
 _COMPATIBILITY_RTOL = 1e-8
 
 
-def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL):
+def solve_mixed(problem, x0=None, rtol=1e-12):
     """Solve the mixed problem; returns (ScalarField, info dict).
 
     info carries the CG iteration count (0 for a band solve) and the
@@ -397,9 +398,9 @@ def solve_mixed(problem, x0=None, rtol=1e-12, residual_tol=_DEFAULT_RESIDUAL_TOL
 
     field = fem.ScalarField(mesh, u)
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
-    if res > residual_tol:
+    if res > _DEFAULT_RESIDUAL_TOL:
         raise SolverError(
-            f"mixed solve left weak residual {res:.3e} > {residual_tol:.1e}",
+            f"mixed solve left weak residual {res:.3e} > {_DEFAULT_RESIDUAL_TOL:.1e}",
             iterations=iterations,
             residual=res,
         )

@@ -1,6 +1,6 @@
-"""Numerical certificates: Poincare constants, the punctured-domain
-counterexample, Holder-exponent estimation in the inner metric, and
-convergence studies for the solvers and the discrete calculus.
+"""Numerical certificates: the L^2 Poincare-Wirtinger constant, the
+punctured-domain counterexample, Holder-exponent estimation in the inner
+metric, and convergence studies for the solvers and the discrete calculus.
 EXPERIMENTS maps each `singfem verify` experiment name to its function.
 """
 
@@ -19,7 +19,6 @@ from .laplace import (
     MixedProblem,
     NeumannProblem,
     SolverError,
-    _element_entries,
     _FreeBlockSolver,
     solve_mixed,
     solve_neumann,
@@ -130,61 +129,38 @@ _POINCARE_RTOL = 1e-8  # relative eigenvalue change that ends the iteration
 _POINCARE_MAXITER = 400
 
 
-def poincare_constant_2(mesh, mode="wirtinger", partition=None, region=None):
-    """Best constant in ||u - a||_{L^2} <= C ||grad u||_{L^2} (mode
-    "wirtinger", quotient by constants) or ||u||_{L^2} <= C ||grad u||
-    over fields vanishing on a boundary region (mode "trace").
+def poincare_constant_2(mesh):
+    """Best constant in the Wirtinger inequality ||u - a||_{L^2} <=
+    C ||grad u||_{L^2}, a the mean of u.
 
     Computed as 1/sqrt(lambda_1) by inverse power iteration on the
-    stiffness/mass pencil, deflating constants in the Wirtinger mode.
-    The conforming discrete eigenvalue approximates from above, so the
-    estimate is a lower bound of the true constant and nondecreasing
-    under nested refinement.
+    stiffness/mass pencil with constants deflated.  The conforming
+    discrete eigenvalue approximates from above, so the estimate is a
+    lower bound of the true constant and nondecreasing under nested
+    refinement.
     """
     K = fem.stiffness_matrix(mesh)
     M = fem.mass_matrix(mesh)
     nv = mesh.num_vertices
+    ones = np.ones(nv)
+    M1 = M @ ones
+    total = float(ones @ M1)
 
-    if mode == "wirtinger":
-        ones = np.ones(nv)
-        M1 = M @ ones
-        total = float(ones @ M1)
+    def deflate(v):
+        return v - (float(v @ M1) / total) * ones
 
-        def deflate(v):
-            return v - (float(v @ M1) / total) * ones
-
-        # Pinning vertex 0 makes the free block definite; a zero-sum rhs
-        # keeps the pinned solution a solution of K y = b, up to the
-        # constant that deflate removes.
-        free = np.arange(1, nv)
-        x = deflate(mesh.vertices[:, 0].copy())
-
-        def apply_inverse(b):
-            y = np.zeros(nv)
-            y[free], _ = solve(b[free] - b.mean())
-            return deflate(y)
-    elif mode == "trace":
-        if partition is None or region is None:
-            raise ValueError("trace mode needs a partition and a region")
-        fixed = partition.region_vertices(region)
-        if len(fixed) == 0:
-            raise ValueError(f"region {region!r} has no vertices")
-        mask = np.ones(nv, dtype=bool)
-        mask[fixed] = False
-        free = np.nonzero(mask)[0]
-        x = mask.astype(np.float64)
-
-        def apply_inverse(b):
-            y = np.zeros(nv)
-            y[free], _ = solve(b[free])
-            return y
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    # Pinning vertex 0 makes the free block definite; a zero-sum rhs
+    # keeps the pinned solution a solution of K y = b, up to the
+    # constant that deflate removes.
+    free = np.arange(1, nv)
     solve = _FreeBlockSolver(mesh, K, free, 1e-10).system()
+    x = deflate(mesh.vertices[:, 0].copy())
     lam_old = math.inf
     for _ in range(_POINCARE_MAXITER):
-        y = apply_inverse(M @ x)
+        b = M @ x
+        y = np.zeros(nv)
+        y[free], _ = solve(b[free] - b.mean())
+        y = deflate(y)
         num = float(y @ (K @ y))
         den = float(y @ (M @ y))
         lam = num / den
@@ -236,130 +212,6 @@ def poincare_2(levels=3):
     )
 
 
-def _best_shift(mesh, values, p):
-    """Minimizing constant of a -> ||u - a||_{L^p} and the norm there."""
-    u = fem.ScalarField(mesh, values)
-    if p == 2:
-        ones = fem.ScalarField.constant(mesh, 1.0)
-        a = fem.scalar_inner(u, ones) / fem.scalar_inner(ones, ones)
-        return a, fem.lp_norm(fem.ScalarField(mesh, values - a), 2)
-    # a -> sum_T area_T |c_T - a|^p over the centroid values c is convex: its
-    # derivative over p (at p = 1 a subgradient), the sum below, is
-    # nondecreasing in a.  Bisect for its sign change to 1e-12.
-    cent = values[mesh.triangles].mean(axis=1)
-    lo, hi = float(cent.min()), float(cent.max())
-    while hi - lo > 1e-12:
-        a = 0.5 * (lo + hi)
-        if a in (lo, hi):
-            break
-        d = a - cent
-        if np.sum(mesh.areas * np.abs(d) ** (p - 1.0) * np.sign(d)) < 0.0:
-            lo = a
-        else:
-            hi = a
-    a = 0.5 * (lo + hi)
-    return a, fem.lp_norm(fem.ScalarField(mesh, values - a), p)
-
-
-def _pw_quotient(mesh, values, p):
-    _, num = _best_shift(mesh, values, p)
-    den = fem.lp_norm(fem.gradient(fem.ScalarField(mesh, values)), p)
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
-def poincare_lower_bound_p(mesh, p, seeds=(0, 1, 2), iters=30, inits=None,
-                           return_field=False):
-    """Certified lower bound for the L^p Poincare-Wirtinger constant.
-
-    Runs a weighted inverse-iteration ascent on the Rayleigh quotient
-    ||u - a||_{L^p} / ||grad u||_{L^p} from seeded random fields (plus
-    optional caller-supplied starting fields) and returns the largest
-    re-evaluated quotient; every returned value is the quotient of an
-    explicit nodal field, hence a true lower bound of the discrete
-    supremum.  For p = 2 the ascent is exact inverse iteration.
-    """
-    if not 1.0 <= p < float("inf"):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    nv = mesh.num_vertices
-
-    starts = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        starts.append(rng.standard_normal(nv))
-    for extra in inits or ():
-        arr = np.asarray(extra, dtype=np.float64)
-        if arr.shape != (nv,):
-            raise ValueError("init fields must be nodal on this mesh")
-        starts.append(arr.copy())
-
-    # Each reweighted system is solved with vertex 0 pinned after the rhs
-    # is shifted to zero sum; normalized() removes the constant offset.
-    free = np.arange(1, nv)
-
-    def normalized(v):
-        a, _ = _best_shift(mesh, v, p)
-        v = v - a
-        peak = float(np.max(np.abs(v)))
-        return v / peak if peak > 0.0 else None
-
-    best = 0.0
-    best_field = None
-    M = fem.mass_matrix(mesh)
-    # One solver serves every step; at p = 2 its system never changes.
-    solver = _FreeBlockSolver(mesh, fem.stiffness_matrix(mesh), free, 1e-8)
-    solve = solver.system() if p == 2 else None
-    for v0 in starts:
-        u = normalized(v0)
-        if u is None:
-            continue
-        q = _pw_quotient(mesh, u, p)
-        if q > best:
-            best, best_field = q, u.copy()
-        for _ in range(iters):
-            if p == 2:
-                r = M @ u
-            else:
-                g = np.einsum("tid,ti->td", mesh.grad_lambda, u[mesh.triangles])
-                mag2 = g[:, 0] ** 2 + g[:, 1] ** 2
-                floor = 1e-12 * float(mag2.max(initial=0.0)) + 1e-300
-                weights = (mag2 + floor) ** ((p - 2.0) / 2.0)
-                solve = solver.system(_element_entries(mesh, solver.gram, weights))
-                cent = u[mesh.triangles].mean(axis=1)
-                per_tri = mesh.areas * np.abs(cent) ** (p - 1.0) * np.sign(cent) / 3.0
-                r = np.zeros(nv)
-                np.add.at(r, mesh.triangles, per_tri[:, None] * np.ones(3))
-            y = np.zeros(nv)
-            try:
-                y[free], _ = solve((r - r.mean())[free])
-            except SolverError:
-                break
-            direction = normalized(y)
-            if direction is None:
-                break
-            # Accept the largest blend toward the preconditioned direction
-            # that raises the exactly-evaluated quotient; the claimed bound
-            # is always a quotient that was actually computed.
-            improved = False
-            theta = 1.0
-            while theta >= 2.0**-6:
-                cand = normalized((1.0 - theta) * u + theta * direction)
-                if cand is not None:
-                    q_cand = _pw_quotient(mesh, cand, p)
-                    if q_cand > q * (1.0 + 1e-14):
-                        u, q, improved = cand, q_cand, True
-                        break
-                theta *= 0.5
-            if not improved:
-                break
-            if q > best:
-                best, best_field = q, u.copy()
-    if return_field:
-        return best, best_field
-    return best
-
-
 # -- punctured-domain counterexample ---------------------------------------
 
 
@@ -385,8 +237,8 @@ def counterexample_punctured(p=3.0, r_in_schedule=(1e-2, 1e-3), levels=3):
     """
     if p <= 2.0:
         raise ParameterError(
-            f"p: the puncture is invisible only above its threshold exponent 2 "
-            f"(a zero-dimensional constraint gives p_threshold = 2); got p = {p}"
+            f"p: the puncture is invisible only above the threshold exponent 2 "
+            f"of a point in the plane; got p = {p}"
         )
     if levels < 1:
         raise ParameterError(f"levels: must be >= 1, got {levels}")

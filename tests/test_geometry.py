@@ -22,8 +22,6 @@ from singfem.geometry import (
     build_domain,
     build_rectangle,
     build_unit_square,
-    inner_metric,
-    p_threshold,
     partition_by_tags,
     path_lengths,
     prolong,
@@ -102,7 +100,8 @@ def test_cusp_area_oracle(k):
 
 
 @pytest.mark.parametrize("k, n, ratio", [(1, 2, 0.7), (2.5, 4, 0.6), (3, 6, 0.7), (7.3, 5, 0.5)])
-def test_cusp_matches_loop_reference(k, n, ratio):
+def test_cusp_matches_loop_reference(k, n, ratio, monkeypatch):
+    monkeypatch.setattr(geometry, "_CUSP_RATIO", ratio)
     q = ratio ** (1.0 / n)
     xs = q ** np.arange(n * n + 1)[::-1]
     xs[-1] = 1.0
@@ -115,7 +114,7 @@ def test_cusp_matches_loop_reference(k, n, ratio):
         for r in range(n):
             a = 1 + c * (n + 1) + r
             tris += [(a, a + n + 1, a + n + 2), (a, a + n + 2, a + 1)]
-    m = build_cusp(k, n, ratio)
+    m = build_cusp(k, n)
     assert np.array_equal(m.vertices, np.asarray(verts))
     assert np.array_equal(m.triangles, np.asarray(tris))
 
@@ -518,23 +517,25 @@ def test_inner_metric_axioms():
     m = build_unit_square(4)
     rng = np.random.default_rng(3)
     idx = rng.integers(0, m.num_vertices, size=(25, 3))
+    d = path_lengths(m, np.arange(m.num_vertices))
+    assert np.all(np.diag(d) == 0.0)
+    assert np.allclose(d, d.T, rtol=0.0, atol=1e-12)
     for i, j, k in idx:
-        dij = inner_metric(m, i, j)
-        assert dij == inner_metric(m, j, i)  # bit-exact symmetry
-        assert inner_metric(m, i, i) == 0.0
         euclid = float(np.hypot(*(m.vertices[i] - m.vertices[j])))
-        assert dij >= euclid - 1e-12
-        assert dij <= inner_metric(m, i, k) + inner_metric(m, k, j) + 1e-12
+        assert d[i, j] >= euclid - 1e-12
+        assert d[i, j] <= d[i, k] + d[k, j] + 1e-12
 
 
 def test_path_lengths_matches_inner_metric():
+    # rows from a source subset are the full table's rows, and its
+    # columns at the sources are the distances back to them
     m = build_cusp(2.0, 4)
     sources = np.asarray([0, 5, 17])
     table = path_lengths(m, sources)
+    full = path_lengths(m, np.arange(m.num_vertices))
     assert table.shape == (3, m.num_vertices)
-    for row, s in enumerate(sources):
-        for j in (1, 9, m.num_vertices - 1):
-            assert table[row, j] == pytest.approx(inner_metric(m, s, j), abs=1e-12)
+    assert table.tobytes() == full[sources].tobytes()
+    assert np.allclose(table, full[:, sources].T, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("build", [
@@ -551,7 +552,6 @@ def test_path_lengths_equal_undirected_dijkstra_bit_for_bit(build, monkeypatch):
     ref = dijkstra(upper, directed=False, indices=sources)
     monkeypatch.setattr(geometry, "_DIJKSTRA_CHUNK", 16)
     assert path_lengths(m, sources).tobytes() == ref.tobytes()
-    assert inner_metric(m, sources[3], m.num_vertices - 1) == ref[3, -1]
 
 
 def _max_interior_angle(mesh):
@@ -639,24 +639,3 @@ def test_uncovered_tag_is_an_error():
     m = build_unit_square(2)
     with pytest.raises(PartitionError, match="matched no"):
         partition_by_tags(m, dirichlet=("left", "right", "bottom"))
-
-
-# -- threshold exponent -----------------------------------------------------
-
-
-def test_p_threshold_table():
-    inf = float("inf")
-    assert p_threshold() == inf
-    assert p_threshold(dim_constraint_frontier=0) == 2.0
-    assert p_threshold(dim_singular=0) == 2.0
-    assert p_threshold(dim_constraint_frontier=0, dim_singular=0) == 2.0
-    assert p_threshold(dim_constraint_frontier=1) == 1.0
-
-
-def test_p_threshold_rejects_bad_dimensions():
-    with pytest.raises(ValueError):
-        p_threshold(dim_constraint_frontier=0.5)
-    with pytest.raises(ValueError):
-        p_threshold(dim_singular=2)
-    with pytest.raises(ValueError):
-        p_threshold(dim_singular=-1)

@@ -171,13 +171,14 @@ def test_mixed_is_linear_in_the_load(square, mixed_part):
     assert w1p_norm(u12 - (u1 + u2), 2) <= 1e-9
 
 
-def test_mixed_enforces_weak_residual(square, mixed_part):
+def test_mixed_enforces_weak_residual(square, mixed_part, monkeypatch):
     g = ScalarField.from_function(square, lambda x, y: np.sin(4.0 * x * y))
     problem = MixedProblem(
         partition=mixed_part, g=g, f=ScalarField.constant(square, 0.0)
     )
-    with pytest.raises(SolverError):
-        solve_mixed(problem, residual_tol=1e-18)
+    monkeypatch.setattr(laplace, "_DEFAULT_RESIDUAL_TOL", 1e-18)
+    with pytest.raises(SolverError, match="1.0e-18"):
+        solve_mixed(problem)
 
 
 def test_discrete_maximum_principle(square):

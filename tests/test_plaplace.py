@@ -418,6 +418,31 @@ def test_held_gram_entries_are_the_einsum_to_the_bit(build):
     assert laplace._element_entries(mesh, system.gram, w).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("p", [1.5, 4.0])
+@pytest.mark.parametrize("build", MESHES + [
+    lambda: build_unit_square(128),
+    lambda: refine(refine(build_unit_square(6))),
+    lambda: refine(build_annulus(0.3, 1.0, 4, 16)),
+    lambda: refine(refine(build_cusp(3.0, 4))),
+])
+def test_hessian_entries_are_the_full_array_formula_to_the_bit(build, p):
+    mesh = build()
+    gram = laplace._gram_entries(mesh)
+    values = np.sin(3.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1]) + mesh.vertices[:, 1]
+    _, w, _, g, m = plaplace._energy_gradient(mesh, fem.gradient_operator(mesh), values,
+                                              p, 0.1)
+    c = (p - 2.0) * w / m
+    # the reference: the anisotropic term as one (nt, 6) array
+    i, j = laplace._UPPER
+    q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
+    aniso = q[:, i]
+    aniso *= q[:, j]
+    aniso *= (mesh.areas * c)[:, None]
+    ref = gram * (mesh.areas * w)[:, None]
+    ref += aniso
+    assert laplace._element_entries(mesh, gram, w, g, c).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 7.3])
 @pytest.mark.parametrize("build", MESHES)
 def test_p_energy_is_the_newton_energy_to_the_bit(build, p):

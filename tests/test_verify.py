@@ -16,17 +16,14 @@ from singfem import (
     fit_rate,
     holder_exponent,
     holder_regression,
-    partition_by_tags,
     poincare_constant_2,
-    poincare_lower_bound_p,
     refine,
     report_csv,
     report_summary,
 )
-from singfem import fem, laplace, verify
+from singfem import laplace, verify
 from singfem.geometry import path_lengths
 from singfem.fem import mass_matrix, stiffness_matrix
-from singfem.verify import _pw_quotient
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -91,33 +88,13 @@ def test_wirtinger_constant_close_below_continuum():
     assert finer <= exact * (1.0 + 1e-10)
 
 
-def test_trace_constant_matches_first_dirichlet_mode():
-    mesh = build_unit_square(8)
-    part = partition_by_tags(mesh, dirichlet=("left", "right", "bottom", "top"))
-    c = poincare_constant_2(mesh, mode="trace", partition=part, region="dirichlet")
-    exact = 1.0 / (math.sqrt(2.0) * math.pi)
-    assert c <= exact * (1.0 + 1e-10)
-    assert abs(c - exact) <= 0.03 * exact
-
-
-def test_poincare_mode_errors():
-    mesh = build_unit_square(4)
-    with pytest.raises(ValueError, match="unknown mode"):
-        poincare_constant_2(mesh, mode="fancy")
-    with pytest.raises(ValueError, match="trace mode needs"):
-        poincare_constant_2(mesh, mode="trace")
-    part = partition_by_tags(mesh, neumann=("left", "right", "bottom", "top"))
-    with pytest.raises(ValueError, match="no vertices"):
-        poincare_constant_2(mesh, mode="trace", partition=part, region="dirichlet")
-
-
-@pytest.mark.parametrize("mode", ["wirtinger", "trace"])
+@pytest.mark.parametrize("mode", ["wirtinger"])
 def test_poincare_constant_matches_a_sparse_eigen_solve(mode, monkeypatch):
     mesh = build_unit_square(4)
     for _ in range(3):
         mesh = refine(mesh)
-    part = partition_by_tags(mesh, dirichlet=("left",), neumann=("right", "bottom", "top"))
     monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)  # MG-PCG, not the band
+    builds = _count_solvers(monkeypatch)
     iterations = []
     cg = laplace.conjugate_gradient
 
@@ -127,38 +104,15 @@ def test_poincare_constant_matches_a_sparse_eigen_solve(mode, monkeypatch):
         return x, its
 
     monkeypatch.setattr(laplace, "conjugate_gradient", counted)
-    c = poincare_constant_2(mesh, mode=mode, partition=part, region="dirichlet")
+    c = poincare_constant_2(mesh)
 
     K = stiffness_matrix(mesh).tocsc()
     M = mass_matrix(mesh).tocsc()
-    if mode == "wirtinger":
-        # the pencil is singular (constants); shift-invert about -1
-        lam = np.sort(eigsh(K, k=2, M=M, sigma=-1.0, return_eigenvectors=False))[1]
-    else:
-        free = np.setdiff1d(np.arange(mesh.num_vertices), part.region_vertices("dirichlet"))
-        K, M = K[free][:, free], M[free][:, free]
-        lam = eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+    # the pencil is singular (constants); shift-invert about -1
+    lam = np.sort(eigsh(K, k=2, M=M, sigma=-1.0, return_eigenvectors=False))[1]
     assert c == pytest.approx(1.0 / math.sqrt(lam), rel=1e-6)
     assert iterations and max(iterations) <= 25
-
-
-def test_lower_bound_p2_agrees_with_eigen_solve():
-    mesh = build_unit_square(8)
-    c2 = poincare_constant_2(mesh)
-    lb = poincare_lower_bound_p(mesh, 2.0)
-    assert lb == pytest.approx(c2, rel=1e-4)
-
-
-@pytest.mark.parametrize("build, bound", [
-    (lambda: build_unit_square(8), 0.3163136635974689),
-    (lambda: refine(refine(build_unit_square(4))), 0.3178022650932866),
-])
-def test_lower_bound_p2_builds_its_solver_once(build, bound, monkeypatch):
-    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)  # MG-PCG, not the band
-    builds = _count_solvers(monkeypatch)
-    # the bound an MG-PCG solver rebuilt on every ascent step gives, to the bit
-    assert poincare_lower_bound_p(build(), 2.0) == bound
-    assert len(builds) == 1
+    assert len(builds) == 1  # one solver serves every inverse-iteration step
 
 
 def _count_solvers(monkeypatch):
@@ -174,51 +128,11 @@ def _count_solvers(monkeypatch):
 
 @pytest.mark.parametrize("run", [
     lambda mesh: poincare_constant_2(mesh),
-    lambda mesh: poincare_lower_bound_p(mesh, 2.0, seeds=(0,), iters=10),
-    lambda mesh: poincare_lower_bound_p(mesh, 4.0, seeds=(0,), iters=10),
-], ids=["constant_2", "lower_bound_p2", "lower_bound_p4"])
+], ids=["constant_2"])
 def test_poincare_routines_build_one_solver(run, monkeypatch):
     builds = _count_solvers(monkeypatch)
     assert run(refine(build_unit_square(4))) > 0.0
     assert len(builds) == 1
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
-def test_best_shift_minimizes_like_scipy(p):
-    from scipy.optimize import minimize_scalar
-
-    mesh = refine(build_cusp(3.0, 4))
-    values = np.random.default_rng(9).standard_normal(mesh.num_vertices) ** 3
-    cent = values[mesh.triangles].mean(axis=1)
-
-    def objective(a):
-        return float(np.sum(mesh.areas * np.abs(cent - a) ** p))
-
-    ref = minimize_scalar(objective, bounds=(float(cent.min()), float(cent.max())),
-                          method="bounded", options={"xatol": 1e-12})
-    a, norm = verify._best_shift(mesh, values, p)
-    assert objective(a) <= objective(ref.x) * (1.0 + 1e-12)
-    if p > 1.0:  # strictly convex: one minimizer
-        assert a == pytest.approx(ref.x, abs=1e-7)
-    assert norm == fem.lp_norm(fem.ScalarField(mesh, values - a), p)
-
-
-def test_lower_bound_keeps_best_and_returns_its_field():
-    mesh = build_unit_square(8)
-    affine = mesh.vertices[:, 0].copy()
-    q_affine = _pw_quotient(mesh, affine - affine.mean(), 4.0)
-    lb, fld = poincare_lower_bound_p(
-        mesh, 4.0, seeds=(0,), iters=10, inits=[affine], return_field=True
-    )
-    assert lb >= q_affine - 1e-14
-    # the claimed bound is the quotient of the returned field, re-evaluated
-    assert _pw_quotient(mesh, fld, 4.0) == pytest.approx(lb, rel=1e-12)
-
-
-def test_lower_bound_rejects_bad_exponent():
-    mesh = build_unit_square(4)
-    with pytest.raises(ValueError):
-        poincare_lower_bound_p(mesh, 0.5)
 
 
 # -- punctured counterexample ----------------------------------------------------
