@@ -28,13 +28,14 @@ class PartitionError(Exception):
 _AREA_RTOL = 1e-9
 
 
-def _triangle_areas(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def _vertex_sum(a):
+    """a.sum(axis=1) of an (nt, 3, ...) array to the bit, as column adds in
+    the reduction's order ((0 + a0) + a1) + a2 instead of a reduction along
+    the length-3 axis.  The zero start turns a -0.0 sum into +0.0."""
+    out = a[:, 0] + 0.0
+    out += a[:, 1]
+    out += a[:, 2]
+    return out
 
 
 def _edge_keys(triangles):
@@ -100,24 +101,38 @@ def _rows_json(n, k, w, fill):
 
 def _int_rows_json(a):
     """(compact, spaced) json.dumps(a.tolist()) texts for a 2-D array of
-    non-negative integers, written digit by digit into _rows_json's buffer
-    instead of through Python ints.  Every value gets w digit slots, w the width of
-    the largest; the leading zeros are NUL bytes."""
+    non-negative integers, written into _rows_json's buffer instead of
+    through Python ints.  Every value gets w digit slots, w the width of the
+    largest; the leading zeros are NUL bytes.  An index array (a mesh's
+    triangles) repeats 0..max: their digits are written once, into a table
+    whose rows np.take gathers into the cells."""
     n, k = a.shape
-    w = len(str(int(a.max()))) if a.size else 1
+    top = int(a.max()) if a.size else 0
+    w = len(str(top))
+    indices = top < a.size
+    table = _digit_rows(np.arange(top + 1) if indices else a.reshape(-1), w)
 
     def fill(cells):
-        x = a.astype(np.int64)
-        digit = np.empty((n, k), dtype=np.uint8)
-        for j in range(w - 1, -1, -1):
-            np.remainder(x, 10, out=digit, casting="unsafe")
-            digit += ord("0")
-            if j < w - 1:
-                digit[x == 0] = 0
-            cells[:, :, j] = digit
-            np.floor_divide(x, 10, out=x)
+        if indices:
+            np.take(table, a, axis=0, out=cells)
+        else:
+            cells[...] = table.reshape(n, k, w)
 
     return _rows_json(n, k, w, fill)
+
+
+def _digit_rows(x, w):
+    """(len(x), w) uint8 rows of the decimal digits of the non-negative
+    integers x, right-aligned in w slots, the leading zeros NUL bytes."""
+    x = x.astype(np.int64)
+    rows = np.empty((len(x), w), dtype=np.uint8)
+    for j in range(w - 1, -1, -1):
+        np.remainder(x, 10, out=rows[:, j], casting="unsafe")
+        rows[:, j] += ord("0")
+        if j < w - 1:
+            rows[x == 0, j] = 0
+        np.floor_divide(x, 10, out=x)
+    return rows
 
 
 def _float_rows_json(a):
@@ -232,7 +247,24 @@ class Mesh:
             if not 0 <= i < nv:
                 raise MeshError(f"singular vertex index {i} out of range")
 
-        areas = _triangle_areas(self.vertices, self.triangles)
+        # P1 barycentric gradients: grad lambda_i = perp(e_i) / (2A), with the
+        # edge vector e_i = p_{i+2} - p_{i+1} and perp(v) = (-v_y, v_x).  gl
+        # holds perp(e_i) until the division; one gather of the vertices.
+        # gl before pts: allocated the other way round, laplace_refined's
+        # first-command peak resident set read 2 MB higher for 7 of 16 hash
+        # seeds instead of 1 (the heap layout the freed gather leaves).
+        gl = np.empty((len(self.triangles), 3, 2))
+        pts = self.vertices[self.triangles]  # (nt, 3, 2)
+        for i in range(3):
+            np.subtract(pts[:, (i + 2) % 3, 1], pts[:, (i + 1) % 3, 1], out=gl[:, i, 0])
+            np.subtract(pts[:, (i + 2) % 3, 0], pts[:, (i + 1) % 3, 0], out=gl[:, i, 1])
+        np.negative(gl[:, :, 0], out=gl[:, :, 0])
+        del pts
+        # A = (p1 - p0) x (p2 - p0) / 2 with p1 - p0 = e_2 and p2 - p0 = -e_1:
+        # the same two products and difference, read from gl.
+        areas = gl[:, 2, 1] * gl[:, 1, 0]
+        areas -= gl[:, 2, 0] * gl[:, 1, 1]
+        areas *= 0.5
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
             raise MeshError(
@@ -240,15 +272,6 @@ class Mesh:
                 "triangles must be counterclockwise and non-degenerate"
             )
         self.areas = areas
-
-        # P1 barycentric gradients: grad lambda_i = perp(p_{i+2} - p_{i+1}) / (2A)
-        # with perp(v) = (-v_y, v_x).
-        gl = np.empty((len(self.triangles), 3, 2))
-        pts = self.vertices[self.triangles]  # (nt, 3, 2)
-        for i in range(3):
-            e = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
-            gl[:, i, 0] = -e[:, 1]
-            gl[:, i, 1] = e[:, 0]
         gl /= (2.0 * areas)[:, None, None]
         self.grad_lambda = gl
 
@@ -264,7 +287,9 @@ class Mesh:
         if set(tails.tolist()) != set(heads.tolist()):
             raise MeshError("boundary edges do not close up")
 
-        d = self.vertices[heads] - self.vertices[tails]
+        pt = self.vertices[tails]
+        ph = self.vertices[heads]
+        d = ph - pt
         lengths = np.hypot(d[:, 0], d[:, 1])
         if np.any(lengths <= 0.0):
             raise MeshError("zero-length boundary edge")
@@ -274,8 +299,6 @@ class Mesh:
 
         # Sum of element areas must reproduce the shoelace area of the
         # boundary polygon (loops oriented with the domain on the left).
-        pt = self.vertices[tails]
-        ph = self.vertices[heads]
         poly_area = 0.5 * float(np.sum(pt[:, 0] * ph[:, 1] - ph[:, 0] * pt[:, 1]))
         total = float(np.sum(self.areas))
         if abs(total - poly_area) > _AREA_RTOL * max(1.0, abs(total)):
@@ -324,7 +347,9 @@ class Mesh:
         return len(self.boundary_edges)
 
     def centroids(self):
-        return self.vertices[self.triangles].mean(axis=1)
+        centroid = _vertex_sum(self.vertices[self.triangles])
+        centroid /= 3.0  # as mean(axis=1) divides its sum
+        return centroid
 
     def edge_midpoints(self):
         """Midpoints of the boundary edges, shape (ne, 2)."""

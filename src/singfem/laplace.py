@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,34 +140,19 @@ def _vcycle(levels, root, b, k=0):
     return x
 
 
-_UPPER = np.triu_indices(3)  # the six entries i <= j of an element matrix
-
-
-def _gram_entries(mesh):
-    """The upper entries (in _UPPER order) of every element's Gram matrix
-    grad l_i . grad l_j, an (nt, 6) array that depends on the mesh only.
-    Column by column, it is einsum("tid,tjd->tij")[:, i, j] to the bit
-    without that (nt, 3, 3) temporary."""
-    gl = mesh.grad_lambda
-    out = np.empty((mesh.num_triangles, 6))
-    for k, (a, b) in enumerate(zip(*_UPPER)):
-        np.einsum("td,td->t", gl[:, a], gl[:, b], out=out[:, k])
-    return out
-
-
 def _element_entries(mesh, gram, w, g=None, c=None):
-    """The upper entries (in _UPPER order) of every element matrix
+    """The upper entries (in fem._UPPER order) of every element matrix
     area_T (w_T grad l_i . grad l_j + c_T (grad l_i . g_T)(grad l_j . g_T)),
-    an (nt, 6) array, from the mesh's _gram_entries.  Without c it is the
+    an (nt, 6) array, from the mesh's fem._gram_entries.  Without c it is the
     w-weighted stiffness; with c = (p - 2) w / m and the g, m, w of
     plaplace._energy_gradient it is the Hessian of the regularized energy
     over p."""
     out = gram * (mesh.areas * w)[:, None]
     if c is not None:
         # One column at a time, without an (nt, 6) temporary.
-        q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
+        q = fem._grad_dot(mesh, g)
         ac = mesh.areas * c
-        for k, (a, b) in enumerate(zip(*_UPPER)):
+        for k, (a, b) in enumerate(zip(*fem._UPPER)):
             out[:, k] += q[:, a] * q[:, b] * ac
     return out
 
@@ -200,11 +186,11 @@ class _FreeBlockSolver:
     CG preconditioned by _multigrid, whose SuperLU root makes a mesh
     without a parent a direct solve.  A band that cannot be allocated,
     or meets a non-positive pivot from rounding, falls to MG-PCG.  gram,
-    the mesh's _gram_entries, is computed on first use."""
+    the mesh's fem._gram_entries, is computed on first use."""
 
     def __init__(self, mesh, K, free, rtol):
         self.mesh, self.free, self.rtol, self.ab = mesh, free, rtol, None
-        K_ff = K.tocsc()[:, free][free].tocsr()
+        K_ff = _free_block(K, free)
         order = _band_order(K_ff)
         if order is not None:
             self.perm, rank, self.bandwidth = order
@@ -214,7 +200,7 @@ class _FreeBlockSolver:
             self.gram
             local = np.full(mesh.num_vertices, -1, dtype=np.int64)
             local[free] = rank
-            a, b = (local[mesh.triangles[:, k]].ravel() for k in _UPPER)
+            a, b = (local[mesh.triangles[:, k]].ravel() for k in fem._UPPER)
             # Per entry of the flat (nt, 6), the flat index of ab[|a - b|,
             # min(a, b)] in Fortran order; an entry on a constrained vertex
             # goes to the first slot of a spare column past the band.  The
@@ -231,7 +217,7 @@ class _FreeBlockSolver:
 
     @functools.cached_property
     def gram(self):
-        return _gram_entries(self.mesh)
+        return fem._gram_entries(self.mesh)
 
     def band(self, entries):
         """Refill the band with the free block of the element entries,
@@ -268,11 +254,20 @@ class _FreeBlockSolver:
         return out, 0
 
     def _assemble(self, entries):
-        i, j = _UPPER
+        i, j = fem._UPPER
         local = np.empty((self.mesh.num_triangles, 3, 3))
         local[:, i, j] = entries
         local[:, j, i] = entries
-        return fem._assemble(self.mesh, local).tocsc()[:, self.free][self.free].tocsr()
+        return _free_block(fem._assemble(self.mesh, local), self.free)
+
+
+def _free_block(A, free):
+    """The CSR block A[free][:, free] of a CSR matrix A, free sorted, with
+    sorted indices: the arrays the slower A.tocsc()[:, free][free].tocsr()
+    gives."""
+    block = A[free][:, free]
+    block.sort_indices()
+    return block
 
 
 @dataclass(eq=False)
@@ -343,7 +338,7 @@ def weak_residual(partition, u, g, theta=None):
 
     max over hat functions vanishing on the Dirichlet region of
     |<grad u, grad hat> - <theta, trace hat> + <g, hat>|, divided by
-    ||u||_{W^{1,2}} + ||g||_{L^2} + 1.
+    ||u||_{W^{1,2}} + ||g||_{L^2} + 1; nan when that normalizer overflows.
     """
     mesh = partition.mesh
     return _weak_residual(fem.stiffness_matrix(mesh), fem.mass_matrix(mesh),
@@ -358,8 +353,15 @@ def _weak_residual(K, M, partition, u, g, theta):
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[fixed] = False
     num = float(np.max(np.abs(r[mask]))) if mask.any() else 0.0
-    den = fem.w1p_norm(u, 2) + fem.lp_norm(g, 2) + 1.0
-    return num / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = fem.w1p_norm(u, 2) + fem.lp_norm(g, 2) + 1.0
+    # Relative to an overflowed norm, any residual reads 0; nan fails the gates.
+    return num / den if math.isfinite(den) else math.nan
+
+
+def _overflow_note(x):
+    """What a gate's error message adds when its figure x is not finite."""
+    return "" if math.isfinite(x) else " (a norm overflowed)"
 
 
 # The largest weak residual a mixed solve may leave (a Neumann solve: plus
@@ -398,9 +400,10 @@ def solve_mixed(problem, x0=None, rtol=1e-12):
 
     field = fem.ScalarField(mesh, u)
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
-    if res > _DEFAULT_RESIDUAL_TOL:
+    if not res <= _DEFAULT_RESIDUAL_TOL:
         raise SolverError(
-            f"mixed solve left weak residual {res:.3e} > {_DEFAULT_RESIDUAL_TOL:.1e}",
+            f"mixed solve left weak residual {res:.3e}, not at most "
+            f"{_DEFAULT_RESIDUAL_TOL:.1e}{_overflow_note(res)}",
             iterations=iterations,
             residual=res,
         )
@@ -419,14 +422,15 @@ def solve_neumann(problem, gauge="mean", rtol=1e-12):
         raise ValueError(f"unknown gauge {gauge!r}; choose 'mean' or 'vertex'")
     partition = problem.partition
     mesh = partition.mesh
-    defect = compatibility_defect(problem.g, problem.theta)
-    tol = _COMPATIBILITY_RTOL * (
-        fem.lp_norm(problem.g, 2) + _boundary_l2(partition, problem.theta) + 1.0
-    )
-    if abs(defect) > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = compatibility_defect(problem.g, problem.theta)
+        scale = fem.lp_norm(problem.g, 2) + _boundary_l2(partition, problem.theta) + 1.0
+    tol = _COMPATIBILITY_RTOL * scale if math.isfinite(scale) else math.nan
+    if not abs(defect) <= tol:
         raise CompatibilityError(
             f"incompatible Neumann data: <g,1> - <theta, trace 1> = {defect!r} "
-            f"exceeds tolerance {tol:.3e}; the load and flux must balance",
+            f"is not within tolerance {tol:.3e}{_overflow_note(tol)}; the load and "
+            "flux must balance",
             defect=defect,
         )
 
@@ -445,9 +449,9 @@ def solve_neumann(problem, gauge="mean", rtol=1e-12):
     res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
     # The consistency defect spreads over all hat functions; admit it
     # on top of the solver tolerance.
-    if res > _DEFAULT_RESIDUAL_TOL + abs(defect):
+    if not res <= _DEFAULT_RESIDUAL_TOL + abs(defect):
         raise SolverError(
-            f"neumann solve left weak residual {res:.3e}",
+            f"neumann solve left weak residual {res:.3e}{_overflow_note(res)}",
             iterations=iterations,
             residual=res,
         )

@@ -536,6 +536,25 @@ def test_incompatible_neumann_data_exits_1(tmp_path):
     assert record["exit_code"] == 1
 
 
+@pytest.mark.parametrize("command, data, error", [
+    ("solve-laplace", {"f": "1e300 * x", "g": "0", "theta": "nx"}, "SolverError"),
+    ("solve-neumann", {"theta": "1e300 * (nx*x + ny*y) - 2e300"}, "CompatibilityError"),
+])
+def test_a_gate_whose_norm_overflows_fails_the_run(tmp_path, command, data, error):
+    # The normalizers of the weak residual and of the compatibility defect
+    # overflow to inf; a gate "x > tol" passed any x then.  The norms are
+    # taken without a RuntimeWarning (the suite makes one an error).
+    cfg = {"domain": {"kind": "unit_square", "n": 4}, "data": data}
+    if command == "solve-laplace":
+        cfg["partition"] = {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]}
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == error and "a norm overflowed" in record["message"]
+    assert not (out / "solution.json").exists()
+
+
 def test_solve_neumann_gauge_flag(tmp_path):
     cfg = write_config(tmp_path / "n.json", {
         "domain": {"kind": "unit_square", "n": 4},

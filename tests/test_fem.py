@@ -1,10 +1,15 @@
+import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from singfem import fem, geometry, laplace
 from singfem.fem import (
     FieldError,
     ScalarField,
@@ -34,6 +39,7 @@ from singfem.geometry import (
     partition_by_tags,
     refine,
 )
+from singfem.geometry import _vertex_sum
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +232,131 @@ def test_vertex_sums_are_the_add_at_sums_bit_for_bit(name, levels):
         ref = np.zeros(mesh.num_vertices)
         np.add.at(ref, mesh.triangles, mag2 * mesh.areas[:, None])
         assert hat_gradient_p_norms(mesh, p).tobytes() == (ref ** (1.0 / p)).tobytes()
+
+
+# The element kernels are column ufuncs; each is pinned, bit for bit, to the
+# formula it replaced, kept here.
+
+
+def _old_mesh_arrays(mesh):
+    """areas and grad_lambda as the per-vertex gathers computed them."""
+    p0, p1, p2 = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    e1, e2 = p1 - p0, p2 - p0
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    gl = np.empty((mesh.num_triangles, 3, 2))
+    pts = mesh.vertices[mesh.triangles]
+    for i in range(3):
+        e = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
+        gl[:, i, 0] = -e[:, 1]
+        gl[:, i, 1] = e[:, 0]
+    gl /= (2.0 * areas)[:, None, None]
+    return areas, gl
+
+
+def _csr_bytes(A):
+    return A.data.tobytes(), A.indices.tobytes(), A.indptr.tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_mesh_arrays_and_hash_are_the_old_formulas_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    areas, gl = _old_mesh_arrays(mesh)
+    assert mesh.areas.tobytes() == areas.tobytes()
+    assert mesh.grad_lambda.tobytes() == gl.tobytes()
+    assert mesh.centroids().tobytes() == mesh.vertices[mesh.triangles].mean(axis=1).tobytes()
+    text = json.dumps(mesh.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert mesh.content_hash() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    rows = mesh.triangles.tolist()  # indices 0..max: the digit-table path
+    assert geometry._int_rows_json(mesh.triangles) == (
+        json.dumps(rows, separators=(",", ":")), json.dumps(rows))
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_stiffness_is_the_einsum_assembly_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    gl = mesh.grad_lambda
+    full = np.einsum("tid,tjd->tij", gl, gl)
+    weights = np.random.default_rng(levels).uniform(0.1, 10.0, mesh.num_triangles)
+    for w in (None, weights):
+        scale = mesh.areas if w is None else mesh.areas * w
+        ref = fem._assemble(mesh, full * scale[:, None, None])
+        assert _csr_bytes(stiffness_matrix(mesh, w)) == _csr_bytes(ref)
+    i, j = fem._UPPER
+    assert fem._gram_entries(mesh).tobytes() == full[:, i, j].tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_vertex_column_sums_are_the_axis_reductions_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    fields = list(_fields_with_signed_zeros(mesh, 4, seed=levels + 7))
+    for u, v in zip(fields, fields[1:]):
+        uu, vv = u[mesh.triangles], v[mesh.triangles]
+        per_tri = uu.sum(axis=1) * vv.sum(axis=1) + np.einsum("ti,ti->t", uu, vv)
+        ref = float(np.sum(mesh.areas / 12.0 * per_tri))
+        got = scalar_inner(ScalarField(mesh, u), ScalarField(mesh, v))
+        assert math.copysign(1.0, got) == math.copysign(1.0, ref) and got == ref
+        mags = np.abs(uu.mean(axis=1))
+        for p in (1.0, 3.0, float("inf")):
+            ref = (float(mags.max(initial=0.0)) if p == float("inf")
+                   else float(np.sum(mesh.areas * mags**p) ** (1.0 / p)))
+            assert lp_norm(ScalarField(mesh, u), p) == ref
+    # a sum of three zeros keeps the sign the reduction gives it
+    for signs in itertools.product((0.0, -0.0), repeat=3):
+        a = np.array([signs])
+        assert _vertex_sum(a).tobytes() == a.sum(axis=1).tobytes()
+        assert _vertex_sum(a[:, :, None]).tobytes() == a[:, :, None].sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_gradient_dots_are_the_einsum_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    fields = list(_fields_with_signed_zeros(mesh, 4, seed=levels + 3))
+    for x, y in zip(fields, fields[1:]):
+        beta = np.column_stack((x[mesh.triangles[:, 0]], y[mesh.triangles[:, 2]]))
+        ref = np.einsum("tid,td->ti", mesh.grad_lambda, beta)
+        assert fem._grad_dot(mesh, beta).tobytes() == ref.tobytes()
+    # two -0.0 products: einsum's sum from +0.0 makes them +0.0
+    gl = mesh.grad_lambda
+    beta = np.where(gl[:, 0] == 0.0, np.copysign(1.0, -gl[:, 0]), 0.0)
+    ref = np.einsum("tid,td->ti", gl, beta)
+    assert fem._grad_dot(mesh, beta).tobytes() == ref.tobytes()
+    # and the Hessian entries built on them, with the anisotropic term
+    # accumulated as the full-array formula did
+    w = np.random.default_rng(levels).uniform(0.1, 10.0, mesh.num_triangles)
+    c = np.linspace(-0.5, 2.0, mesh.num_triangles)
+    for g in (beta, np.column_stack((fields[0][mesh.triangles[:, 1]],
+                                     fields[1][mesh.triangles[:, 0]]))):
+        gram = fem._gram_entries(mesh)
+        q = np.einsum("tid,td->ti", gl, g)
+        i, j = fem._UPPER
+        ref = gram * (mesh.areas * w)[:, None] + q[:, i] * q[:, j] * (mesh.areas * c)[:, None]
+        assert laplace._element_entries(mesh, gram, w, g, c).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_free_blocks_and_their_order_are_the_csc_cut_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    nv = mesh.num_vertices
+    rng = np.random.default_rng(levels)
+    K = stiffness_matrix(mesh)
+    w = rng.uniform(0.1, 10.0, mesh.num_triangles)
+    entries = laplace._element_entries(mesh, fem._gram_entries(mesh), w)
+    local = np.empty((mesh.num_triangles, 3, 3))
+    i, j = fem._UPPER
+    local[:, i, j] = local[:, j, i] = entries
+    K_w = fem._assemble(mesh, local)
+    for free in (np.arange(1, nv), np.sort(rng.choice(nv, 2 * nv // 3, replace=False))):
+        ref = K.tocsc()[:, free][free].tocsr()
+        solver = laplace._FreeBlockSolver(mesh, K, free, 1e-12)
+        assert _csr_bytes(laplace._free_block(K, free)) == _csr_bytes(ref)
+        assert solver.perm.tobytes() == reverse_cuthill_mckee(ref, symmetric_mode=True).tobytes()
+        ref_w = K_w.tocsc()[:, free][free].tocsr()
+        assert _csr_bytes(solver._assemble(entries)) == _csr_bytes(ref_w)
 
 
 def test_hat_gradient_p_norms_positive(square):

@@ -410,7 +410,7 @@ def test_held_gram_entries_are_the_einsum_to_the_bit(build):
     free = np.arange(1, mesh.num_vertices)
     system = _solver(mesh, free)
     gl = mesh.grad_lambda
-    i, j = laplace._UPPER
+    i, j = fem._UPPER
     full = np.einsum("tid,tjd->tij", gl, gl)
     assert system.gram.tobytes() == full[:, i, j].tobytes()
     w = np.random.default_rng(2).uniform(0.1, 10.0, mesh.num_triangles)
@@ -427,13 +427,13 @@ def test_held_gram_entries_are_the_einsum_to_the_bit(build):
 ])
 def test_hessian_entries_are_the_full_array_formula_to_the_bit(build, p):
     mesh = build()
-    gram = laplace._gram_entries(mesh)
+    gram = fem._gram_entries(mesh)
     values = np.sin(3.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1]) + mesh.vertices[:, 1]
     _, w, _, g, m = plaplace._energy_gradient(mesh, fem.gradient_operator(mesh), values,
                                               p, 0.1)
     c = (p - 2.0) * w / m
     # the reference: the anisotropic term as one (nt, 6) array
-    i, j = laplace._UPPER
+    i, j = fem._UPPER
     q = np.einsum("tid,td->ti", mesh.grad_lambda, g)
     aniso = q[:, i]
     aniso *= q[:, j]
@@ -466,7 +466,7 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_solve_builds_the_gram_entries_once(square, side_constraints, monkeypatch):
     calls = Counter()
-    _count_calls(monkeypatch, laplace, "_gram_entries", calls)
+    _count_calls(monkeypatch, fem, "_gram_entries", calls)
     coarse, _ = solve_p_laplace(_p4_problem(square, side_constraints))
     assert calls["_gram_entries"] == 1
     fine = _side_problem(refine(square))
@@ -679,7 +679,7 @@ def _random_free_set(mesh, rng):
 def _hessian_entries(mesh, values, p, eps):
     _, w, _, g, m = plaplace._energy_gradient(mesh, fem.gradient_operator(mesh), values,
                                               p, eps)
-    return laplace._element_entries(mesh, laplace._gram_entries(mesh), w, g,
+    return laplace._element_entries(mesh, fem._gram_entries(mesh), w, g,
                                      (p - 2.0) * w / m)
 
 
