@@ -386,24 +386,27 @@ def _claim(out_dir, cfg_hash, *names):
 
 
 def _json_chunks(fields, mesh_json=None):
-    """json.dumps(fields, sort_keys=True) as a list of text pieces, plus
-    mesh_json, a mesh's spaced text from Mesh.json_texts(), under "mesh":
-    the mesh is not encoded again, and no piece is joined into a copy of
-    the whole."""
-    texts = {key: json.dumps(value, sort_keys=True) for key, value in fields.items()}
+    """json.dumps(fields, sort_keys=True) as a list of ASCII bytes pieces,
+    plus mesh_json, a mesh's spaced pieces from Mesh.json_texts(), under
+    "mesh": the mesh is not encoded again, and no piece is joined into a
+    copy of the whole."""
+    texts = {key: [json.dumps(value, sort_keys=True).encode()]
+             for key, value in fields.items()}
     if mesh_json is not None:
         texts["mesh"] = mesh_json
-    chunks = ["{"]
+    chunks = [b"{"]
     for i, key in enumerate(sorted(texts)):
-        chunks += [f"{', ' if i else ''}{json.dumps(key)}: ", texts[key]]
-    return chunks + ["}"]
+        chunks.append(f"{', ' if i else ''}{json.dumps(key)}: ".encode())
+        chunks += texts[key]
+    return chunks + [b"}"]
 
 
 def _write_artifact(path, chunks):
-    """Write a claimed artifact from its text pieces; an OSError (a dangling
+    """Write a claimed artifact from its bytes pieces, in binary mode (no
+    locale encoding, no newline translation); an OSError (a dangling
     symlink, a full disk) is a ConfigError naming the path."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path} ({exc.strerror or exc})")
@@ -578,7 +581,7 @@ def _cmd_verify(args, cfg, out_dir):
         report = run(**kwargs)
     except verify.ParameterError as exc:
         raise ConfigError(str(exc))
-    _write_artifact(csv_path, [verify.report_csv(report, h)])
+    _write_artifact(csv_path, [verify.report_csv(report, h).encode()])
     _write_artifact(json_path, _json_chunks(verify.report_summary(report, h)))
     for name, ok in report.passed.items():
         print(f"[{_styled('PASS' if ok else 'FAIL', ok, sys.stdout)}] {name}")
@@ -640,7 +643,7 @@ def _cmd_sweep(args, cfg, out_dir):
                          alpha, fit, status])
 
     header = "p,level,h,n_vertices,energy,stationarity,alpha,fit_r2,status".split(",")
-    _write_artifact(path, [verify.csv_text(h, header, rows)])
+    _write_artifact(path, [verify.csv_text(h, header, rows).encode()])
     print(f"sweep: {len(p_values) * len(level_list)} cells, {failures} failed")
     if failures:
         raise ChecksFailed(f"{failures} sweep cells failed")

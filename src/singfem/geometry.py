@@ -74,51 +74,47 @@ def _canonical_dumps(json_dict):
     return json.dumps(json_dict, sort_keys=True, separators=(",", ":"))
 
 
-def _rows_json(n, k, w, fill):
+def _rows_json(texts):
     """(compact, spaced): the JSON texts of an (n, k) array of numbers, with
-    json's compact "," and json.dumps' default ", " separators.
+    json's compact "," and json.dumps' default ", " separators, as ASCII
+    bytes without the list's outer brackets: the rows and the separators
+    between them.
 
-    fill(cells) writes each number's ASCII text into cells, an (n, k, w)
-    uint8 view of one row buffer, w bytes per number; NUL bytes pad the
-    shorter texts and are dropped before decoding.
+    texts, an (n, k, w) uint8 array, holds each number's ASCII text in w
+    bytes; NUL bytes pad the shorter texts and are dropped by
+    bytes.translate, whose output is returned as it is.
     """
     # Row layout: "[" then k cells of w bytes + ", ", the last cell's ", "
     # being "]," and the row's last byte " "; the final row loses its ", ".
     # The spaces are NUL for the compact text and " " for the spaced one.
+    n, k, w = texts.shape
     buf = np.zeros((n, k * (w + 2) + 2), dtype=np.uint8)
     cells = buf[:, 1:-1].reshape(n, k, w + 2)
-    fill(cells[:, :, :w])
+    cells[:, :, :w] = texts
     buf[:, 0] = ord("[")
     cells[:, :, w] = ord(",")
     cells[:, -1, w], cells[:, -1, w + 1] = ord("]"), ord(",")
-    texts = []
+    out = []
     for space in (0, ord(" ")):
         cells[:, :-1, w + 1] = buf[:, -1] = space
-        text = buf.reshape(-1)[:-2].tobytes().translate(None, b"\0")
-        texts.append("[" + text.decode("ascii") + "]")
-    return tuple(texts)
+        out.append(buf.reshape(-1)[:-2].tobytes().translate(None, b"\0"))
+    return tuple(out)
 
 
 def _int_rows_json(a):
-    """(compact, spaced) json.dumps(a.tolist()) texts for a 2-D array of
-    non-negative integers, written into _rows_json's buffer instead of
-    through Python ints.  Every value gets w digit slots, w the width of the
-    largest; the leading zeros are NUL bytes.  An index array (a mesh's
-    triangles) repeats 0..max: their digits are written once, into a table
-    whose rows np.take gathers into the cells."""
+    """(compact, spaced) json.dumps(a.tolist()) bytes, less the outer
+    brackets (see _rows_json), for a 2-D array of non-negative integers,
+    written digit by digit in numpy instead of through Python ints.  Every
+    value gets w digit slots, w the width of the largest; the leading zeros
+    are NUL bytes.  An index array (a mesh's triangles) repeats 0..max:
+    their digits are written once, into a table whose rows np.take
+    gathers."""
     n, k = a.shape
     top = int(a.max()) if a.size else 0
     w = len(str(top))
-    indices = top < a.size
-    table = _digit_rows(np.arange(top + 1) if indices else a.reshape(-1), w)
-
-    def fill(cells):
-        if indices:
-            np.take(table, a, axis=0, out=cells)
-        else:
-            cells[...] = table.reshape(n, k, w)
-
-    return _rows_json(n, k, w, fill)
+    if top < a.size:
+        return _rows_json(np.take(_digit_rows(np.arange(top + 1), w), a, axis=0))
+    return _rows_json(_digit_rows(a.reshape(-1), w).reshape(n, k, w))
 
 
 def _digit_rows(x, w):
@@ -136,24 +132,19 @@ def _digit_rows(x, w):
 
 
 def _float_rows_json(a):
-    """(compact, spaced) json.dumps(a.tolist()) texts for a 2-D float64
-    array, by _rows_json.  float.__repr__ runs once per distinct value: the
-    values are told apart by their bit patterns (so -0.0 stays apart from
-    0.0), printed in one json.dumps call and gathered into the cells from a
-    NUL-padded table.  Meshes repeat few coordinates many times: the
-    66,049-vertex refined square holds 257 distinct values."""
-    n, k = a.shape
+    """(compact, spaced) json.dumps(a.tolist()) bytes, less the outer
+    brackets, for a 2-D float64 array, by _rows_json.  float.__repr__ runs
+    once per distinct value: the values are told apart by their bit
+    patterns (so -0.0 stays apart from 0.0), printed in one json.dumps call
+    and gathered by index from a NUL-padded table.  Meshes repeat few
+    coordinates many times: the 66,049-vertex refined square holds 257
+    distinct values."""
     bits, inverse = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
                               return_inverse=True)
     table = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "),
                      dtype=bytes)
-    w = table.itemsize
-
-    def fill(cells):
-        cells[...] = np.take(table.view(np.uint8).reshape(-1, w), inverse.reshape(n, k),
-                             axis=0)
-
-    return _rows_json(n, k, w, fill)
+    return _rows_json(np.take(table.view(np.uint8).reshape(-1, table.itemsize),
+                              inverse.reshape(a.shape), axis=0))
 
 
 def _discover_boundary(triangles):
@@ -374,34 +365,41 @@ class Mesh:
     def json_texts(self):
         """(canonical, spaced): to_json_dict() as JSON text with sorted
         keys, once with compact separators and once with json.dumps' default
-        ones.  The number lists are encoded once, in numpy, into both
-        texts: the triangles by _int_rows_json, the vertices by
-        _float_rows_json (one float repr per distinct coordinate); json
-        encodes only the boundary edges and singular vertices.
+        ones, each a list of ASCII bytes pieces (keys and brackets, then
+        each value) whose join is the text.  The number lists are encoded
+        once, in numpy, into both texts: the triangles by _int_rows_json,
+        the vertices by _float_rows_json (one float repr per distinct
+        coordinate); json encodes only the boundary edges and singular
+        vertices.  No piece is joined or decoded.
 
-        The canonical text is what content_hash hashes; the spaced text
-        is the bytes json.dumps(..., sort_keys=True) gives, for embedding
-        in a larger artifact.  Keeps the content hash.
+        The canonical pieces are what content_hash hashes, fed one by one to
+        a single sha256; the spaced pieces are the bytes json.dumps(...,
+        sort_keys=True) gives, for embedding in a larger artifact.  Keeps
+        the content hash.
         """
         edges = [[a, b, tag]
                  for (a, b), tag in zip(self.boundary_edges.tolist(), self.boundary_tags)]
         singular = sorted(self.singular_vertices)
-        compact = {"boundary_edges": _canonical_dumps(edges),
-                   "singular_vertices": _canonical_dumps(singular)}
-        spaced = {"boundary_edges": json.dumps(edges),
-                  "singular_vertices": json.dumps(singular)}
-        compact["triangles"], spaced["triangles"] = _int_rows_json(self.triangles)
-        compact["vertices"], spaced["vertices"] = _float_rows_json(self.vertices)
-        canonical = "{" + ",".join(
-            f"{json.dumps(k)}:{compact[k]}" for k in sorted(compact)) + "}"
+        triangles = _int_rows_json(self.triangles)
+        vertices = _float_rows_json(self.vertices)
+        texts = []
+        for i, (comma, colon) in enumerate(((b",", b":"), (b", ", b": "))):
+            dumps = json.dumps if i else _canonical_dumps
+            texts.append([
+                b'{"boundary_edges"' + colon, dumps(edges).encode(),
+                comma + b'"singular_vertices"' + colon, dumps(singular).encode(),
+                comma + b'"triangles"' + colon + b"[", triangles[i],
+                b"]" + comma + b'"vertices"' + colon + b"[", vertices[i], b"]}"])
+        canonical, spaced = texts
         if self._hash is None:
-            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_hash", digest)
-        return canonical, "{" + ", ".join(
-            f"{json.dumps(k)}: {spaced[k]}" for k in sorted(spaced)) + "}"
+            digest = hashlib.sha256()
+            for piece in canonical:
+                digest.update(piece)
+            object.__setattr__(self, "_hash", digest.hexdigest())
+        return canonical, spaced
 
     def canonical_json(self):
-        return self.json_texts()[0]
+        return b"".join(self.json_texts()[0]).decode("ascii")
 
     def content_hash(self):
         """Hex digest (sha256) of canonical_json(), which identifies the
@@ -722,25 +720,11 @@ def _edge_graph(mesh):
                       shape=(nv, nv)).tocsr()
 
 
-# Sources per Dijkstra call in path_lengths, to bound its working memory.
-_DIJKSTRA_CHUNK = 256
-
-
 def path_lengths(mesh, sources):
-    """Edge-path distances from each source vertex to every vertex.
-
-    Returns an array of shape (len(sources), nv); sources are processed
-    in chunks of _DIJKSTRA_CHUNK to bound memory.
-    """
-    graph = _edge_graph(mesh)
-    sources = np.asarray(sources, dtype=np.int64)
-    out = np.empty((len(sources), mesh.num_vertices))
-    for start in range(0, len(sources), _DIJKSTRA_CHUNK):
-        idx = sources[start:start + _DIJKSTRA_CHUNK]
-        out[start:start + len(idx)] = _csgraph_dijkstra(
-            graph, directed=True, indices=idx
-        )
-    return out
+    """Edge-path distances from each source vertex to every vertex, an
+    array of shape (len(sources), nv)."""
+    return _csgraph_dijkstra(_edge_graph(mesh), directed=True,
+                             indices=np.asarray(sources, dtype=np.int64))
 
 
 def mesh_size(mesh):

@@ -112,26 +112,6 @@ def _record_mesh_encodes(monkeypatch):
     return meshes, ints, floats
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("mesh", []),
-    ("solve-laplace", []),
-    ("solve-neumann", []),
-    ("solve-plap", ["--p", "3"]),
-])
-def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra):
-    """Each numpy row kernel runs exactly once per command, on the mesh's
-    triangles and on its vertices, and the embedded hash is the embedded
-    mesh's."""
-    meshes, ints, floats = _record_mesh_encodes(monkeypatch)
-    out = tmp_path / "run"
-    assert main([command, "--config", laplace_config(tmp_path), "--out", str(out),
-                 *extra]) == 0
-    assert len(ints) == 1 and ints[0] is meshes[0].triangles
-    assert len(floats) == 1 and floats[0] is meshes[0].vertices
-    digest, recomputed = _digest_of_artifact(out, command)
-    assert digest == recomputed
-
-
 ARTIFACT_CONFIGS = {
     "square": {"domain": {"kind": "unit_square", "n": 4},
                "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
@@ -150,10 +130,34 @@ COMMANDS = [("mesh", []), ("solve-laplace", []), ("solve-neumann", []),
             ("solve-plap", ["--p", "3"])]
 
 
-@pytest.mark.parametrize("command, extra, domain", [
-    pytest.param(command, extra, domain,
-                 id=f"{command}-extra{i}" + ("" if domain == "square" else f"-{domain}"))
-    for domain in ARTIFACT_CONFIGS for i, (command, extra) in enumerate(COMMANDS)])
+def _artifact_ids(domains):
+    return [pytest.param(command, extra, domain,
+                         id=f"{command}-extra{i}" + ("" if domain == "square" else f"-{domain}"))
+            for domain in domains for i, (command, extra) in enumerate(COMMANDS)]
+
+
+@pytest.mark.parametrize("command, extra, domain", _artifact_ids(["square", "cusp"]))
+def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra, domain):
+    """Each numpy row kernel runs exactly once per command, on the mesh's
+    triangles and on its vertices; the streamed bytes are exactly json's
+    sorted text of their content, and the embedded hash is the embedded
+    mesh's (the cusp's mesh keeps its singular vertex)."""
+    meshes, ints, floats = _record_mesh_encodes(monkeypatch)
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path / "c.json",
+                                                   ARTIFACT_CONFIGS[domain]),
+                 "--out", str(out), *extra]) == 0
+    assert len(ints) == 1 and ints[0] is meshes[0].triangles
+    assert len(floats) == 1 and floats[0] is meshes[0].vertices
+    assert bool(meshes[0].singular_vertices) == (domain == "cusp")
+    for path in out.glob("*.json"):
+        data = path.read_bytes()
+        assert data == json.dumps(json.loads(data), sort_keys=True).encode()
+    digest, recomputed = _digest_of_artifact(out, command)
+    assert digest == recomputed
+
+
+@pytest.mark.parametrize("command, extra, domain", _artifact_ids(ARTIFACT_CONFIGS))
 def test_artifact_text_is_the_sorted_json_dumps_of_its_content(tmp_path, command,
                                                                 extra, domain):
     out = tmp_path / "run"
@@ -698,7 +702,9 @@ def test_verify_experiment_writes_reports(tmp_path, capsys):
     summary = json.loads(text)
     assert text == json.dumps(summary, sort_keys=True)
     assert summary["pass"] is True
-    csv_lines = (out / "report.csv").read_text().splitlines()
+    data = (out / "report.csv").read_bytes()
+    csv_lines = data.decode().splitlines()
+    assert data == ("\n".join(csv_lines) + "\n").encode()  # "\n" line ends, untranslated
     assert csv_lines[0].startswith("# config_hash=")
     assert csv_lines[1].startswith("level,h,")
 
@@ -715,6 +721,7 @@ def test_sweep_rerun_is_bit_identical(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     first = (out / "sweep.csv").read_bytes()
     lines = first.decode().splitlines()
+    assert first == ("\n".join(lines) + "\n").encode()  # "\n" line ends, untranslated
     assert lines[1] == "p,level,h,n_vertices,energy,stationarity,alpha,fit_r2,status"
     assert len(lines) == 2 + 4  # two exponents times two levels
     assert all(line.endswith(",ok") for line in lines[2:])

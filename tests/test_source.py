@@ -37,3 +37,50 @@ def test_every_module_level_import_is_used(path):
 def test_the_import_check_sees_an_unused_import():
     text = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert _unused_imports(text) == ["os (line 1)", "tau (line 3)"]
+
+
+def _opens_for_writing(call):
+    """Whether a call opens a file for writing: open(path, mode) or
+    path.open(mode) with a mode holding "w", "a" or "x" (text or binary;
+    a mode that is not a literal counts), or path.write_text/write_bytes."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax") for m in modes)
+
+
+def _file_writers(text):
+    """(function, line) of every call that opens a file for writing, the
+    function being the innermost def around it ("<module>" at top level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_only_the_artifact_writer_and_the_error_record_write_files():
+    writers = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+               for where, _ in _file_writers(path.read_text())]
+    assert sorted(writers) == ["cli._emit_error", "cli._write_artifact"]
+
+
+def test_the_writer_check_sees_every_write_mode():
+    text = ('def f(p):\n    open(p)\n    open(p, "rb")\n    open(p, "ab")\n'
+            'def g(p, m):\n    p.open(mode="x")\n    open(p, m)\n    p.write_bytes(b"")\n'
+            '    p.open("r")\n'
+            'open("log", mode="w+")\n')
+    assert _file_writers(text) == [("f", 4), ("g", 6), ("g", 7), ("g", 8), ("<module>", 10)]
