@@ -353,7 +353,7 @@ def _embedded_hash(path):
             if head:
                 return head.group(1)
             text += fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):  # an undecodable file carries no hash
         return None
     head = text.lstrip()
     if head.startswith("#"):

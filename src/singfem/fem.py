@@ -209,57 +209,63 @@ def w1p_norm(u, p):
 
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSR), exact on products of P1 fields."""
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _assemble(mesh, mesh.areas[:, None, None] * local)
+    return _assemble(mesh, np.multiply.outer(mesh.areas, np.array([2.0, 1, 1, 2, 1, 2]) / 12.0))
 
 
-def stiffness_matrix(mesh, weights=None):
-    """P1 stiffness matrix, optionally with per-triangle weights: element
-    matrices area_T w_T grad l_i . grad l_j, filled column by column from
-    _gram_columns.  local keeps the (t, i, j) order of the COO entries,
-    which decides the order in which SciPy sums the duplicates."""
-    w = mesh.areas if weights is None else mesh.areas * np.asarray(weights)
-    local = np.empty((mesh.num_triangles, 3, 3))
-    for a, b, column in _gram_columns(mesh):
-        np.multiply(column, w, out=local[:, a, b])
-        if a != b:
-            local[:, b, a] = local[:, a, b]
-    return _assemble(mesh, local)
+def stiffness_matrix(mesh):
+    """P1 stiffness matrix: element matrices area_T grad l_i . grad l_j."""
+    return _assemble(mesh, _element_entries(mesh, _gram_entries(mesh), 1.0))
 
 
 _UPPER = np.triu_indices(3)  # the six entries i <= j of an element matrix
 
 
-def _gram_columns(mesh):
-    """(a, b, column) for the six entries (a, b) of _UPPER in order, column
-    being grad l_a . grad l_b of every element: einsum("tid,tjd->tij")[:, a, b]
-    to the bit without that (nt, 3, 3) temporary.  One buffer holds each
-    column in turn; use it before the next one."""
-    gl = mesh.grad_lambda
-    column = np.empty(mesh.num_triangles)
-    for a, b in zip(*_UPPER):
-        yield a, b, np.einsum("td,td->t", gl[:, a], gl[:, b], out=column)
-
-
 def _gram_entries(mesh):
-    """The (nt, 6) array of _gram_columns, in _UPPER order: the upper
-    entries of every element's Gram matrix, which depend on the mesh only."""
+    """The (nt, 6) upper entries, in _UPPER order, of every element's Gram
+    matrix grad l_i . grad l_j, which depend on the mesh only:
+    einsum("tid,tjd->tij")[:, i, j] to the bit without that (nt, 3, 3)
+    temporary.  Each column passes through one buffer, allocated after
+    the result: the order of these allocations moves a cusp sweep's peak
+    resident set."""
+    gl = mesh.grad_lambda
     out = np.empty((mesh.num_triangles, 6))
-    for k, (_, _, column) in enumerate(_gram_columns(mesh)):
-        out[:, k] = column
+    column = np.empty(mesh.num_triangles)
+    for k, (a, b) in enumerate(zip(*_UPPER)):
+        out[:, k] = np.einsum("td,td->t", gl[:, a], gl[:, b], out=column)
     return out
 
 
-def _assemble(mesh, local):
-    """CSR matrix summing the (nt, 3, 3) element matrices into place.
-    The COO indices are int32 when the mesh allows it, which is what
-    SciPy would convert them to; building them so skips two int64 copies
-    of nine entries per triangle."""
+def _element_entries(mesh, gram, w, g=None, c=None):
+    """The upper entries (in _UPPER order) of every element matrix
+    area_T (w_T grad l_i . grad l_j + c_T (grad l_i . g_T)(grad l_j . g_T)),
+    an (nt, 6) array, from the mesh's _gram_entries.  Without c it is the
+    w-weighted stiffness (w = 1.0: the stiffness); with c = (p - 2) w / m
+    and the g, m, w of plaplace._energy_gradient it is the Hessian of the
+    regularized energy over p."""
+    out = gram * (mesh.areas * w)[:, None]
+    if c is not None:
+        # One column at a time, without an (nt, 6) temporary.
+        q = _grad_dot(mesh, g)
+        ac = mesh.areas * c
+        for k, (a, b) in enumerate(zip(*_UPPER)):
+            out[:, k] += q[:, a] * q[:, b] * ac
+    return out
+
+
+def _assemble(mesh, entries):
+    """CSR matrix summing the element matrices, given by their (nt, 6)
+    upper entries in _UPPER order, into place: the only assembler.  Each
+    element's nine entries go to COO in (t, i, j) order, which decides the
+    order in which SciPy sums the duplicates.  The COO indices are int32
+    when the mesh allows it, which is what SciPy would convert them to;
+    building them so skips two int64 copies of nine entries per triangle."""
+    data = entries[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1)
+    del entries  # a caller's temporary is freed before the index arrays exist
     nv = mesh.num_vertices
     tri = mesh.triangles.astype(np.int32 if nv < 2**31 else np.int64)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    return coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def grad_test_vector(mesh, beta_values):

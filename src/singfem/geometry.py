@@ -591,11 +591,12 @@ def build_cusp(k, n):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Validated description of a generatable domain.
+    """Description of a generatable domain.
 
     kind is one of "unit_square", "annulus", "cusp".  Only the fields
-    relevant to the kind are consulted.  `seed` is accepted for
-    interface stability; the generators are deterministic.
+    relevant to the kind are consulted, and their ranges are checked by
+    the kind's generator (MeshError from build_domain).  `seed` is
+    accepted for interface stability; the generators are deterministic.
     """
 
     kind: str
@@ -610,20 +611,6 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("unit_square", "annulus", "cusp"):
             raise MeshError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "unit_square" and self.n < 1:
-            raise MeshError("unit_square requires n >= 1")
-        if self.kind == "annulus":
-            if self.r_in <= 0.0:
-                raise MeshError("annulus requires r_in > 0")
-            if self.r_out <= self.r_in:
-                raise MeshError("annulus requires r_out > r_in")
-            if self.n_radial < 1 or self.n_angular < 3:
-                raise MeshError("annulus requires n_radial >= 1, n_angular >= 3")
-        if self.kind == "cusp":
-            if self.k < 1:
-                raise MeshError("cusp requires k >= 1")
-            if self.n < 2:
-                raise MeshError("cusp requires n >= 2")
 
 
 def build_domain(spec):

@@ -1,5 +1,6 @@
 """Mixed Dirichlet-Neumann and pure-Neumann Laplace solvers, and
-`_FreeBlockSolver`, through which every SPD system of the package goes.
+`_FreeBlockSolver`, through which every SPD system of the package goes
+but one: fem.weak_divergence factors the mass matrix with SuperLU.
 
 Dirichlet data is imposed strongly at the vertices of the Dirichlet
 edges (which includes the singular vertices adjacent to them).  The
@@ -140,23 +141,6 @@ def _vcycle(levels, root, b, k=0):
     return x
 
 
-def _element_entries(mesh, gram, w, g=None, c=None):
-    """The upper entries (in fem._UPPER order) of every element matrix
-    area_T (w_T grad l_i . grad l_j + c_T (grad l_i . g_T)(grad l_j . g_T)),
-    an (nt, 6) array, from the mesh's fem._gram_entries.  Without c it is the
-    w-weighted stiffness; with c = (p - 2) w / m and the g, m, w of
-    plaplace._energy_gradient it is the Hessian of the regularized energy
-    over p."""
-    out = gram * (mesh.areas * w)[:, None]
-    if c is not None:
-        # One column at a time, without an (nt, 6) temporary.
-        q = fem._grad_dot(mesh, g)
-        ac = mesh.areas * c
-        for k, (a, b) in enumerate(zip(*fem._UPPER)):
-            out[:, k] += q[:, a] * q[:, b] * ac
-    return out
-
-
 # Bytes a band may take: enough for the cusp k = 3, n = 6 through refine 4
 # (56.6 MiB), not for the square n = 64 refined twice (128 MiB).
 _BAND_BUDGET = 64 * 2**20
@@ -180,7 +164,7 @@ def _band_order(K_ff):
 class _FreeBlockSolver:
     """Solver of the free blocks, on one mesh and free set, of the
     stiffness matrix K it is built from and of any matrix of (nt, 6)
-    element entries (_element_entries).  The rule (_band_order on K's
+    element entries (fem._element_entries).  The rule (_band_order on K's
     block): band Cholesky on the RCM order, the band refilled by each
     system and factored in place, when it fits _BAND_BUDGET; otherwise
     CG preconditioned by _multigrid, whose SuperLU root makes a mesh
@@ -234,15 +218,15 @@ class _FreeBlockSolver:
         a singular root."""
         if self.ab is not None:
             if entries is None:
-                entries = _element_entries(self.mesh, self.gram,
-                                           np.ones(self.mesh.num_triangles))
+                entries = fem._element_entries(self.mesh, self.gram, 1.0)
             try:
                 cb = cholesky_banded(self.band(entries), lower=True, overwrite_ab=True,
                                      check_finite=False)
                 return functools.partial(self._band_solve, cb)
             except LinAlgError:
                 pass
-        A = self.K_ff if entries is None else self._assemble(entries)
+        A = (self.K_ff if entries is None
+             else _free_block(fem._assemble(self.mesh, entries), self.free))
         cycle = _multigrid(self.mesh, A, self.free)
         return lambda rhs, x0=None: conjugate_gradient(A, rhs, cycle, x0=x0, rtol=self.rtol)
 
@@ -252,13 +236,6 @@ class _FreeBlockSolver:
         out = np.empty_like(x)
         out[self.perm] = x
         return out, 0
-
-    def _assemble(self, entries):
-        i, j = fem._UPPER
-        local = np.empty((self.mesh.num_triangles, 3, 3))
-        local[:, i, j] = entries
-        local[:, j, i] = entries
-        return _free_block(fem._assemble(self.mesh, local), self.free)
 
 
 def _free_block(A, free):

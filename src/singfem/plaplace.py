@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from . import fem
-from .laplace import _element_entries, _FreeBlockSolver
+from .laplace import _FreeBlockSolver
 from .laplace import conjugate_gradient  # noqa: F401
 
 
@@ -209,7 +209,7 @@ def _newton_step(mesh, values, p, w, s, g, m, free, solver):
     # Tiny relative floor on the isotropic part keeps the Hessian
     # factorable where the gradient degenerates; the step stays a descent
     # direction because the floored matrix is still SPD.
-    entries = _element_entries(mesh, solver.gram, w + 1e-14 * wmax, g, c)
+    entries = fem._element_entries(mesh, solver.gram, w + 1e-14 * wmax, g, c)
     return _solve(solver, entries, -s[free], mesh, values)
 
 

@@ -1024,3 +1024,15 @@ def test_unreadable_config_file_is_a_usage_error(tmp_path, content):
     assert main(["mesh", "--config", str(path), "--out", str(out)]) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ConfigError" and record["message"].startswith("config: ")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00garbage", b"[" + b" " * 10000 + b"\xff]"],
+                         ids=["head", "tail"])
+def test_an_undecodable_artifact_is_refused_like_another_configs(tmp_path, content):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "solution.json").write_bytes(content)
+    assert main(["solve-laplace", "--config", laplace_config(tmp_path), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and "refusing to overwrite" in record["message"]
+    assert (out / "solution.json").read_bytes() == content

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from singfem import fem, geometry, laplace
@@ -160,7 +161,7 @@ def test_stiffness_kernel_is_constants(square):
 def test_weighted_stiffness_scales(square):
     w = np.full(square.num_triangles, 2.0)
     K1 = stiffness_matrix(square)
-    K2 = stiffness_matrix(square, w)
+    K2 = fem._assemble(square, fem._element_entries(square, fem._gram_entries(square), w))
     diff = (K2 - 2.0 * K1).tocoo()
     assert (np.max(np.abs(diff.data)) if diff.nnz else 0.0) < 1e-14
 
@@ -257,6 +258,16 @@ def _csr_bytes(A):
     return A.data.tobytes(), A.indices.tobytes(), A.indptr.tobytes()
 
 
+def _coo_reference(mesh, local):
+    """The CSR matrix of the (nt, 3, 3) element matrices local, summed by
+    SciPy from COO entries in (t, i, j) order."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    nv = mesh.num_vertices
+    return coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 @pytest.mark.parametrize("levels", [0, 2])
 @pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
 def test_mesh_arrays_and_hash_are_the_old_formulas_bit_for_bit(name, levels):
@@ -278,13 +289,22 @@ def test_stiffness_is_the_einsum_assembly_bit_for_bit(name, levels):
     mesh = _byte_mesh(name, levels)
     gl = mesh.grad_lambda
     full = np.einsum("tid,tjd->tij", gl, gl)
-    weights = np.random.default_rng(levels).uniform(0.1, 10.0, mesh.num_triangles)
-    for w in (None, weights):
-        scale = mesh.areas if w is None else mesh.areas * w
-        ref = fem._assemble(mesh, full * scale[:, None, None])
-        assert _csr_bytes(stiffness_matrix(mesh, w)) == _csr_bytes(ref)
+    ref = _coo_reference(mesh, full * mesh.areas[:, None, None])
+    assert _csr_bytes(stiffness_matrix(mesh)) == _csr_bytes(ref)
+    w = np.random.default_rng(levels).uniform(0.1, 10.0, mesh.num_triangles)
+    ref = _coo_reference(mesh, full * (mesh.areas * w)[:, None, None])
+    K_w = fem._assemble(mesh, fem._element_entries(mesh, fem._gram_entries(mesh), w))
+    assert _csr_bytes(K_w) == _csr_bytes(ref)
     i, j = fem._UPPER
     assert fem._gram_entries(mesh).tobytes() == full[:, i, j].tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, 2])
+@pytest.mark.parametrize("name", sorted(_BYTE_MESHES))
+def test_mass_matrix_is_the_outer_product_assembly_bit_for_bit(name, levels):
+    mesh = _byte_mesh(name, levels)
+    ref = _coo_reference(mesh, mesh.areas[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0))
+    assert _csr_bytes(mass_matrix(mesh)) == _csr_bytes(ref)
 
 
 @pytest.mark.parametrize("levels", [0, 2])
@@ -334,7 +354,7 @@ def test_gradient_dots_are_the_einsum_bit_for_bit(name, levels):
         q = np.einsum("tid,td->ti", gl, g)
         i, j = fem._UPPER
         ref = gram * (mesh.areas * w)[:, None] + q[:, i] * q[:, j] * (mesh.areas * c)[:, None]
-        assert laplace._element_entries(mesh, gram, w, g, c).tobytes() == ref.tobytes()
+        assert fem._element_entries(mesh, gram, w, g, c).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("levels", [0, 2])
@@ -343,20 +363,20 @@ def test_free_blocks_and_their_order_are_the_csc_cut_bit_for_bit(name, levels):
     mesh = _byte_mesh(name, levels)
     nv = mesh.num_vertices
     rng = np.random.default_rng(levels)
+    gl = mesh.grad_lambda
+    full = np.einsum("tid,tjd->tij", gl, gl)
     K = stiffness_matrix(mesh)
+    K_ref = _coo_reference(mesh, full * mesh.areas[:, None, None])
     w = rng.uniform(0.1, 10.0, mesh.num_triangles)
-    entries = laplace._element_entries(mesh, fem._gram_entries(mesh), w)
-    local = np.empty((mesh.num_triangles, 3, 3))
-    i, j = fem._UPPER
-    local[:, i, j] = local[:, j, i] = entries
-    K_w = fem._assemble(mesh, local)
+    K_w = fem._assemble(mesh, fem._element_entries(mesh, fem._gram_entries(mesh), w))
+    K_w_ref = _coo_reference(mesh, full * (mesh.areas * w)[:, None, None])
     for free in (np.arange(1, nv), np.sort(rng.choice(nv, 2 * nv // 3, replace=False))):
-        ref = K.tocsc()[:, free][free].tocsr()
+        ref = K_ref.tocsc()[:, free][free].tocsr()
         solver = laplace._FreeBlockSolver(mesh, K, free, 1e-12)
         assert _csr_bytes(laplace._free_block(K, free)) == _csr_bytes(ref)
         assert solver.perm.tobytes() == reverse_cuthill_mckee(ref, symmetric_mode=True).tobytes()
-        ref_w = K_w.tocsc()[:, free][free].tocsr()
-        assert _csr_bytes(solver._assemble(entries)) == _csr_bytes(ref_w)
+        ref_w = K_w_ref.tocsc()[:, free][free].tocsr()
+        assert _csr_bytes(laplace._free_block(K_w, free)) == _csr_bytes(ref_w)
 
 
 def test_hat_gradient_p_norms_positive(square):

@@ -421,7 +421,7 @@ def _smooth_hessian_entries(mesh, gram, p):
     values = np.sin(3.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1]) + mesh.vertices[:, 1]
     G = fem.gradient_operator(mesh)
     _, w, _, g, m = plaplace._energy_gradient(mesh, G, values, p, 0.1)
-    return laplace._element_entries(mesh, gram, w, g, (p - 2.0) * w / m)
+    return fem._element_entries(mesh, gram, w, g, (p - 2.0) * w / m)
 
 
 @pytest.mark.parametrize("hessian", [False, True], ids=["laplace", "p4_hessian"])

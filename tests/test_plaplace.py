@@ -338,12 +338,13 @@ def test_band_assembly_matches_the_stiffness_block(build):
                               replace=False))
     w = rng.uniform(0.1, 10.0, mesh.num_triangles)
     system = _solver(mesh, free)
-    ab = system.band(laplace._element_entries(mesh, system.gram, w))
+    entries = fem._element_entries(mesh, system.gram, w)
+    ab = system.band(entries)
     assert ab.flags.f_contiguous
     assert ab.shape == (system.bandwidth + 1, len(free))
     # entries past the matrix's last column stay zero
     assert all(not ab[k, len(free) - k:].any() for k in range(1, ab.shape[0]))
-    ref = fem.stiffness_matrix(mesh, w).toarray()[np.ix_(free, free)]
+    ref = fem._assemble(mesh, entries).toarray()[np.ix_(free, free)]
     ref = ref[np.ix_(system.perm, system.perm)]
     np.testing.assert_allclose(_dense_from_band(ab), ref, rtol=1e-13,
                                atol=1e-13 * np.abs(ref).max())
@@ -358,9 +359,9 @@ def test_band_solve_matches_superlu():
     rhs = rng.standard_normal(len(free))
     system = _solver(mesh, free)
     assert system.bandwidth < len(free) // 4
-    K_ff = fem.stiffness_matrix(mesh, w).tocsc()[free][:, free]
+    entries = fem._element_entries(mesh, system.gram, w)
+    K_ff = fem._assemble(mesh, entries).tocsc()[free][:, free]
     ref = splu(K_ff.tocsc()).solve(rhs)
-    entries = laplace._element_entries(mesh, system.gram, w)
     x, iterations = system.system(entries)(rhs)
     assert iterations == 0
     np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
@@ -372,8 +373,8 @@ def test_band_with_a_single_free_vertex():
     w = np.linspace(1.0, 2.0, mesh.num_triangles)
     system = _solver(mesh, np.array([center]))
     assert system.bandwidth == 0
-    k_cc = fem.stiffness_matrix(mesh, w)[center, center]
-    entries = laplace._element_entries(mesh, system.gram, w)
+    entries = fem._element_entries(mesh, system.gram, w)
+    k_cc = fem._assemble(mesh, entries)[center, center]
     assert (system.system(entries)(np.array([3.0]))[0][0]
             == pytest.approx(3.0 / k_cc, rel=1e-14))
 
@@ -415,7 +416,7 @@ def test_held_gram_entries_are_the_einsum_to_the_bit(build):
     assert system.gram.tobytes() == full[:, i, j].tobytes()
     w = np.random.default_rng(2).uniform(0.1, 10.0, mesh.num_triangles)
     ref = full[:, i, j] * (mesh.areas * w)[:, None]
-    assert laplace._element_entries(mesh, system.gram, w).tobytes() == ref.tobytes()
+    assert fem._element_entries(mesh, system.gram, w).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.5, 4.0])
@@ -440,7 +441,7 @@ def test_hessian_entries_are_the_full_array_formula_to_the_bit(build, p):
     aniso *= (mesh.areas * c)[:, None]
     ref = gram * (mesh.areas * w)[:, None]
     ref += aniso
-    assert laplace._element_entries(mesh, gram, w, g, c).tobytes() == ref.tobytes()
+    assert fem._element_entries(mesh, gram, w, g, c).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 7.3])
@@ -464,14 +465,19 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def test_solve_builds_the_gram_entries_once(square, side_constraints, monkeypatch):
+def test_solve_builds_the_gram_entries_twice_however_many_newton_systems_run(
+        square, side_constraints, monkeypatch):
+    # One build for the stiffness matrix and one held by the solver for
+    # every system it solves: a fixed count, not one per Newton step.
     calls = Counter()
     _count_calls(monkeypatch, fem, "_gram_entries", calls)
-    coarse, _ = solve_p_laplace(_p4_problem(square, side_constraints))
-    assert calls["_gram_entries"] == 1
-    fine = _side_problem(refine(square))
-    solve_p_laplace(fine, coarse=coarse)  # nested: the final stage alone
+    coarse, report = solve_p_laplace(_p4_problem(square, side_constraints))
+    assert sum(s["iterations"] for s in report.iterations) > 1
     assert calls["_gram_entries"] == 2
+    fine = _side_problem(refine(square))
+    _, report = solve_p_laplace(fine, coarse=coarse)  # nested: the final stage alone
+    assert sum(s["iterations"] for s in report.iterations) > 1
+    assert calls["_gram_entries"] == 4
 
 
 def test_each_iterate_has_its_element_terms_computed_once(square, side_constraints,
@@ -679,8 +685,7 @@ def _random_free_set(mesh, rng):
 def _hessian_entries(mesh, values, p, eps):
     _, w, _, g, m = plaplace._energy_gradient(mesh, fem.gradient_operator(mesh), values,
                                               p, eps)
-    return laplace._element_entries(mesh, fem._gram_entries(mesh), w, g,
-                                     (p - 2.0) * w / m)
+    return fem._element_entries(mesh, fem._gram_entries(mesh), w, g, (p - 2.0) * w / m)
 
 
 @pytest.mark.parametrize("p", [1.5, 4.0])
@@ -715,7 +720,7 @@ def test_superlu_route_solves_the_band_matrix(build):
     system = _solver(mesh, free)
     band = _dense_from_band(system.band(entries))
     # the block that MG-PCG solves; its SuperLU root on these unrefined meshes
-    block = system._assemble(entries).toarray()
+    block = laplace._free_block(fem._assemble(mesh, entries), free).toarray()
     block = block[np.ix_(system.perm, system.perm)]
     np.testing.assert_allclose(band, block, rtol=1e-13, atol=1e-13 * np.abs(block).max())
 

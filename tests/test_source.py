@@ -55,15 +55,15 @@ def _opens_for_writing(call):
                or set(m.value) & set("wax") for m in modes)
 
 
-def _file_writers(text):
-    """(function, line) of every call that opens a file for writing, the
+def _callers(text, matches):
+    """(function, line) of every call for which matches(call) holds, the
     function being the innermost def around it ("<module>" at top level)."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call) and _opens_for_writing(node):
+        if isinstance(node, ast.Call) and matches(node):
             found.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -72,10 +72,13 @@ def _file_writers(text):
     return found
 
 
+def _package_callers(matches):
+    return sorted(f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+                  for where, _ in _callers(path.read_text(), matches))
+
+
 def test_only_the_artifact_writer_and_the_error_record_write_files():
-    writers = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
-               for where, _ in _file_writers(path.read_text())]
-    assert sorted(writers) == ["cli._emit_error", "cli._write_artifact"]
+    assert _package_callers(_opens_for_writing) == ["cli._emit_error", "cli._write_artifact"]
 
 
 def test_the_writer_check_sees_every_write_mode():
@@ -83,4 +86,23 @@ def test_the_writer_check_sees_every_write_mode():
             'def g(p, m):\n    p.open(mode="x")\n    open(p, m)\n    p.write_bytes(b"")\n'
             '    p.open("r")\n'
             'open("log", mode="w+")\n')
-    assert _file_writers(text) == [("f", 4), ("g", 6), ("g", 7), ("g", 8), ("<module>", 10)]
+    assert _callers(text, _opens_for_writing) == [("f", 4), ("g", 6), ("g", 7), ("g", 8),
+                                                  ("<module>", 10)]
+
+
+def _builds_coo(call):
+    """Whether a call is coo_matrix(...) or some_module.coo_matrix(...)."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "coo_matrix"
+
+
+def test_only_the_assembler_and_the_edge_graph_build_coo_matrices():
+    assert _package_callers(_builds_coo) == ["fem._assemble", "geometry._edge_graph"]
+
+
+def test_the_assembler_check_sees_every_coo_call():
+    text = ("from scipy.sparse import coo_matrix\n"
+            "def f(d, ij):\n    coo_matrix((d, ij))\n    csr_matrix((d, ij))\n"
+            "def g(d, ij):\n    scipy.sparse.coo_matrix((d, ij)).tocsr()\n    coo_array(d)\n"
+            "sp.coo_matrix(d)\n")
+    assert _callers(text, _builds_coo) == [("f", 3), ("g", 6), ("<module>", 8)]
