@@ -214,9 +214,9 @@ def _newton_step(mesh, values, p, w, s, g, m, free, solver):
 
 
 # The continuation schedule of solve_p_laplace: p grows by at most the
-# factor _P_STEP per stage at eps = _EPS_START_FACTOR times the 2-energy
-# of the warm start, then one final stage takes eps to eps_final; every
-# stage takes at most _MAX_INNER Newton steps.
+# factor _P_STEP per rung at eps = _EPS_START_FACTOR times the 2-energy
+# of the warm start, one Newton step per rung, then one final stage of
+# at most _MAX_INNER steps takes eps to eps_final.
 _P_STEP = 1.5
 _EPS_START_FACTOR = 1e-2
 _MAX_INNER = 120
@@ -224,13 +224,15 @@ _MAX_INNER = 120
 _NEWTON_RTOL = 1e-12
 
 
-def _newton_stage(mesh, G, values, p, eps, free, free_mask, solver, hat_norms, tol):
-    """Run damped Newton at fixed (p, eps).  Returns (values, iters, stat,
-    line_search_ok).  Each step makes one pass over the elements for the
-    energy gradient and solves the Hessian system (see _newton_step).  The
-    element terms of an iterate, its gradients taken through G, are
-    computed once: at the stage's entry, or by the line search that
-    accepts it."""
+def _newton_stage(mesh, G, values, p, eps, free, free_mask, solver, hat_norms, tol,
+                  max_steps):
+    """Run damped Newton at fixed (p, eps) until the stationarity is at
+    most tol or max_steps steps are taken.  Returns (values, iters, stat,
+    line_search_ok), stat being that of the returned values.  Each step
+    makes one pass over the elements for the energy gradient and solves
+    the Hessian system (see _newton_step).  The element terms of an
+    iterate, its gradients taken through G, are computed once: at the
+    stage's entry, or by the line search that accepts it."""
     with np.errstate(over="ignore"):
         terms = _energy_terms(mesh, G, values, p, eps)
     energy = terms[0]
@@ -239,10 +241,10 @@ def _newton_stage(mesh, G, values, p, eps, free, free_mask, solver, hat_norms, t
             f"regularized {p:g}-energy overflows double precision",
             best_field=fem.ScalarField(mesh, values),
         )
-    for it in range(_MAX_INNER + 1):
+    for it in range(max_steps + 1):
         _, w, s, g, m = _energy_gradient(mesh, G, values, p, eps, terms)
         stat = _stationarity(energy, s, p, free_mask, hat_norms)
-        if stat <= tol or it == _MAX_INNER:
+        if stat <= tol or it == max_steps:
             return values, it, stat, True
 
         delta = _newton_step(mesh, values, p, w, s, g, m, free, solver)
@@ -288,10 +290,13 @@ def solve_p_laplace(problem, coarse=None):
     """Minimize the trace-constrained p-Dirichlet energy.
 
     Returns (ScalarField, OptimalityReport).  The solve is warm-started
-    at p = 2, continues multiplicatively in p (steps of at most a factor
-    _P_STEP) at eps0, then runs one final stage at (p, eps_final) to the
-    problem tolerance; the trace records each stage, named "p_ladder" or
-    "final".  Given `coarse`, the minimizer on problem.mesh.parent, the
+    at p = 2, continues multiplicatively in p (rungs of at most a factor
+    _P_STEP) at eps0 with one damped Newton step per rung, then runs one
+    final stage at (p, eps_final) to the problem tolerance; the trace
+    records each stage, named "p_ladder" or "final", with the
+    stationarity, at the stage's own (p, eps), of the iterate it hands
+    over.  A rung whose line search rejects its step hands over its
+    start.  Given `coarse`, the minimizer on problem.mesh.parent, the
     solve starts instead from mesh.prolongation @ coarse.values on the
     free vertices (the constraint values stay f's) and runs the final
     stage alone; scale, and so the default eps_final, is then the
@@ -359,14 +364,16 @@ def solve_p_laplace(problem, coarse=None):
         return hat_norms
 
     hat_norms = hat_norms_at(problem.p)
-    stage_tol = max(problem.tol, 1e-6)
     ladder = [] if coarse is not None else _continuation_ladder(2.0, problem.p, _P_STEP)[1:]
-    schedule = [(pk, eps0, stage_tol, "p_ladder") for pk in ladder]
-    schedule.append((problem.p, eps_final, problem.tol, "final"))
-    for pk, eps, tol, name in schedule:
+    # A rung's iterate only starts the next rung, so each rung takes one
+    # corrector step and is held to no tolerance (predictor-corrector
+    # continuation); the final stage alone runs to the problem's.
+    schedule = [(pk, eps0, -math.inf, 1, "p_ladder") for pk in ladder]
+    schedule.append((problem.p, eps_final, problem.tol, _MAX_INNER, "final"))
+    for pk, eps, tol, max_steps, name in schedule:
         hn = hat_norms if pk == problem.p else hat_norms_at(pk)
         values, iters, stat, ok = _newton_stage(
-            mesh, G, values, pk, eps, free, free_mask, solver, hn, tol)
+            mesh, G, values, pk, eps, free, free_mask, solver, hn, tol, max_steps)
         trace_log.append({"stage": name, "p": pk, "eps": eps, "iterations": iters,
                           "stationarity": stat, "line_search_ok": ok})
 
