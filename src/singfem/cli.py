@@ -575,7 +575,8 @@ def _cmd_verify(args, cfg, out_dir):
     _warn_unknown(set(cfg) - set(params) - {"seed"}, "")
     kwargs = {key: _typed_field(cfg, key, par.default)
               for key, par in params.items() if key in cfg}
-    h = config_hash({"command": "verify", "experiment": args.experiment, "config": cfg})
+    config = {key: cfg[key] for key in params if key in cfg}
+    h = config_hash({"command": "verify", "experiment": args.experiment, "config": config})
     csv_path, json_path = _claim(out_dir, h, "report.csv", "summary.json")
     try:
         report = run(**kwargs)

@@ -732,14 +732,11 @@ class BoundaryPartition:
     """Disjoint Dirichlet/Neumann split of the boundary edges.
 
     edge_regions assigns "dirichlet" or "neumann" to every boundary
-    edge of the mesh.  singular_vertices is the finite exceptional set:
-    the mesh's declared singular vertices plus every vertex where the
-    region changes.
+    edge of the mesh.
     """
 
     mesh: Mesh
     edge_regions: tuple
-    singular_vertices: frozenset = frozenset()
 
     def __post_init__(self):
         self.edge_regions = tuple(self.edge_regions)
@@ -748,11 +745,6 @@ class BoundaryPartition:
         for r in self.edge_regions:
             if r not in _REGIONS:
                 raise PartitionError(f"unknown region {r!r}")
-        nv = self.mesh.num_vertices
-        self.singular_vertices = frozenset(int(i) for i in self.singular_vertices)
-        for i in self.singular_vertices:
-            if not 0 <= i < nv:
-                raise PartitionError(f"vertex index {i} out of range")
 
     def region_edges(self, region):
         """Boundary-edge indices of a region, ascending.
@@ -782,9 +774,7 @@ def partition_by_tags(mesh, dirichlet=(), neumann=()):
     """Partition the boundary by mesh-level tag names.
 
     Unknown names are rejected; the two name sets must be disjoint and
-    jointly cover every tag present on the mesh.  The singular set is the
-    mesh's declared singular vertices plus all vertices where the region
-    changes.
+    jointly cover every tag present on the mesh.
     """
     dirichlet = set(dirichlet)
     neumann = set(neumann)
@@ -800,17 +790,4 @@ def partition_by_tags(mesh, dirichlet=(), neumann=()):
                              "each must be dirichlet or neumann")
     edge_regions = tuple("dirichlet" if tag in dirichlet else "neumann"
                          for tag in mesh.boundary_tags)
-
-    # Every boundary vertex is the tail of one edge and the head of one
-    # other; the region changes there when the two edges differ.
-    is_dirichlet = np.asarray(edge_regions) == "dirichlet"
-    tails, heads = mesh.boundary_edges.T
-    arriving = np.zeros(mesh.num_vertices, dtype=bool)
-    arriving[heads] = is_dirichlet
-    changes = tails[arriving[tails] != is_dirichlet]
-
-    return BoundaryPartition(
-        mesh=mesh,
-        edge_regions=edge_regions,
-        singular_vertices=mesh.singular_vertices | frozenset(changes.tolist()),
-    )
+    return BoundaryPartition(mesh=mesh, edge_regions=edge_regions)

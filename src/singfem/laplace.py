@@ -310,20 +310,14 @@ def compatibility_defect(g, theta):
     return fem.scalar_inner(g, ones) - pairing
 
 
-def weak_residual(partition, u, g, theta=None):
-    """Normalized strong-form residual of the discrete weak equation.
+def _weak_residual(K, M, partition, u, g, theta):
+    """Normalized strong-form residual of the discrete weak equation, K
+    and M being the mesh's stiffness and mass matrices.
 
     max over hat functions vanishing on the Dirichlet region of
     |<grad u, grad hat> - <theta, trace hat> + <g, hat>|, divided by
     ||u||_{W^{1,2}} + ||g||_{L^2} + 1; nan when that normalizer overflows.
     """
-    mesh = partition.mesh
-    return _weak_residual(fem.stiffness_matrix(mesh), fem.mass_matrix(mesh),
-                          partition, u, g, theta)
-
-
-def _weak_residual(K, M, partition, u, g, theta):
-    """`weak_residual` with the stiffness and mass matrices supplied."""
     mesh = partition.mesh
     r = K @ u.values + M @ g.values - _theta_vector(partition, theta)
     fixed = partition.region_vertices("dirichlet")

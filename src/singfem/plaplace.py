@@ -74,9 +74,6 @@ class PlapProblem:
     constraint_vertices : non-empty vertex set A where u is pinned
     f : ScalarField supplying the pinned values (read on A)
     p : exponent in (1, inf)
-    eps_final : final regularization, or None for 1e-8 * scale where
-        scale is the 2-energy of the start: the p = 2 warm start, or the
-        prolonged parent minimizer when solve_p_laplace is given one
     tol : target first-order stationarity of the returned minimizer
     seed : has no effect (the p = 2 warm start is a direct solve); kept
         for interface stability and slated for removal
@@ -86,7 +83,6 @@ class PlapProblem:
     constraint_vertices: frozenset
     f: fem.ScalarField
     p: float
-    eps_final: float | None = None
     tol: float = 1e-8
     seed: int | None = None
 
@@ -102,8 +98,6 @@ class PlapProblem:
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
         if self.f.mesh is not self.mesh:
             raise fem.FieldError("constraint data lives on a different mesh")
-        if self.eps_final is not None and self.eps_final < 0.0:
-            raise ValueError("eps_final must be >= 0")
 
 
 def _grad_values(mesh, G, values):
@@ -216,9 +210,10 @@ def _newton_step(mesh, values, p, w, s, g, m, free, solver):
 # The continuation schedule of solve_p_laplace: p grows by at most the
 # factor _P_STEP per rung at eps = _EPS_START_FACTOR times the 2-energy
 # of the warm start, one Newton step per rung, then one final stage of
-# at most _MAX_INNER steps takes eps to eps_final.
+# at most _MAX_INNER steps runs at _EPS_FINAL_FACTOR times that energy.
 _P_STEP = 1.5
 _EPS_START_FACTOR = 1e-2
+_EPS_FINAL_FACTOR = 1e-8
 _MAX_INNER = 120
 # Relative residual of a system that takes MG-PCG (see _FreeBlockSolver).
 _NEWTON_RTOL = 1e-12
@@ -292,16 +287,17 @@ def solve_p_laplace(problem, coarse=None):
     Returns (ScalarField, OptimalityReport).  The solve is warm-started
     at p = 2, continues multiplicatively in p (rungs of at most a factor
     _P_STEP) at eps0 with one damped Newton step per rung, then runs one
-    final stage at (p, eps_final) to the problem tolerance; the trace
-    records each stage, named "p_ladder" or "final", with the
+    final stage at (p, eps_final) to the problem tolerance, eps_final
+    being _EPS_FINAL_FACTOR times scale, the 2-energy of the start; the
+    trace records each stage, named "p_ladder" or "final", with the
     stationarity, at the stage's own (p, eps), of the iterate it hands
     over.  A rung whose line search rejects its step hands over its
     start.  Given `coarse`, the minimizer on problem.mesh.parent, the
     solve starts instead from mesh.prolongation @ coarse.values on the
     free vertices (the constraint values stay f's) and runs the final
-    stage alone; scale, and so the default eps_final, is then the
-    2-energy of that prolonged start, and the trace's "warm_start" entry
-    carries "source": "parent".  A `coarse` on any other mesh, or with a
+    stage alone; scale, which sets eps_final, is then the 2-energy of
+    that prolonged start, and the trace's "warm_start" entry carries
+    "source": "parent".  A `coarse` on any other mesh, or with a
     non-finite value, raises ValueError.  The regularized energy never
     increases along accepted steps.  One laplace._FreeBlockSolver serves
     the warm start and every Newton system.  If the final stationarity misses
@@ -351,7 +347,7 @@ def solve_p_laplace(problem, coarse=None):
     if scale == 0.0:
         scale = 1.0
     eps0 = _EPS_START_FACTOR * scale
-    eps_final = problem.eps_final if problem.eps_final is not None else 1e-8 * scale
+    eps_final = _EPS_FINAL_FACTOR * scale
 
     def hat_norms_at(p):
         hat_norms = _hat_norms_or_none(mesh, p)
@@ -418,20 +414,12 @@ class OptimalityReport:
             raise ValueError(f"energy must be non-negative, got {self.energy!r}")
 
 
-def perturbation_margin(u, delta, p, t, e0=None):
-    """p_energy(u + t * delta) - p_energy(u); exactly zero for the zero
-    direction.  e0, when given, is p_energy(u, p), saving its recomputation."""
-    gu, gd = fem.gradient(u), fem.gradient(delta)
-    if e0 is None:
-        e0 = fem.lp_norm(gu, p)
-    return _margin(u.mesh.areas, gu.values.T, gd.values.T, p, t, e0)
-
-
 def _margin(areas, gu, gd, p, t, e0):
-    """perturbation_margin from the x and y components, gu = (gux, guy) and
-    gd, of the gradients of u and delta: the P1 gradient is linear, so
-    grad(u + t delta) = grad u + t grad delta, and fem.lp_norm's steps
-    follow."""
+    """The perturbation margin p_energy(u + t * delta) - e0, e0 being
+    p_energy(u); exactly zero for the zero direction.  gu = (gux, guy)
+    and gd are the x and y components of the gradients of u and delta:
+    the P1 gradient is linear, so grad(u + t delta) = grad u + t grad
+    delta, and fem.lp_norm's steps follow."""
     x = t * gd[0]
     x += gu[0]
     y = t * gd[1]

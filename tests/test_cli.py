@@ -790,6 +790,31 @@ def test_verify_warns_about_keys_its_experiment_does_not_take(tmp_path, capsys):
     assert "'levels'" not in err
 
 
+# The verify hash covers the experiment's own keys, as written.  A config
+# holding only those keys keeps the hash it had when the whole config was
+# hashed: these two are pinned from then.
+@pytest.mark.parametrize("cfg, config_hash_", [
+    ({}, "e0107c6183de828008c574716741d045a8dfea59c973ecc4ec9eb322e10e853b"),
+    ({"levels": 2}, "a899497dd2b300468bd99e5c57ec1ab9e724efbf49228349ae782b2f9a59f160"),
+], ids=["defaults", "levels"])
+def test_verify_hashes_only_the_keys_its_experiment_takes(tmp_path, cfg, config_hash_):
+    out = tmp_path / "run"
+    for extra, flags in [({}, []), ({"k": 3}, []), ({}, ["--seed", "1"]), ({}, ["--seed", "2"])]:
+        path = write_config(tmp_path / "v.json", {**cfg, **extra})
+        assert main(["verify", "poincare_2", "--config", path, *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config_hash"] == config_hash_
+
+
+def test_verify_with_a_seed_refuses_a_rerun_with_another_seed(tmp_path):
+    path = write_config(tmp_path / "v.json", CHEAP_EXPERIMENTS["holder_cusp"])
+    out = tmp_path / "run"
+    assert main(["verify", "holder_cusp", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    first = (out / "report.csv").read_bytes()
+    assert main(["verify", "holder_cusp", "--config", path, "--seed", "2", "--out", str(out)]) == 2
+    assert "refusing to overwrite" in json.loads((out / "error.json").read_text())["message"]
+    assert (out / "report.csv").read_bytes() == first
+
+
 @pytest.mark.parametrize("schedule", ["[null]", '["x"]', "[-1]", "[]", "0.01"])
 def test_bad_radius_schedules_are_usage_errors(tmp_path, schedule):
     path = tmp_path / "v.json"

@@ -622,24 +622,6 @@ def test_partition_matches_a_per_edge_reference(kind, levels):
             assert got.dtype == np.int64 and got.tolist() == expected
             assert part.region_vertices(name).tolist() == sorted(
                 {v for i in expected for v in edges[i]})
-        seen = {}
-        for (a, b), region in zip(edges, regions):
-            for v in (a, b):
-                seen.setdefault(v, set()).add(region)
-        assert part.singular_vertices == m.singular_vertices | {
-            v for v, rs in seen.items() if len(rs) > 1}
-
-
-def test_region_changes_become_singular_vertices():
-    m = build_unit_square(2)
-    part = partition_by_tags(m, dirichlet=("left",), neumann=("right", "bottom", "top"))
-    # the two left corners are shared by edges of different regions
-    corners = {
-        int(i)
-        for i in range(m.num_vertices)
-        if tuple(m.vertices[i]) in {(0.0, 0.0), (0.0, 1.0)}
-    }
-    assert part.singular_vertices == corners
 
 
 def test_uncovered_tag_is_an_error():

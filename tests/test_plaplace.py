@@ -23,7 +23,6 @@ from singfem import (
     p_energy,
     p_stationarity,
     partition_by_tags,
-    perturbation_margin,
     sharp_p,
     solve_mixed,
     solve_p_laplace,
@@ -116,8 +115,6 @@ def test_problem_validation(square, side_constraints):
         PlapProblem(square, frozenset({square.num_vertices}), f, 3.0)
     with pytest.raises(ValueError, match="p must lie"):
         PlapProblem(square, side_constraints, f, 1.0)
-    with pytest.raises(ValueError, match="eps_final"):
-        PlapProblem(square, side_constraints, f, 3.0, eps_final=-1.0)
     other = build_unit_square(2)
     with pytest.raises(FieldError):
         PlapProblem(square, side_constraints, ScalarField.constant(other, 0.0), 3.0)
@@ -179,11 +176,10 @@ def test_seed_does_not_change_the_minimizer(square, side_constraints):
     assert np.max(np.abs(u0.values - u1.values)) <= 1e-6
 
 
-def test_unreachable_tolerance_carries_best_iterate(square, side_constraints):
+def test_unreachable_tolerance_carries_best_iterate(square, side_constraints, monkeypatch):
     f = ScalarField.from_function(square, lambda x, y: x + 0.5 * y * y)
-    problem = PlapProblem(
-        square, side_constraints, f, 3.0, eps_final=1.0, tol=1e-10
-    )
+    problem = PlapProblem(square, side_constraints, f, 3.0, tol=1e-10)
+    monkeypatch.setattr(plaplace, "_EPS_FINAL_FACTOR", 1.0)
     # a huge frozen regularization leaves an O(1) exact-stationarity gap
     with pytest.raises(PLaplaceError) as err:
         solve_p_laplace(problem)
@@ -197,14 +193,9 @@ def test_unreachable_tolerance_carries_best_iterate(square, side_constraints):
 def test_perturbation_margin_zero_direction_is_exact_zero(square):
     u = ScalarField.from_function(square, lambda x, y: x * y)
     zero = ScalarField.constant(square, 0.0)
-    assert perturbation_margin(u, zero, 3.0, 1e-2) == 0.0
-
-
-def test_perturbation_margin_accepts_precomputed_energy(square):
-    u = ScalarField.from_function(square, lambda x, y: x * x + y)
-    d = ScalarField.from_function(square, lambda x, y: np.sin(3.0 * x) * y)
-    e0 = p_energy(u, 3.0)
-    assert perturbation_margin(u, d, 3.0, 1e-2, e0) == perturbation_margin(u, d, 3.0, 1e-2)
+    gu = fem.gradient(u).values.T
+    assert plaplace._margin(square.areas, gu, np.zeros_like(gu), 3.0, 1e-2,
+                            p_energy(u, 3.0)) == 0.0
 
 
 def test_certificate_accepts_minimizer_and_rejects_perturbation(
@@ -832,12 +823,15 @@ def test_each_rung_records_one_step_and_the_iterate_it_hands_over(build, p,
                                                           handed_over, rung)
 
 
-@pytest.mark.parametrize("eps_final", [None, 1.0])
+@pytest.mark.parametrize("eps_final_factor", [None, 1.0])
 def test_a_rejected_rung_step_hands_over_its_start_and_final_decides(
-        square, side_constraints, eps_final, monkeypatch):
+        square, side_constraints, eps_final_factor, monkeypatch):
     f = ScalarField.from_function(square, lambda x, y: x + 0.5 * y * y)
-    problem = PlapProblem(square, side_constraints, f, 4.0, eps_final=eps_final)
-    u_ref = solve_p_laplace(problem)[0] if eps_final is None else None
+    problem = PlapProblem(square, side_constraints, f, 4.0)
+    if eps_final_factor is None:
+        u_ref = solve_p_laplace(problem)[0]
+    else:
+        monkeypatch.setattr(plaplace, "_EPS_FINAL_FACTOR", eps_final_factor)
     starts, step = _stage_starts(monkeypatch), plaplace._newton_step
 
     def ascent(*args):
@@ -847,7 +841,7 @@ def test_a_rejected_rung_step_hands_over_its_start_and_final_decides(
         return -delta if starts[-1][1] == 1 else delta
 
     monkeypatch.setattr(plaplace, "_newton_step", ascent)
-    if eps_final is None:
+    if eps_final_factor is None:
         u, report = solve_p_laplace(problem)
         assert report.stationarity <= problem.tol
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8

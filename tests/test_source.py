@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "singfem"
+import singfem
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "singfem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,6 +40,100 @@ def test_every_module_level_import_is_used(path):
 def test_the_import_check_sees_an_unused_import():
     text = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert _unused_imports(text) == ["os (line 1)", "tau (line 3)"]
+
+
+def _noqa_imports(text):
+    """Names bound by the top-level imports whose line carries `# noqa: F401`."""
+    lines = text.splitlines()
+    return [alias.asname or alias.name for node in ast.parse(text).body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "# noqa: F401" in lines[node.lineno - 1] for alias in node.names]
+
+
+def test_the_only_unread_imports_are_the_tracer_patch_points():
+    # perfbench/tracer.py wraps these module attributes to time the
+    # factorizations and the CG solves; nothing in the module reads them.
+    assert sorted(f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                  for name in _noqa_imports(path.read_text())) == [
+        "plaplace.conjugate_gradient", "plaplace.splu", "verify.conjugate_gradient"]
+
+
+def test_all_is_sorted_and_names_every_package_import():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert singfem.__all__ == sorted(imported)
+
+
+def _references(text):
+    """{name: every ast.Name id and ast.Attribute attr inside its
+    definition} for each top-level def, class and assigned name."""
+    refs = {}
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        used = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+        for name in names:
+            refs.setdefault(name, set()).update(used)
+    return refs
+
+
+def _unreached(texts, roots):
+    """The top-level names of the module texts that no chain of
+    references from the roots reaches, sorted.  Names are not qualified
+    by module: a reference reaches every definition of that name."""
+    graph = {}
+    for text in texts:
+        for name, used in _references(text).items():
+            graph.setdefault(name, set()).update(used)
+    reached, todo = set(), [root for root in roots if root in graph]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(graph[name] & graph.keys())
+    return sorted(graph.keys() - reached)
+
+
+def _imported_from_singfem(text):
+    return {alias.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "singfem" for alias in node.names}
+
+
+def test_every_definition_is_reached():
+    """Every top-level definition is reached from a command (main, or an
+    experiment of verify.EXPERIMENTS), from the acceptance suite or from
+    the benchmark; what none of them reaches gets a command path or goes."""
+    roots = {"main", "EXPERIMENTS"}
+    for path in [REPO / "tests" / "test_acceptance.py", *sorted((REPO / "perfbench").glob("*.py"))]:
+        roots |= _imported_from_singfem(path.read_text())
+    assert _unreached([path.read_text() for path in MODULES], roots) == [
+        "prolong",  # the reference that tests check Mesh.prolongation against
+        "sharp_p",  # the duality map of ROADMAP item 2, which gives it a command path
+    ]
+
+
+def test_the_reachability_check_follows_calls_attributes_and_dict_values():
+    first = ("def main():\n    return helper(1)\n"
+             "def helper(x):\n    return x.method\n"
+             "def orphan():\n    return LIMIT\n"
+             "LIMIT = 3\n"
+             "class Unused:\n    def method(self):\n        return orphan()\n")
+    second = ("def method():\n    return run_a\n"
+              "def run_a():\n    pass\n"
+              "def run_b():\n    pass\n"
+              "EXPERIMENTS = {'b': run_b}\n")
+    assert _unreached([first, second], {"main"}) == [
+        "EXPERIMENTS", "LIMIT", "Unused", "orphan", "run_b"]
+    assert _unreached([first, second], {"main", "EXPERIMENTS"}) == [
+        "LIMIT", "Unused", "orphan"]
 
 
 def _opens_for_writing(call):
