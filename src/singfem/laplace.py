@@ -2,10 +2,11 @@
 `_FreeBlockSolver`, through which every SPD system of the package goes
 but one: fem.weak_divergence factors the mass matrix with SuperLU.
 
-Dirichlet data is imposed strongly at the vertices of the Dirichlet
-edges (which includes the singular vertices adjacent to them).  The
-pure-Neumann problem is checked for compatibility and made definite by
-pinning vertex 0; the zero-mean gauge then subtracts the solution's mean.
+Both problems are one weak equation, solved by one
+`_FreeBlockSolver.constrained` call off a pinned vertex set: the vertices
+of the Dirichlet edges (with their singular vertices), where the data is
+imposed strongly, or vertex 0 for compatible pure-Neumann data, whose
+zero-mean gauge then subtracts the solution's mean.
 """
 
 from __future__ import annotations
@@ -163,19 +164,20 @@ def _band_order(K_ff):
 
 class _FreeBlockSolver:
     """Solver of the free blocks, on one mesh and free set, of the
-    stiffness matrix K it is built from and of any matrix of (nt, 6)
+    stiffness matrix K it assembles and holds, and of any matrix of (nt, 6)
     element entries (fem._element_entries).  The rule (_band_order on K's
     block): band Cholesky on the RCM order, the band refilled by each
     system and factored in place, when it fits _BAND_BUDGET; otherwise
     CG preconditioned by _multigrid, whose SuperLU root makes a mesh
     without a parent a direct solve.  A band that cannot be allocated,
     or meets a non-positive pivot from rounding, falls to MG-PCG.  gram,
-    the mesh's fem._gram_entries, is computed on first use."""
+    the mesh's fem._gram_entries, is built here for a band, else on use."""
 
-    def __init__(self, mesh, K, free, rtol):
+    def __init__(self, mesh, free, rtol):
         self.mesh, self.free, self.rtol, self.ab = mesh, free, rtol, None
-        K_ff = _free_block(K, free)
-        order = _band_order(K_ff)
+        self.K = fem.stiffness_matrix(mesh)
+        K_ff = _free_block(self.K, free)
+        order = _band_order(K_ff) if len(free) else None  # RCM needs a vertex
         if order is not None:
             self.perm, rank, self.bandwidth = order
             # gram before the slot arrays: allocated after their temporaries,
@@ -229,6 +231,21 @@ class _FreeBlockSolver:
              else _free_block(fem._assemble(self.mesh, entries), self.free))
         cycle = _multigrid(self.mesh, A, self.free)
         return lambda rhs, x0=None: conjugate_gradient(A, rhs, cycle, x0=x0, rtol=self.rtol)
+
+    def constrained(self, values, b=None, x0=None):
+        """(u, iterations): values off the free set and, on it, the solution
+        of K_ff u_f = b_f - K_fc u_c (b = 0 if None; MG-PCG starts at x0_f)."""
+        u, free = np.array(values, dtype=np.float64), self.free
+        if not len(free):
+            return u, 0
+        u[free] = 0.0
+        rhs = (self.K @ u)[free]  # K_fc u_c, made the right-hand side in place
+        if b is None:
+            np.negative(rhs, out=rhs)  # not 0.0 - rhs: a zero keeps its sign
+        else:
+            np.subtract(b[free], rhs, out=rhs)
+        u[free], iterations = self.system()(rhs, None if x0 is None else x0[free])
+        return u, iterations
 
     def _band_solve(self, cb, rhs, x0=None):
         x = cho_solve_banded((cb, True), rhs[self.perm], overwrite_b=True,
@@ -318,12 +335,9 @@ def _weak_residual(K, M, partition, u, g, theta):
     |<grad u, grad hat> - <theta, trace hat> + <g, hat>|, divided by
     ||u||_{W^{1,2}} + ||g||_{L^2} + 1; nan when that normalizer overflows.
     """
-    mesh = partition.mesh
     r = K @ u.values + M @ g.values - _theta_vector(partition, theta)
-    fixed = partition.region_vertices("dirichlet")
-    mask = np.ones(mesh.num_vertices, dtype=bool)
-    mask[fixed] = False
-    num = float(np.max(np.abs(r[mask]))) if mask.any() else 0.0
+    r[partition.region_vertices("dirichlet")] = 0.0
+    num = float(np.max(np.abs(r), initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         den = fem.w1p_norm(u, 2) + fem.lp_norm(g, 2) + 1.0
     # Relative to an overflowed norm, any residual reads 0; nan fails the gates.
@@ -341,6 +355,27 @@ _DEFAULT_RESIDUAL_TOL = 1e-10
 _COMPATIBILITY_RTOL = 1e-8
 
 
+def _solve_weak(partition, values, pinned, g, theta, rtol, x0=None, mean_gauge=False):
+    """(field, iterations, weak residual) of the Laplace equation, values
+    kept on the pinned vertices; mean_gauge shifts to zero mean."""
+    mesh = partition.mesh
+    mask = np.ones(mesh.num_vertices, dtype=bool)
+    mask[pinned] = False
+    # This order, the solver dropped before the residual and constrained()'s in-place
+    # rhs keep laplace_refined's peak RSS at 132 MB (up to 145 MB, same arrays alive).
+    M = fem.mass_matrix(mesh)
+    b = _theta_vector(partition, theta) - M @ g.values
+    solver = _FreeBlockSolver(mesh, np.nonzero(mask)[0], rtol)
+    u, iterations = solver.constrained(values, b, x0)
+    K = solver.K
+    del solver
+    if mean_gauge:
+        ones = fem.ScalarField.constant(mesh, 1.0)
+        u -= fem.scalar_inner(fem.ScalarField(mesh, u), ones) / fem.scalar_inner(ones, ones)
+    field = fem.ScalarField(mesh, u)
+    return field, iterations, _weak_residual(K, M, partition, field, g, theta)
+
+
 def solve_mixed(problem, x0=None, rtol=1e-12):
     """Solve the mixed problem; returns (ScalarField, info dict).
 
@@ -350,34 +385,14 @@ def solve_mixed(problem, x0=None, rtol=1e-12):
     solver tolerance).
     """
     partition = problem.partition
-    mesh = partition.mesh
-    fixed = partition.region_vertices("dirichlet")
-    mask = np.ones(mesh.num_vertices, dtype=bool)
-    mask[fixed] = False
-    free = np.nonzero(mask)[0]
-
-    K = fem.stiffness_matrix(mesh)
-    M = fem.mass_matrix(mesh)
-    b = _theta_vector(partition, problem.theta) - M @ problem.g.values
-
-    u = np.zeros(mesh.num_vertices)
-    u[fixed] = problem.f.values[fixed]
-    iterations = 0
-    if len(free):
-        # u is zero on the free vertices here, so (K u)_f = K_fc u_c.
-        rhs = b[free] - (K @ u)[free]
-        start = None if x0 is None else x0.values[free]
-        u[free], iterations = _FreeBlockSolver(mesh, K, free, rtol).system()(rhs, start)
-
-    field = fem.ScalarField(mesh, u)
-    res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
+    field, iterations, res = _solve_weak(
+        partition, problem.f.values, partition.region_vertices("dirichlet"), problem.g,
+        problem.theta, rtol, None if x0 is None else x0.values)
     if not res <= _DEFAULT_RESIDUAL_TOL:
         raise SolverError(
             f"mixed solve left weak residual {res:.3e}, not at most "
             f"{_DEFAULT_RESIDUAL_TOL:.1e}{_overflow_note(res)}",
-            iterations=iterations,
-            residual=res,
-        )
+            iterations=iterations, residual=res)
     return field, {"iterations": iterations, "residual": res, "defect": None}
 
 
@@ -392,7 +407,6 @@ def solve_neumann(problem, gauge="mean", rtol=1e-12):
     if gauge not in ("mean", "vertex"):
         raise ValueError(f"unknown gauge {gauge!r}; choose 'mean' or 'vertex'")
     partition = problem.partition
-    mesh = partition.mesh
     with np.errstate(over="ignore", invalid="ignore"):
         defect = compatibility_defect(problem.g, problem.theta)
         scale = fem.lp_norm(problem.g, 2) + _boundary_l2(partition, problem.theta) + 1.0
@@ -405,25 +419,13 @@ def solve_neumann(problem, gauge="mean", rtol=1e-12):
             defect=defect,
         )
 
-    K = fem.stiffness_matrix(mesh)
-    M = fem.mass_matrix(mesh)
-    b = _theta_vector(partition, problem.theta) - M @ problem.g.values
-    free = np.arange(1, mesh.num_vertices)
-    u = np.zeros(mesh.num_vertices)
-    u[free], iterations = _FreeBlockSolver(mesh, K, free, rtol).system()(b[free])
-    if gauge == "mean":
-        ones = fem.ScalarField.constant(mesh, 1.0)
-        area = fem.scalar_inner(ones, ones)
-        u -= fem.scalar_inner(fem.ScalarField(mesh, u), ones) / area
-
-    field = fem.ScalarField(mesh, u)
-    res = _weak_residual(K, M, partition, field, problem.g, problem.theta)
+    field, iterations, res = _solve_weak(
+        partition, np.zeros(partition.mesh.num_vertices), [0], problem.g, problem.theta,
+        rtol, mean_gauge=gauge == "mean")
     # The consistency defect spreads over all hat functions; admit it
     # on top of the solver tolerance.
     if not res <= _DEFAULT_RESIDUAL_TOL + abs(defect):
         raise SolverError(
             f"neumann solve left weak residual {res:.3e}{_overflow_note(res)}",
-            iterations=iterations,
-            residual=res,
-        )
+            iterations=iterations, residual=res)
     return field, {"iterations": iterations, "residual": res, "defect": defect}

@@ -177,10 +177,10 @@ def _exact_stationarity(mesh, G, values, p, free_mask, hat_norms):
     return _stationarity(energy, s, p, free_mask, hat_norms), energy
 
 
-def _solve(solver, entries, rhs, mesh, values):
-    """solver.system(entries)'s solution; PLaplaceError when MG-PCG fails."""
+def _solve(solve, mesh, values):
+    """x of solve() -> (x, iterations); PLaplaceError carrying values if it fails."""
     try:
-        return solver.system(entries)(rhs)[0]
+        return solve()[0]
     except RuntimeError as exc:  # SolverError, or SuperLU's singular root
         raise PLaplaceError(f"Newton system could not be solved: {exc}",
                             best_field=fem.ScalarField(mesh, values)) from exc
@@ -204,7 +204,7 @@ def _newton_step(mesh, values, p, w, s, g, m, free, solver):
     # factorable where the gradient degenerates; the step stays a descent
     # direction because the floored matrix is still SPD.
     entries = fem._element_entries(mesh, solver.gram, w + 1e-14 * wmax, g, c)
-    return _solve(solver, entries, -s[free], mesh, values)
+    return _solve(lambda: solver.system(entries)(-s[free]), mesh, values)
 
 
 # The continuation schedule of solve_p_laplace: p grows by at most the
@@ -328,19 +328,16 @@ def solve_p_laplace(problem, coarse=None):
             certificate=None,
         )
 
-    K = fem.stiffness_matrix(mesh)
-    solver = _FreeBlockSolver(mesh, K, free, _NEWTON_RTOL)
+    solver = _FreeBlockSolver(mesh, free, _NEWTON_RTOL)
     if coarse is not None:
         values[free] = (mesh.prolongation @ coarse.values)[free]
         trace_log.append({"stage": "warm_start", "source": "parent", "iterations": 0})
     else:
         # p = 2 warm start: K_ff u_f = -K_fc u_c, the Hessian system at
-        # p = 2 (unit weights, no (p - 2) term).  values is zero on the
-        # free vertices for the product.
-        values[free] = 0.0
-        values[free] = _solve(solver, None, -(K @ values)[free], mesh, values)
+        # p = 2 (unit weights, no (p - 2) term).
+        values = _solve(lambda: solver.constrained(values), mesh, values)
         trace_log.append({"stage": "warm_start", "p": 2.0, "iterations": 0})
-    del K  # freed before the Newton systems, which it would outlive
+    del solver.K  # freed before the Newton systems, which it would outlive
 
     G = fem.gradient_operator(mesh)
     scale = _energy_terms(mesh, G, values, 2.0, 0.0)[0] ** 0.5  # p_energy, to the bit

@@ -139,9 +139,13 @@ def poincare_constant_2(mesh):
     lower bound of the true constant and nondecreasing under nested
     refinement.
     """
-    K = fem.stiffness_matrix(mesh)
-    M = fem.mass_matrix(mesh)
     nv = mesh.num_vertices
+    # Pinning vertex 0 makes the free block definite; a zero-sum rhs
+    # keeps the pinned solution a solution of K y = b, up to the
+    # constant that deflate removes.
+    free = np.arange(1, nv)
+    solver = _FreeBlockSolver(mesh, free, 1e-10)
+    K, M = solver.K, fem.mass_matrix(mesh)
     ones = np.ones(nv)
     M1 = M @ ones
     total = float(ones @ M1)
@@ -149,11 +153,7 @@ def poincare_constant_2(mesh):
     def deflate(v):
         return v - (float(v @ M1) / total) * ones
 
-    # Pinning vertex 0 makes the free block definite; a zero-sum rhs
-    # keeps the pinned solution a solution of K y = b, up to the
-    # constant that deflate removes.
-    free = np.arange(1, nv)
-    solve = _FreeBlockSolver(mesh, K, free, 1e-10).system()
+    solve = solver.system()  # built once, for every step
     x = deflate(mesh.vertices[:, 0].copy())
     lam_old = math.inf
     for _ in range(_POINCARE_MAXITER):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singfem import cli, geometry, verify
+from singfem import cli, geometry, laplace, verify
 from singfem.cli import ConfigError, compile_expression, config_hash, main, substream_seed
 from singfem.geometry import Mesh
 
@@ -557,6 +557,42 @@ def test_a_gate_whose_norm_overflows_fails_the_run(tmp_path, command, data, erro
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == error and "a norm overflowed" in record["message"]
     assert not (out / "solution.json").exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("solve-laplace",
+     {"partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+      "data": {"f": "x", "g": "1", "theta": "nx * y"}},
+     "mixed solve left weak residual 4.988e-04, not at most 1.0e-10"),
+    ("solve-neumann", {"data": {"g": "0", "theta": "nx * y + ny * x"}},
+     "neumann solve left weak residual 1.027e-04"),
+], ids=["mixed", "neumann"])
+def test_a_loose_solve_fails_its_residual_gate(tmp_path, monkeypatch, command, extra, message):
+    # MG-PCG stopped at relative residual 1e-2 leaves a weak residual far
+    # above the gate (1e-10; for Neumann data plus its defect, here 0).
+    monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
+    cfg = {"domain": {"kind": "unit_square", "n": 8}, "refine": 1, "rtol": 1e-2, **extra}
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "SolverError", "exit_code": 1, "message": message}
+    assert not (out / "solution.json").exists()
+
+
+def test_solve_laplace_without_free_vertices_returns_the_dirichlet_data(tmp_path):
+    # n = 1 has four boundary vertices and no interior one
+    cfg = write_config(tmp_path / "c.json", {
+        "domain": {"kind": "unit_square", "n": 1},
+        "partition": {"dirichlet": ["left", "right", "bottom", "top"]},
+        "data": {"f": "x + 2 * y"},
+    })
+    out = tmp_path / "run"
+    assert main(["solve-laplace", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "solution.json").read_text())
+    assert payload["info"] == {"iterations": 0, "residual": 0.0}
+    xy = np.asarray(payload["mesh"]["vertices"])
+    assert payload["solution"]["values"] == (xy[:, 0] + 2 * xy[:, 1]).tolist()
 
 
 def test_solve_neumann_gauge_flag(tmp_path):

@@ -180,6 +180,15 @@ def test_mixed_enforces_weak_residual(square, mixed_part, monkeypatch):
         solve_mixed(problem)
 
 
+def test_a_mesh_without_free_vertices_returns_the_dirichlet_data():
+    mesh = build_unit_square(1)
+    part = partition_by_tags(mesh, dirichlet=("left", "right", "bottom", "top"))
+    f = ScalarField.from_function(mesh, lambda x, y: x + 2.0 * y)
+    u, info = solve_mixed(MixedProblem(part, ScalarField.constant(mesh, 1.0), f))
+    assert np.array_equal(u.values, f.values)
+    assert info == {"iterations": 0, "residual": 0.0, "defect": None}
+
+
 def test_discrete_maximum_principle(square):
     # right-angled elements: the stiffness matrix is an M-matrix, so a
     # harmonic field attains its extremes on the boundary
@@ -328,7 +337,7 @@ def test_multigrid_cg_matches_superlu(name, extra_constraints, multigrid_only):
     free = _free_set(mesh, part, rng, extra_constraints)
     K = stiffness_matrix(mesh)
     rhs = rng.standard_normal(len(free))
-    x, iterations = laplace._FreeBlockSolver(mesh, K, free, 1e-12).system()(rhs)
+    x, iterations = laplace._FreeBlockSolver(mesh, free, 1e-12).system()(rhs)
     ref = splu(K.tocsc()[:, free][free].tocsc()).solve(rhs)
     assert iterations > 1
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -430,13 +439,12 @@ def test_band_and_multigrid_paths_agree(name, hessian, monkeypatch):
     mesh, part = _chain_mesh(name, 2)
     rng = np.random.default_rng(6)
     free = _free_set(mesh, part, rng, False)
-    K = stiffness_matrix(mesh)
     rhs = rng.standard_normal(len(free))
-    band = laplace._FreeBlockSolver(mesh, K, free, 1e-14)
+    band = laplace._FreeBlockSolver(mesh, free, 1e-14)
     entries = _smooth_hessian_entries(mesh, band.gram, 4.0) if hessian else None
     x_band, band_iterations = band.system(entries)(rhs)
     monkeypatch.setattr(laplace, "_BAND_BUDGET", 0)
-    multigrid = laplace._FreeBlockSolver(mesh, K, free, 1e-14)
+    multigrid = laplace._FreeBlockSolver(mesh, free, 1e-14)
     assert band.ab is not None and multigrid.ab is None
     x_mg, mg_iterations = multigrid.system(entries)(rhs)
     assert band_iterations == 0 and mg_iterations > 1
@@ -446,7 +454,7 @@ def test_band_and_multigrid_paths_agree(name, hessian, monkeypatch):
 def test_a_multigrid_system_builds_no_band_layout(multigrid_only):
     mesh, part = _chain_mesh("square", 2)
     free = np.setdiff1d(np.arange(mesh.num_vertices), part.region_vertices("dirichlet"))
-    solver = laplace._FreeBlockSolver(mesh, stiffness_matrix(mesh), free, 1e-12)
+    solver = laplace._FreeBlockSolver(mesh, free, 1e-12)
     solver.system()(np.ones(len(free)))
     assert solver.ab is None
     assert not {"gram", "slot", "pairs", "perm"} & set(vars(solver))

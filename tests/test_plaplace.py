@@ -311,7 +311,7 @@ def _dense_from_band(ab):
 
 def _solver(mesh, free):
     """The free-block solver of the unit-weight stiffness on this free set."""
-    return laplace._FreeBlockSolver(mesh, fem.stiffness_matrix(mesh), free, 1e-12)
+    return laplace._FreeBlockSolver(mesh, free, 1e-12)
 
 
 MESHES = [
@@ -460,6 +460,11 @@ def test_solve_builds_the_gram_entries_twice_however_many_newton_systems_run(
         square, side_constraints, monkeypatch):
     # One build for the stiffness matrix and one held by the solver for
     # every system it solves: a fixed count, not one per Newton step.
+    # Assembling K from the held entries would save the second build
+    # (1.3 ms on plap_p4's square n = 128), but the solver then holds them
+    # on the MG-PCG path too, 6.3 MB on laplace_refined's mesh while K is
+    # assembled: the benchmark's peak_rss_mb rose from 132.2 to 139.5 MB
+    # there and from 97.3 to 98.9 MB on plap_p4 (hash seeds 0-5).  So both stay.
     calls = Counter()
     _count_calls(monkeypatch, fem, "_gram_entries", calls)
     coarse, report = solve_p_laplace(_p4_problem(square, side_constraints))
@@ -469,6 +474,26 @@ def test_solve_builds_the_gram_entries_twice_however_many_newton_systems_run(
     _, report = solve_p_laplace(fine, coarse=coarse)  # nested: the final stage alone
     assert sum(s["iterations"] for s in report.iterations) > 1
     assert calls["_gram_entries"] == 4
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["warm_start", "nested"])
+def test_the_solver_releases_the_stiffness_matrix_before_the_newton_systems(
+        square, side_constraints, nested, monkeypatch):
+    held, system = [], laplace._FreeBlockSolver.system
+
+    def recorded(self, entries=None):
+        held.append((entries is None, hasattr(self, "K")))
+        return system(self, entries)
+
+    monkeypatch.setattr(laplace._FreeBlockSolver, "system", recorded)
+    coarse, _ = solve_p_laplace(_p4_problem(square, side_constraints))
+    if nested:
+        held.clear()
+        solve_p_laplace(_side_problem(refine(square)), coarse=coarse)
+    else:
+        # the p = 2 warm start, K's own block, is the one system run with K
+        assert held.pop(0) == (True, True)
+    assert held and set(held) == {(False, False)}
 
 
 def test_each_iterate_has_its_element_terms_computed_once(square, side_constraints,

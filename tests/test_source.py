@@ -154,12 +154,13 @@ def _opens_for_writing(call):
 
 def _callers(text, matches):
     """(function, line) of every call for which matches(call) holds, the
-    function being the innermost def around it ("<module>" at top level)."""
+    function being the def around it, qualified by the classes and defs
+    that enclose it ("Class.method"; "<module>" at top level)."""
     found = []
 
     def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
         if isinstance(node, ast.Call) and matches(node):
             found.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -187,14 +188,16 @@ def test_the_writer_check_sees_every_write_mode():
                                                   ("<module>", 10)]
 
 
-def _builds_coo(call):
-    """Whether a call is coo_matrix(...) or some_module.coo_matrix(...)."""
-    func = call.func
-    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "coo_matrix"
+def _calls(name):
+    """The matcher of the calls name(...) and some_module.name(...)."""
+    def matches(call):
+        func = call.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+    return matches
 
 
 def test_only_the_assembler_and_the_edge_graph_build_coo_matrices():
-    assert _package_callers(_builds_coo) == ["fem._assemble", "geometry._edge_graph"]
+    assert _package_callers(_calls("coo_matrix")) == ["fem._assemble", "geometry._edge_graph"]
 
 
 def test_the_assembler_check_sees_every_coo_call():
@@ -202,4 +205,19 @@ def test_the_assembler_check_sees_every_coo_call():
             "def f(d, ij):\n    coo_matrix((d, ij))\n    csr_matrix((d, ij))\n"
             "def g(d, ij):\n    scipy.sparse.coo_matrix((d, ij)).tocsr()\n    coo_array(d)\n"
             "sp.coo_matrix(d)\n")
-    assert _callers(text, _builds_coo) == [("f", 3), ("g", 6), ("<module>", 8)]
+    assert _callers(text, _calls("coo_matrix")) == [("f", 3), ("g", 6), ("<module>", 8)]
+
+
+def test_only_the_free_block_solver_assembles_the_stiffness_matrix():
+    # One K per (mesh, free set): every constrained solve gets it from
+    # laplace._FreeBlockSolver, which assembles it.
+    assert _package_callers(_calls("stiffness_matrix")) == ["laplace._FreeBlockSolver.__init__"]
+
+
+def test_the_caller_check_names_methods_and_nested_defs_by_their_parents():
+    text = ("class Solver:\n    def __init__(self, mesh):\n"
+            "        self.K = fem.stiffness_matrix(mesh)\n"
+            "def f(mesh):\n    def inner():\n        return stiffness_matrix(mesh)\n"
+            "    return fem.mass_matrix(mesh)\n")
+    assert _callers(text, _calls("stiffness_matrix")) == [("Solver.__init__", 3),
+                                                          ("f.inner", 6)]
