@@ -1,9 +1,10 @@
 """Command-line front end: configuration plumbing around the library.
 
 Each subcommand checks its config fields, builds and hashes the effective
-configuration, and warns about every config key outside it; `verify`
-runs an experiment of `verify.EXPERIMENTS`, whose signature gives its
-keys and defaults.  Every artifact embeds the hash; reruns with the same
+configuration, and warns about every config key outside it.  A
+signature gives keys and defaults: a domain's generator in
+`geometry.DOMAINS` gives the domain's fields, and `verify`'s experiment
+in `verify.EXPERIMENTS` gives its config keys.  Every artifact embeds the hash; reruns with the same
 configuration are bit-identical.  A command claims its artifacts as soon
 as the hash is known, before it solves anything: an existing artifact
 with a different hash is never overwritten.  _write_artifact writes them.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fem, verify
 from .geometry import (
-    DomainSpec,
+    DOMAINS,
     MeshError,
     PartitionError,
     build_domain,
@@ -125,7 +125,7 @@ def _typed_field(cfg, key, default):
 
 def _warn_unknown(extra, where):
     for key in sorted(extra):
-        print(f"warning: ignoring unknown config key {where}{key!r}", file=sys.stderr)
+        print(f"warning: ignoring unknown config key {where + key!r}", file=sys.stderr)
 
 
 def _effective_hash(cfg, effective):
@@ -138,38 +138,40 @@ def _effective_hash(cfg, effective):
 
 
 def _domain_from_config(cfg):
+    """(mesh, effective domain, refinement levels).  A domain's fields are
+    its generator's keyword parameters, with their defaults."""
     dom = cfg.get("domain", {"kind": "unit_square", "n": 8})
     if not isinstance(dom, dict):
         raise ConfigError("domain: expected an object")
-    spec_fields = dataclasses.fields(DomainSpec)
-    unknown = set(dom) - {fld.name for fld in spec_fields}
-    if unknown:
-        raise ConfigError(f"domain: unknown field(s) {sorted(unknown)}")
     if "kind" not in dom:
         raise ConfigError("domain.kind: required")
-    # Each number is checked by the type of its DomainSpec default.  Integer
-    # fields are converted (8.0 -> 8); float fields keep the value as
-    # written, so "k": 3 still hashes as 3.
-    dom = dict(dom)
-    for fld in spec_fields[1:]:
-        if fld.name in dom and (dom[fld.name] is not None or fld.default is not None):
-            key = f"domain.{fld.name}"
-            value = _typed_field({key: dom[fld.name]}, key, fld.default)
-            if not isinstance(fld.default, float):
-                dom[fld.name] = value
+    kind = dom["kind"]
+    if not isinstance(kind, str) or kind not in DOMAINS:
+        raise ConfigError(f"domain: unknown domain kind {kind!r}")
+    params = inspect.signature(DOMAINS[kind]).parameters
+    unknown = set(dom) - {"kind"} - set(params)
+    if unknown:
+        raise ConfigError(f"domain: unknown field(s) {sorted(unknown)}")
+    # Each number is checked by the type of its default.  Integer fields
+    # are converted (8.0 -> 8); float fields keep the value as written,
+    # so "k": 3 still hashes as 3.
+    fields = {}
+    for name, par in params.items():
+        key, value = f"domain.{name}", dom.get(name, par.default)
+        read = _typed_field({key: value}, key, par.default)
+        fields[name] = value if isinstance(par.default, float) else read
     try:
-        spec = DomainSpec(**dom)
-        mesh = build_domain(spec)
+        mesh = build_domain(kind, **fields)
     except MeshError as exc:
         raise ConfigError(f"domain: {exc}")
     levels = _int_field(cfg, "refine", 0, minimum=0)
     for _ in range(levels):
         mesh = refine(mesh)
-    return mesh, dataclasses.asdict(spec), levels
+    return mesh, {"kind": kind, **fields}, levels
 
 
-def _partition_from_config(cfg, mesh, default=None):
-    part_cfg = cfg.get("partition", default or {})
+def _partition_from_config(cfg, mesh):
+    part_cfg = cfg.get("partition", {})
     if not isinstance(part_cfg, dict):
         raise ConfigError("partition: expected an object")
     regions = {}
@@ -435,25 +437,25 @@ def _cmd_mesh(args, cfg, out_dir):
     )
 
 
-def _solve_config(cfg, needs_dirichlet):
-    """Mesh, partition and data of a solve.  Without needs_dirichlet the
-    partition defaults to all-Neumann; with it, Dirichlet edges are required."""
-    mesh, dom, levels = _domain_from_config(cfg)
-    default_part = None
-    if not needs_dirichlet:
-        default_part = {"neumann": sorted(set(mesh.boundary_tags))}
-    partition, part_cfg = _partition_from_config(cfg, mesh, default=default_part)
-    if needs_dirichlet and len(partition.region_edges("dirichlet")) == 0:
-        raise ConfigError("partition.dirichlet: this command needs a non-empty "
-                          "Dirichlet region")
+def _data_from_config(cfg):
     data = cfg.get("data", {})
     if not isinstance(data, dict):
         raise ConfigError("data: expected an object")
-    return mesh, dom, levels, partition, part_cfg, data
+    return data
+
+
+def _solve_config(cfg):
+    """Mesh, partition and data of a solve with a non-empty Dirichlet region."""
+    mesh, dom, levels = _domain_from_config(cfg)
+    partition, part_cfg = _partition_from_config(cfg, mesh)
+    if len(partition.region_edges("dirichlet")) == 0:
+        raise ConfigError("partition.dirichlet: this command needs a non-empty "
+                          "Dirichlet region")
+    return mesh, dom, levels, partition, part_cfg, _data_from_config(cfg)
 
 
 def _cmd_solve_laplace(args, cfg, out_dir):
-    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, True)
+    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg)
     g = _scalar_from_expr(mesh, data.get("g", "0"), "data.g")
     f = _scalar_from_expr(mesh, data.get("f", "0"), "data.f")
     theta = None
@@ -486,7 +488,10 @@ def _cmd_solve_laplace(args, cfg, out_dir):
 
 
 def _cmd_solve_neumann(args, cfg, out_dir):
-    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, False)
+    mesh, dom, levels = _domain_from_config(cfg)
+    # Every boundary edge is Neumann: the command reads no partition.
+    partition = partition_by_tags(mesh, neumann=set(mesh.boundary_tags))
+    data = _data_from_config(cfg)
     if args.gauge is not None:
         cfg["gauge"] = args.gauge
     gauge = cfg.get("gauge", "mean")
@@ -498,7 +503,6 @@ def _cmd_solve_neumann(args, cfg, out_dir):
 
     effective = {
         "command": "solve-neumann", "domain": dom, "refine": levels,
-        "partition": part_cfg,
         "data": {"g": data.get("g", "0"), "theta": data.get("theta", "0")},
         "gauge": gauge, "rtol": rtol,
     }
@@ -525,7 +529,7 @@ def _cmd_solve_plap(args, cfg, out_dir):
             cfg[flag] = getattr(args, flag)
     if args.certificate:
         cfg["certificate"] = True
-    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg, True)
+    mesh, dom, levels, partition, part_cfg, data = _solve_config(cfg)
     if "p" not in cfg:
         raise ConfigError("p: required for solve-plap")
     p = _float_field(cfg, "p", None, above=1.0)
@@ -540,8 +544,10 @@ def _cmd_solve_plap(args, cfg, out_dir):
     effective = {
         "command": "solve-plap", "domain": dom, "refine": levels,
         "partition": part_cfg, "data": {"f": data.get("f", "0")},
-        "p": p, "tol": tol, "certificate": want_cert, "seed": seed,
+        "p": p, "tol": tol, "certificate": want_cert,
     }
+    if want_cert:  # the seed draws only the certificate's directions
+        effective["seed"] = seed
     h = _effective_hash(cfg, effective)
     path, = _claim(out_dir, h, "solution.json")
     u, report = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p, tol=tol))
@@ -592,7 +598,7 @@ def _cmd_verify(args, cfg, out_dir):
 
 
 def _cmd_sweep(args, cfg, out_dir):
-    mesh, dom, pre_levels, _, part_cfg, data = _solve_config(cfg, True)
+    mesh, dom, pre_levels, _, part_cfg, data = _solve_config(cfg)
     f_expr = data.get("f", "0")
     p_values = _list_field(cfg, "p_values", [2.0, 3.0], above=1.0)
     level_list = _list_field(cfg, "levels", [0, 1], _int_field, minimum=0)

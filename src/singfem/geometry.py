@@ -481,12 +481,12 @@ def build_rectangle(width, height, nx, ny):
     return Mesh.from_triangulation(vertices, triangles, edge_tag)
 
 
-def build_unit_square(n):
+def build_unit_square(n=8):
     """Structured unit square with n subdivisions per side."""
     return build_rectangle(1.0, 1.0, n, n)
 
 
-def build_annulus(r_in, r_out, n_radial, n_angular):
+def build_annulus(r_in=0.1, r_out=1.0, n_radial=8, n_angular=16):
     """Polar-grid triangulation of the annulus r_in < r < r_out.
 
     Radii follow a geometric progression between the two circles so
@@ -533,7 +533,7 @@ def build_annulus(r_in, r_out, n_radial, n_angular):
 _CUSP_RATIO = 0.7
 
 
-def build_cusp(k, n):
+def build_cusp(k=1.0, n=8):
     """Triangulated cusp wedge {0 < x < 1, |y| < x**k / 2}.
 
     The tip at the origin is declared a singular vertex.  Vertex
@@ -589,36 +589,21 @@ def build_cusp(k, n):
                                    singular_vertices=(0,))
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Description of a generatable domain.
-
-    kind is one of "unit_square", "annulus", "cusp".  Only the fields
-    relevant to the kind are consulted, and their ranges are checked by
-    the kind's generator (MeshError from build_domain).  `seed` is
-    accepted for interface stability; the generators are deterministic.
-    """
-
-    kind: str
-    n: int = 8
-    r_in: float = 0.1
-    r_out: float = 1.0
-    n_radial: int = 8
-    n_angular: int = 16
-    k: float = 1.0
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("unit_square", "annulus", "cusp"):
-            raise MeshError(f"unknown domain kind {self.kind!r}")
+# The generatable domains: each kind's generator, whose keyword parameters
+# and defaults are the domain's fields.
+DOMAINS = {
+    "unit_square": build_unit_square,
+    "annulus": build_annulus,
+    "cusp": build_cusp,
+}
 
 
-def build_domain(spec):
-    if spec.kind == "unit_square":
-        return build_unit_square(spec.n)
-    if spec.kind == "annulus":
-        return build_annulus(spec.r_in, spec.r_out, spec.n_radial, spec.n_angular)
-    return build_cusp(spec.k, spec.n)
+def build_domain(kind, **params):
+    """The mesh of DOMAINS[kind](**params); MeshError for an unknown kind
+    and, from the generator, for a field out of range."""
+    if kind not in DOMAINS:
+        raise MeshError(f"unknown domain kind {kind!r}")
+    return DOMAINS[kind](**params)
 
 
 # -- refinement -----------------------------------------------------------

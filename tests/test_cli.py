@@ -851,6 +851,69 @@ def test_verify_with_a_seed_refuses_a_rerun_with_another_seed(tmp_path):
     assert (out / "report.csv").read_bytes() == first
 
 
+PLAP_CONFIG = {
+    "domain": {"kind": "unit_square", "n": 3},
+    "partition": {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]},
+    "data": {"f": "x"}, "p": 3.0,
+}
+
+
+def test_solve_plap_without_the_certificate_ignores_the_seed(tmp_path):
+    # The seed draws only the certificate's directions.
+    path = write_config(tmp_path / "p.json", PLAP_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    first = (out / "solution.json").read_bytes()
+    assert main(["solve-plap", "--config", path, "--seed", "2", "--out", str(out)]) == 0
+    assert (out / "solution.json").read_bytes() == first
+
+
+def test_solve_plap_with_the_certificate_refuses_a_rerun_with_another_seed(tmp_path):
+    path = write_config(tmp_path / "p.json", {**PLAP_CONFIG, "certificate": True})
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+    first = (out / "solution.json").read_bytes()
+    assert main(["solve-plap", "--config", path, "--seed", "2", "--out", str(out)]) == 2
+    assert "refusing to overwrite" in json.loads((out / "error.json").read_text())["message"]
+    assert (out / "solution.json").read_bytes() == first
+
+
+# Literal hashes: a change that moves every config_hash fails here first.
+@pytest.mark.parametrize("command, cfg, artifact, config_hash_", [
+    (["mesh"], {}, "mesh.json",
+     "424bab517dc6c946bf1e98ea533312e67588384e6ade752edd498309a30ffed1"),
+    (["solve-plap"], PLAP_CONFIG, "solution.json",
+     "a9b3498712e9d6efe9f4b2cb7589d60baafdc44093753154cda89f7d0d963917"),
+    (["solve-plap", "--certificate"], PLAP_CONFIG, "solution.json",
+     "286ca6fc1abafcaa3460cd3b19bb2b90f4cdd5e3133269c61f09c4ad45a660e6"),
+], ids=["mesh-defaults", "solve-plap", "solve-plap-certificate"])
+def test_config_hashes_are_pinned(tmp_path, command, cfg, artifact, config_hash_):
+    out = tmp_path / "run"
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main([*command, "--config", path, "--out", str(out)]) == 0
+    assert cli._embedded_hash(out / artifact) == config_hash_
+
+
+def test_solve_neumann_reads_no_partition(tmp_path, monkeypatch, capsys):
+    # A "Dirichlet" region in the config neither pins the solve (vertex 0
+    # is the one pinned vertex) nor drops vertices from the residual gate.
+    partitions = []
+    solve = cli.solve_neumann
+    monkeypatch.setattr(cli, "solve_neumann", lambda problem, **kwargs: partitions.append(
+        problem.partition) or solve(problem, **kwargs))
+    base = {"domain": {"kind": "unit_square", "n": 4}, "data": {"g": "0", "theta": "nx"}}
+    sides = {"dirichlet": ["left", "right"], "neumann": ["bottom", "top"]}
+    plain, split = tmp_path / "plain", tmp_path / "split"
+    assert main(["solve-neumann", "--config", write_config(tmp_path / "a.json", base),
+                 "--out", str(plain)]) == 0
+    assert main(["solve-neumann", "--config",
+                 write_config(tmp_path / "b.json", {**base, "partition": sides}),
+                 "--out", str(split)]) == 0
+    assert "warning: ignoring unknown config key 'partition'" in capsys.readouterr().err
+    assert [len(part.region_vertices("dirichlet")) for part in partitions] == [0, 0]
+    assert (split / "solution.json").read_bytes() == (plain / "solution.json").read_bytes()
+
+
 @pytest.mark.parametrize("schedule", ["[null]", '["x"]', "[-1]", "[]", "0.01"])
 def test_bad_radius_schedules_are_usage_errors(tmp_path, schedule):
     path = tmp_path / "v.json"
@@ -916,7 +979,7 @@ def test_solve_warns_about_data_keys_it_does_not_read(tmp_path, capsys):
         "data": {"g": "0", "theta": "nx", "f": "x"},
     })
     assert main(["solve-neumann", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert "unknown config key data.'f'" in capsys.readouterr().err
+    assert "unknown config key 'data.f'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("domain, field", [
@@ -926,7 +989,6 @@ def test_solve_warns_about_data_keys_it_does_not_read(tmp_path, capsys):
     ({"kind": "annulus", "n_radial": None}, "domain.n_radial"),
     ({"kind": "annulus", "r_in": "0.1"}, "domain.r_in"),
     ({"kind": "cusp", "k": [3]}, "domain.k"),
-    ({"kind": "unit_square", "seed": "abc"}, "domain.seed"),
 ])
 def test_malformed_domain_fields_are_usage_errors(tmp_path, domain, field):
     out = tmp_path / "run"
@@ -938,11 +1000,41 @@ def test_malformed_domain_fields_are_usage_errors(tmp_path, domain, field):
     assert not (out / "mesh.json").exists()
 
 
+@pytest.mark.parametrize("domain, unknown", [
+    ({"kind": "unit_square", "n": 4, "seed": 5}, ["seed"]),
+    ({"kind": "unit_square", "k": 7, "r_in": 0.3}, ["k", "r_in"]),
+    ({"kind": "annulus", "n": 4}, ["n"]),
+    ({"kind": "cusp", "n_angular": 99}, ["n_angular"]),
+], ids=["square-seed", "square-k-r_in", "annulus-n", "cusp-n_angular"])
+def test_a_field_its_generator_does_not_take_is_a_usage_error(tmp_path, domain, unknown):
+    # A domain's fields are its generator's keyword parameters: a field
+    # the kind ignores would otherwise move the hash and not the mesh.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "m.json", {"domain": domain})
+    assert main(["mesh", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "ConfigError", "exit_code": 2,
+        "message": f"domain: unknown field(s) {unknown}"}
+    assert not (out / "mesh.json").exists()
+
+
+@pytest.mark.parametrize("domain, effective", [
+    ({"kind": "unit_square"}, {"kind": "unit_square", "n": 8}),
+    ({"kind": "annulus", "n_radial": 2},
+     {"kind": "annulus", "r_in": 0.1, "r_out": 1.0, "n_radial": 2, "n_angular": 16}),
+    ({"kind": "cusp", "k": 3}, {"kind": "cusp", "k": 3, "n": 8}),
+], ids=["square", "annulus", "cusp"])
+def test_the_effective_domain_is_its_kind_and_its_generator_parameters(
+        tmp_path, monkeypatch, domain, effective):
+    hashed = []
+    monkeypatch.setattr(cli, "config_hash",
+                        lambda config: hashed.append(config) or config_hash(config))
+    cfg = write_config(tmp_path / "m.json", {"domain": domain})
+    assert main(["mesh", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert hashed == [{"command": "mesh", "domain": effective, "refine": 0}]
+
+
 def test_domain_numbers_enter_the_hash_as_written(tmp_path):
-    import dataclasses
-
-    from singfem.geometry import DomainSpec
-
     def mesh_hash(domain, name):
         out = tmp_path / name
         cfg = write_config(tmp_path / f"{name}.json", {"domain": domain})
@@ -951,7 +1043,7 @@ def test_domain_numbers_enter_the_hash_as_written(tmp_path):
 
     # A float field keeps an integer as written (k = 3 hashes as 3); an
     # integer field written as a whole float is read as the integer.
-    as_written = dataclasses.asdict(DomainSpec(kind="cusp", k=3, n=2))
+    as_written = {"kind": "cusp", "k": 3, "n": 2}
     assert mesh_hash({"kind": "cusp", "k": 3, "n": 2}, "int_k") == config_hash(
         {"command": "mesh", "domain": as_written, "refine": 0})
     assert mesh_hash({"kind": "cusp", "k": 3.0, "n": 2}, "float_k") != mesh_hash(

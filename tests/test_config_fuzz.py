@@ -2,13 +2,13 @@
 
 Whatever a config file holds, `main` returns 0, 1 or 2, writes error.json
 on every nonzero exit and lets no exception escape.  A field of the wrong
-JSON type, or a number out of range for a field that is read, is a usage
-error (exit 2).  Valid draws stay small (n <= 8, at most one refinement,
-a few levels), so no draw builds a large mesh.
+JSON type, a number out of range for a field that is read, or a domain
+field that its kind's generator does not take is a usage error (exit 2).
+Valid draws stay small (n <= 8, at most one refinement, a few levels), so
+no draw builds a large mesh.
 """
 
 import contextlib
-import dataclasses
 import inspect
 import io
 import json
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from singfem import verify
 from singfem.cli import main
-from singfem.geometry import DomainSpec
+from singfem.geometry import DOMAINS
 
 FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -29,7 +29,8 @@ WRONG_INT = ["8", None, True, [2], {}, 2.5, -0.5]
 WRONG_FLOAT = ["0.5", None, False, [1.0], {}]
 WRONG_LIST = ["x", None, True, 3.0, {}, [], [None], ["2"], [False]]
 
-# domain field -> (valid values, values out of range where the field is read)
+# domain field -> (valid values, values out of range); "seed" is a field
+# that no generator takes
 DOMAIN = {
     "n": ([2, 3, 8], [0, -2]),
     "r_in": ([0.1, 0.25], [0.0, -0.1]),
@@ -38,11 +39,6 @@ DOMAIN = {
     "n_angular": ([3, 12], [2, 0]),
     "k": ([1, 2.5, 3], [0.5, -1, 10**400]),
     "seed": ([None, 0, 7], []),
-}
-READS = {
-    "unit_square": {"n"},
-    "annulus": {"r_in", "r_out", "n_radial", "n_angular"},
-    "cusp": {"n", "k"},
 }
 
 # experiment parameter -> (valid values, out-of-range values)
@@ -70,20 +66,24 @@ def _choice(valid, out_of_range, wrong, optional=True):
 
 @st.composite
 def mesh_configs(draw):
+    """A domain's fields are its generator's parameters (geometry.DOMAINS):
+    a wrong type, a value out of range, or a field of another kind is a
+    usage error."""
     kind, kind_ok = draw(st.sampled_from(
-        [(k, True) for k in READS] + [(k, False) for k in ("disk", 3, None, ["cusp"])]))
+        [(k, True) for k in DOMAINS] + [(k, False) for k in ("disk", 3, None, ["cusp"])]))
+    params = inspect.signature(DOMAINS[kind]).parameters if kind_ok else {}
     domain, usage_error = {"kind": kind}, not kind_ok
-    for fld in dataclasses.fields(DomainSpec)[1:]:
-        name = fld.name
+    for name, par in params.items():
         valid, out = DOMAIN[name]
-        wrong = WRONG_FLOAT if isinstance(fld.default, float) else WRONG_INT
-        if fld.default is None:
-            wrong = [w for w in wrong if w is not None]
+        wrong = WRONG_FLOAT if isinstance(par.default, float) else WRONG_INT
         value, label = draw(_choice(valid, out, wrong))
         if label != "absent":
             domain[name] = value
-        usage_error |= label == "wrong" or (
-            label == "out" and kind_ok and name in READS[kind])
+        usage_error |= label in ("out", "wrong")
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(set(DOMAIN) - set(params))))
+        domain[name] = draw(st.sampled_from(DOMAIN[name][0]))
+        usage_error = True
     cfg = {"domain": domain}
     value, label = draw(_choice([0, 1], [-1], WRONG_INT))
     if label != "absent":
@@ -223,8 +223,7 @@ def _run(argv, cfg):
 def test_mesh_config_fuzz(drawn):
     cfg, usage_error = drawn
     code = _run(["mesh"], cfg)
-    if usage_error:
-        assert code == 2, cfg
+    assert (code == 2) == usage_error, cfg
 
 
 @FUZZ

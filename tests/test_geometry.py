@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -13,7 +14,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from singfem import geometry
 from singfem.geometry import (
-    DomainSpec,
     Mesh,
     MeshError,
     PartitionError,
@@ -127,13 +127,23 @@ def test_cusp_tip_is_singular():
     assert set(m.boundary_tags) == {"lower", "upper", "right"}
 
 
-def test_domain_spec_validation_and_dispatch():
-    assert build_domain(DomainSpec("unit_square", n=3)).num_triangles == 18
-    with pytest.raises(MeshError):
-        DomainSpec("hexagon")
+def test_build_domain_validation_and_dispatch():
+    assert build_domain("unit_square", n=3).num_triangles == 18
+    assert build_domain("cusp").content_hash() == build_cusp(1.0, 8).content_hash()
+    with pytest.raises(MeshError, match="unknown domain kind 'hexagon'"):
+        build_domain("hexagon")
     # the ranges are the generator's to check
     with pytest.raises(MeshError, match="annulus requires r_in > 0"):
-        build_domain(DomainSpec("annulus", r_in=-1.0))
+        build_domain("annulus", r_in=-1.0)
+    # a domain's fields are its generator's parameters
+    with pytest.raises(TypeError):
+        build_domain("unit_square", k=2.0)
+    assert {kind: list(inspect.signature(build).parameters)
+            for kind, build in geometry.DOMAINS.items()} == {
+        "unit_square": ["n"],
+        "annulus": ["r_in", "r_out", "n_radial", "n_angular"],
+        "cusp": ["k", "n"],
+    }
 
 
 # -- mesh invariants --------------------------------------------------------
