@@ -268,6 +268,19 @@ def _assemble(mesh, entries):
     return coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
+def _load_vector(g):
+    """Vector with entries <g, hat_i>, which is mass_matrix(mesh) @ g.values,
+    in one element pass without M: element T adds
+    (area_T / 12) (g_i + g_a + g_b + g_c) to its vertex i, a, b, c being
+    T's vertices."""
+    mesh = g.mesh
+    contrib = g.values[mesh.triangles]  # (nt, 3)
+    contrib += _vertex_sum(contrib)[:, None]
+    contrib *= (mesh.areas / 12.0)[:, None]
+    return np.bincount(mesh.triangles.reshape(-1), weights=contrib.reshape(-1),
+                       minlength=mesh.num_vertices)
+
+
 def grad_test_vector(mesh, beta_values):
     """Vector s with s_i = <beta, grad hat_i> for every hat function."""
     contrib = _grad_dot(mesh, beta_values)

@@ -240,17 +240,20 @@ class Mesh:
 
         # P1 barycentric gradients: grad lambda_i = perp(e_i) / (2A), with the
         # edge vector e_i = p_{i+2} - p_{i+1} and perp(v) = (-v_y, v_x).  gl
-        # holds perp(e_i) until the division; one gather of the vertices.
-        # gl before pts: allocated the other way round, laplace_refined's
+        # holds perp(e_i) until the division.  The subtractions read one
+        # (3, nt) gather per coordinate: the same differences as strided reads
+        # of one (nt, 3, 2) gather, bit for bit, in a third of the time.
+        # gl before the gathers: allocated the other way round, laplace_refined's
         # first-command peak resident set read 2 MB higher for 7 of 16 hash
         # seeds instead of 1 (the heap layout the freed gather leaves).
         gl = np.empty((len(self.triangles), 3, 2))
-        pts = self.vertices[self.triangles]  # (nt, 3, 2)
+        xs = self.vertices[:, 0][self.triangles.T]
+        ys = self.vertices[:, 1][self.triangles.T]
         for i in range(3):
-            np.subtract(pts[:, (i + 2) % 3, 1], pts[:, (i + 1) % 3, 1], out=gl[:, i, 0])
-            np.subtract(pts[:, (i + 2) % 3, 0], pts[:, (i + 1) % 3, 0], out=gl[:, i, 1])
+            np.subtract(ys[(i + 2) % 3], ys[(i + 1) % 3], out=gl[:, i, 0])
+            np.subtract(xs[(i + 2) % 3], xs[(i + 1) % 3], out=gl[:, i, 1])
         np.negative(gl[:, :, 0], out=gl[:, :, 0])
-        del pts
+        del xs, ys
         # A = (p1 - p0) x (p2 - p0) / 2 with p1 - p0 = e_2 and p2 - p0 = -e_1:
         # the same two products and difference, read from gl.
         areas = gl[:, 2, 1] * gl[:, 1, 0]

@@ -327,15 +327,17 @@ def compatibility_defect(g, theta):
     return fem.scalar_inner(g, ones) - pairing
 
 
-def _weak_residual(K, M, partition, u, g, theta):
-    """Normalized strong-form residual of the discrete weak equation, K
-    and M being the mesh's stiffness and mass matrices.
+def _weak_residual(K, b, partition, u, g):
+    """Normalized strong-form residual of the discrete weak equation K u = b,
+    K being the mesh's stiffness matrix and b the right-hand side
+    b_i = <theta, trace hat_i> - <g, hat_i> that was solved.
 
     max over hat functions vanishing on the Dirichlet region of
     |<grad u, grad hat> - <theta, trace hat> + <g, hat>|, divided by
     ||u||_{W^{1,2}} + ||g||_{L^2} + 1; nan when that normalizer overflows.
     """
-    r = K @ u.values + M @ g.values - _theta_vector(partition, theta)
+    r = K @ u.values
+    r -= b
     r[partition.region_vertices("dirichlet")] = 0.0
     num = float(np.max(np.abs(r), initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,11 +363,12 @@ def _solve_weak(partition, values, pinned, g, theta, rtol, x0=None, mean_gauge=F
     mesh = partition.mesh
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[pinned] = False
-    # This order, the solver dropped before the residual and constrained()'s in-place
-    # rhs keep laplace_refined's peak RSS at 132 MB (up to 145 MB, same arrays alive).
-    M = fem.mass_matrix(mesh)
-    b = _theta_vector(partition, theta) - M @ g.values
+    # K's assembly in the solver sets laplace_refined's peak RSS (about 126 MB).
+    # Allocation order moves it with the same arrays alive (b built before the
+    # solver: 2 MB higher at 1 of 16 hash seeds), so keep this order, the solver
+    # dropped before the residual and constrained()'s in-place rhs.
     solver = _FreeBlockSolver(mesh, np.nonzero(mask)[0], rtol)
+    b = _theta_vector(partition, theta) - fem._load_vector(g)
     u, iterations = solver.constrained(values, b, x0)
     K = solver.K
     del solver
@@ -373,7 +376,7 @@ def _solve_weak(partition, values, pinned, g, theta, rtol, x0=None, mean_gauge=F
         ones = fem.ScalarField.constant(mesh, 1.0)
         u -= fem.scalar_inner(fem.ScalarField(mesh, u), ones) / fem.scalar_inner(ones, ones)
     field = fem.ScalarField(mesh, u)
-    return field, iterations, _weak_residual(K, M, partition, field, g, theta)
+    return field, iterations, _weak_residual(K, b, partition, field, g)
 
 
 def solve_mixed(problem, x0=None, rtol=1e-12):

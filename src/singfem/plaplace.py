@@ -434,8 +434,10 @@ def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0):
     Draws `trials` random nodal directions vanishing on the constraint
     set, normalized to unit p-energy, and verifies
     p_energy(u) <= p_energy(u + t * delta) + 1e-10 * scale
-    for steps t in {+-1e-3, +-1e-2} * scale, with scale = p_energy(u) (or 1
-    for a flat field).  Returns an OptimalityReport whose certificate
+    for steps t in {+-1e-3, +-1e-2} * scale, with scale = p_energy(u)
+    floored at u's round-off level sqrt(eps) max|u| (1 for u = 0): the
+    energy of a minimizer constant up to round-off is itself round-off, and
+    below the margins' own.  Returns an OptimalityReport whose certificate
     records the worst margin and any violations.  The gradients of u and
     of each direction are taken once, through one fem.gradient_operator,
     and split into contiguous x and y components (see _margin).
@@ -446,7 +448,7 @@ def minimality_certificate(u, p, constraint_vertices, trials=40, seed=0):
     G = fem.gradient_operator(mesh)
     gu = np.ascontiguousarray(_grad_values(mesh, G, u.values).T)
     e0 = fem._vector_lp_norm(gu[0], gu[1], mesh.areas, p)
-    scale = e0 if e0 > 0.0 else 1.0
+    scale = max(e0, math.sqrt(np.finfo(np.float64).eps) * float(np.abs(u.values).max())) or 1.0
 
     worst = float("inf")
     violations = 0

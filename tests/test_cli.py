@@ -627,6 +627,23 @@ def test_solve_plap_requires_p_and_runs_certificate(tmp_path):
     assert payload["info"]["stationarity"] <= 1e-8
 
 
+def test_the_certificate_passes_a_minimizer_constant_up_to_round_off(tmp_path):
+    # Dirichlet data on the cusp's right side only: the minimizer is u = 1
+    # up to round-off, its energy about 1e-13, below the margins' round-off.
+    cfg = write_config(tmp_path / "c.json", {
+        "domain": {"kind": "cusp", "k": 3, "n": 3}, "refine": 1,
+        "partition": {"dirichlet": ["right"], "neumann": ["lower", "upper"]},
+        "data": {"f": "x"},
+    })
+    out = tmp_path / "run"
+    assert main(["solve-plap", "--config", cfg, "--out", str(out), "--p", "3",
+                 "--certificate"]) == 0
+    info = json.loads((out / "solution.json").read_text())["info"]
+    assert info["energy"] < 1e-12
+    assert info["certificate"]["passed"] is True
+    assert not (out / "error.json").exists()
+
+
 @pytest.mark.parametrize("value", ["no", "true", 0, 1, [], None])
 def test_certificate_field_must_be_a_json_boolean(tmp_path, value):
     cfg = write_config(tmp_path / "c.json", {

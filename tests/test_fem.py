@@ -473,15 +473,42 @@ def test_weak_divergence_closes_trace_identity(builder):
         assert abs(resid) <= 1e-11 * scale
 
 
+# Cusps and annuli of random shape, the roots of the refine chains drawn below.
+_CURVED_MESHES = st.one_of(
+    st.builds(build_cusp, st.floats(1.0, 4.0), st.integers(2, 5)),
+    st.builds(lambda r_in, factor, n_radial, n_angular:
+              build_annulus(r_in, r_in * factor, n_radial, n_angular),
+              st.floats(0.05, 1.0), st.floats(1.5, 20.0),
+              st.integers(1, 3), st.integers(3, 12)),
+)
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(
-    mesh=st.one_of(
-        st.builds(build_cusp, st.floats(1.0, 4.0), st.integers(2, 5)),
-        st.builds(lambda r_in, factor, n_radial, n_angular:
-                  build_annulus(r_in, r_in * factor, n_radial, n_angular),
-                  st.floats(0.05, 1.0), st.floats(1.5, 20.0),
-                  st.integers(1, 3), st.integers(3, 12)),
-    ),
+    mesh=st.one_of(st.builds(build_unit_square, st.integers(1, 8)), _CURVED_MESHES),
+    levels=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_load_vector_is_the_mass_matrix_product(mesh, levels, seed):
+    for _ in range(levels):
+        mesh = refine(mesh)
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(np.float64).eps
+    M = mass_matrix(mesh)
+    g = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.uniform(-6.0, 6.0)
+    load = fem._load_vector(ScalarField(mesh, g))
+    # both sums round within a few ulps of the sum of the magnitudes
+    assert np.all(np.abs(load - M @ g) <= 8.0 * eps * (M @ np.abs(g)))
+    for _ in range(3):
+        v = rng.standard_normal(mesh.num_vertices)
+        exact = scalar_inner(ScalarField(mesh, g), ScalarField(mesh, v))
+        bound = scalar_inner(ScalarField(mesh, np.abs(g)), ScalarField(mesh, np.abs(v)))
+        assert abs(load @ v - exact) <= 8.0 * eps * bound
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    mesh=_CURVED_MESHES,
     levels=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )

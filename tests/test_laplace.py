@@ -289,10 +289,25 @@ def test_weak_residual_flags_perturbations(square, mixed_part):
     g = ScalarField.constant(square, 1.0)
     problem = MixedProblem(mixed_part, g, ScalarField.constant(square, 0.0))
     u, _ = solve_mixed(problem)
-    K, M = stiffness_matrix(square), mass_matrix(square)
-    assert laplace._weak_residual(K, M, mixed_part, u, g, None) <= 1e-10
+    # the right-hand side <theta, trace hat_i> - <g, hat_i>, here with theta = 0
+    K, b = stiffness_matrix(square), -(mass_matrix(square) @ g.values)
+    assert laplace._weak_residual(K, b, mixed_part, u, g) <= 1e-10
     bad = ScalarField(square, u.values + 1e-3 * np.sin(np.arange(square.num_vertices)))
-    assert laplace._weak_residual(K, M, mixed_part, bad, g, None) > 1e-6
+    assert laplace._weak_residual(K, b, mixed_part, bad, g) > 1e-6
+
+
+def test_laplace_solves_assemble_no_mass_matrix(square, mixed_part, neumann_part, monkeypatch):
+    calls, assemble = [], fem.mass_matrix
+    monkeypatch.setattr(fem, "mass_matrix", lambda mesh: calls.append(mesh) or assemble(mesh))
+    g = ScalarField.from_function(square, lambda x, y: np.sin(3.0 * x) + y)
+    theta = flux_trace_from_function(mixed_part, "neumann", lambda x, y, nx, ny: nx * x + ny)
+    f = ScalarField.from_function(square, lambda x, y: x * y)
+    solve_mixed(MixedProblem(mixed_part, g, f, theta))
+    # a load of zero mean (the square has unit area) balances zero flux
+    one = ScalarField.constant(square, 1.0)
+    no_flux = flux_trace_from_function(neumann_part, "boundary", lambda x, y, nx, ny: 0.0)
+    solve_neumann(NeumannProblem(neumann_part, g - scalar_inner(g, one) * one, no_flux))
+    assert calls == []
 
 
 # -- multigrid-preconditioned solves ----------------------------------------------

@@ -250,7 +250,9 @@ def _certificate_by_trials(u, p, constraint_vertices, trials=40, seed=0):
     rng = np.random.default_rng(seed)
     gu = fem.gradient(u)
     e0 = lp_norm(gu, p)
-    scale = e0 if e0 > 0.0 else 1.0
+    scale = max(e0, np.sqrt(np.finfo(np.float64).eps) * np.max(np.abs(u.values)))
+    if scale == 0.0:
+        scale = 1.0
     worst, violations = float("inf"), 0
     for _ in range(trials):
         direction = rng.standard_normal(mesh.num_vertices)
@@ -277,11 +279,14 @@ def test_certificate_is_the_per_trial_reference_bit_for_bit(p):
     u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p))
     bumped = u.values.copy()
     bumped[mesh.num_vertices // 2] += 0.5
-    for field in (u, ScalarField(mesh, bumped)):
+    # constant up to round-off: the scale is floored at sqrt(eps) max|u|
+    flat = ScalarField(mesh, 1.0 + 1e-15 * np.sin(7.0 * np.arange(mesh.num_vertices)))
+    for field in (u, ScalarField(mesh, bumped), flat):
         for seed in range(5):
             cert = minimality_certificate(field, p, constraint, seed=seed).certificate
             got = (cert["passed"], cert["worst_margin"], cert["violations"])
             assert got == _certificate_by_trials(field, p, constraint, seed=seed)
+    assert minimality_certificate(flat, p, constraint).certificate["passed"]
 
 
 def test_certificate_on_flat_field(square, side_constraints):

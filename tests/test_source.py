@@ -214,6 +214,14 @@ def test_only_the_free_block_solver_assembles_the_stiffness_matrix():
     assert _package_callers(_calls("stiffness_matrix")) == ["laplace._FreeBlockSolver.__init__"]
 
 
+def test_only_the_projection_and_the_poincare_iteration_assemble_the_mass_matrix():
+    # A Laplace solve reads M only through <g, hat_i>, which fem._load_vector
+    # takes in one element pass; the L^2 projection factors M and the
+    # Poincare iteration applies it on every step.
+    assert _package_callers(_calls("mass_matrix")) == ["fem.weak_divergence",
+                                                       "verify.poincare_constant_2"]
+
+
 def test_the_caller_check_names_methods_and_nested_defs_by_their_parents():
     text = ("class Solver:\n    def __init__(self, mesh):\n"
             "        self.K = fem.stiffness_matrix(mesh)\n"
