@@ -218,6 +218,8 @@ def stiffness_matrix(mesh):
 
 
 _UPPER = np.triu_indices(3)  # the six entries i <= j of an element matrix
+# The nine entries (i, j) of an element matrix, row-major, as _UPPER columns.
+_NINE = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def _gram_entries(mesh):
@@ -259,7 +261,7 @@ def _assemble(mesh, entries):
     order in which SciPy sums the duplicates.  The COO indices are int32
     when the mesh allows it, which is what SciPy would convert them to;
     building them so skips two int64 copies of nine entries per triangle."""
-    data = entries[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1)
+    data = np.take(entries, _NINE, axis=1).reshape(-1)
     del entries  # a caller's temporary is freed before the index arrays exist
     nv = mesh.num_vertices
     tri = mesh.triangles.astype(np.int32 if nv < 2**31 else np.int64)

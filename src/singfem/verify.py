@@ -6,7 +6,6 @@ EXPERIMENTS maps each `singfem verify` experiment name to its function.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -122,6 +121,16 @@ def fit_rate(hs, errors):
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
+def level_walk(mesh, levels):
+    """(level, mesh) for levels 0..levels-1 along the refine chain from
+    `mesh`: level 0 is mesh itself, and each later level is the refinement
+    of the one before, so its `parent` is that level's mesh."""
+    for lev in range(levels):
+        if lev > 0:
+            mesh = geometry.refine(mesh)
+        yield lev, mesh
+
+
 # -- Poincare constants ----------------------------------------------------
 
 
@@ -180,13 +189,9 @@ def poincare_2(levels=3):
     monotone growth under refinement."""
     if levels < 2:
         raise ParameterError(f"levels: must be >= 2, got {levels}")
-    sq = build_unit_square(8)
-    rc = geometry.build_rectangle(2.0, 1.0, 16, 8)
     meas = {"h": [], "c_square": [], "c_rect": []}
-    rows = list(range(levels))
-    for lev in rows:
-        if lev > 0:
-            sq, rc = geometry.refine(sq), geometry.refine(rc)
+    for (_, sq), (_, rc) in zip(level_walk(build_unit_square(8), levels),
+                                level_walk(geometry.build_rectangle(2.0, 1.0, 16, 8), levels)):
         meas["h"].append(geometry.mesh_size(sq))
         meas["c_square"].append(poincare_constant_2(sq))
         meas["c_rect"].append(poincare_constant_2(rc))
@@ -196,20 +201,11 @@ def poincare_2(levels=3):
     passed = {
         "square_within_5pct": abs(c_sq[-1] - 1.0 / math.pi) <= 0.05 / math.pi,
         "rect_within_5pct": abs(c_rc[-1] - 2.0 / math.pi) <= 0.1 / math.pi,
-        "square_monotone_nondecreasing": all(
-            b >= a for a, b in zip(c_sq, c_sq[1:])
-        ),
+        "square_monotone_nondecreasing": all(b >= a for a, b in zip(c_sq, c_sq[1:])),
         "rect_monotone_nondecreasing": all(b >= a for a, b in zip(c_rc, c_rc[1:])),
     }
-    return Report(
-        experiment="poincare_2",
-        params={"levels": levels},
-        levels=rows,
-        measurements=meas,
-        fitted=fitted,
-        passed=passed,
-        tolerances={"constant": 0.05},
-    )
+    return Report("poincare_2", {"levels": levels}, list(range(levels)), meas, fitted, passed,
+                  {"constant": 0.05})
 
 
 # -- punctured-domain counterexample ---------------------------------------
@@ -260,6 +256,9 @@ def counterexample_punctured(p=3.0, r_in_schedule=(1e-2, 1e-3), levels=3):
     finest_abs = {}
     finest_l2 = {}
     for r_in in schedule:
+        # A fresh annulus per level, not level_walk: `refine` puts each
+        # midpoint on its chord, off the circles, so refined annuli would
+        # keep the coarsest polygon and stop converging to the domain.
         for lev in range(levels):
             nr = _ANNULUS_BASE_RADIAL * (2**lev)
             na = _ANNULUS_BASE_ANGULAR * (2**lev)
@@ -539,126 +538,120 @@ def holder_cusp(k=3.0, n=6, n_pairs=4000, seed=0, p_values=(2.0, 8.0)):
 # -- convergence studies -----------------------------------------------------
 
 
-_STUDIES = ("manufactured_dirichlet", "neumann_harmonic", "plap_affine", "ibp_smooth")
+_SIDES = ("left", "right", "bottom", "top")
 
 
-def convergence_study(problem_id, levels=4, base_n=8, p=4.0):
-    """Rate study for a named problem family over nested mesh levels.
-
-    manufactured_dirichlet : full-Dirichlet sine product, L^2 rate ~ 2
-    neumann_harmonic : pure-Neumann harmonic polynomial, L^2 rate ~ 2
-    plap_affine : affine data reproduced exactly by the p-solve
-    ibp_smooth : analytic-divergence residual decaying at rate >= 1
-    """
-    if problem_id not in _STUDIES:
-        raise ValueError(f"unknown study {problem_id!r}; choose from {_STUDIES}")
+def _square_levels(levels, base_n, n0=None):
+    """A rate study's levels, after checking its ladder: (mesh, h) along
+    the refine chain from the unit square with n0 (default base_n) cells
+    a side, h = sqrt(2)/n at n cells a side.  Level l has the vertices and
+    edges of build_unit_square(n0 * 2**l), numbered by `refine` (and, for
+    an n0 that is not a power of 2, with coordinates rounded differently)."""
     if levels < 3:
         raise ParameterError(f"levels: a rate needs at least 3 levels, got {levels}")
     if base_n < 2:
         raise ParameterError(f"base_n: must be >= 2, got {base_n}")
+    n0 = n0 or base_n
+    return ((mesh, math.sqrt(2.0) / (n0 * 2**lev))
+            for lev, mesh in level_walk(build_unit_square(n0), levels))
+
+
+def _rate_2_report(study, levels, base_n, meas, passed):
+    """The Report of a study whose L^2 error falls at rate 2 +- 0.3 and
+    whose other checks are `passed`."""
+    rate = fit_rate(meas["h"], meas["error"])
+    return Report(f"convergence:{study}", {"levels": levels, "base_n": base_n},
+                  list(range(levels)), meas, {"rate": rate},
+                  {"rate_near_2": abs(rate - 2.0) <= 0.3, **passed}, {"rate": "2.0 +- 0.3"})
+
+
+def manufactured_dirichlet(levels=4, base_n=8):
+    """Full-Dirichlet sine product: L^2 error rate ~ 2."""
+    meas = {"h": [], "error": [], "residual": []}
+    for mesh, h in _square_levels(levels, base_n):
+        part = partition_by_tags(mesh, dirichlet=_SIDES)
+        exact = fem.ScalarField.from_function(
+            mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        g = fem.ScalarField(mesh, -2.0 * np.pi**2 * exact.values)
+        u, info = solve_mixed(MixedProblem(part, g, exact))
+        meas["h"].append(h)
+        meas["error"].append(fem.lp_norm(u - exact, 2))
+        meas["residual"].append(info["residual"])
+    return _rate_2_report("manufactured_dirichlet", levels, base_n, meas, {
+        "residuals_below_1e-10": all(r <= 1e-10 for r in meas["residual"])})
+
+
+def neumann_harmonic(levels=4, base_n=8):
+    """Pure-Neumann harmonic cubic: L^2 error rate ~ 2."""
+    meas = {"h": [], "error": [], "defect": []}
+    for mesh, h in _square_levels(levels, base_n):
+        part = partition_by_tags(mesh, neumann=_SIDES)
+        # The harmonic quadratic is reproduced exactly on this
+        # structured mesh; the cubic leaves an O(h^2) error to fit.
+        w = fem.ScalarField.from_function(mesh, lambda x, y: x**3 - 3.0 * x * y**2)
+        theta = fem.flux_trace_from_function(
+            part, "boundary",
+            lambda x, y, nx, ny: (3.0 * x**2 - 3.0 * y**2) * nx - 6.0 * x * y * ny)
+        u, info = solve_neumann(NeumannProblem(part, fem.ScalarField.constant(mesh, 0.0), theta))
+        ones = fem.ScalarField.constant(mesh, 1.0)
+        mean_w = fem.scalar_inner(w, ones) / fem.scalar_inner(ones, ones)
+        meas["h"].append(h)
+        meas["error"].append(fem.lp_norm(u - fem.ScalarField(mesh, w.values - mean_w), 2))
+        meas["defect"].append(info["defect"])
+    return _rate_2_report("neumann_harmonic", levels, base_n, meas, {})
+
+
+def plap_affine(levels=4, base_n=8, p=4.0):
+    """Affine data, Dirichlet on left and right, from max(2, base_n // 2)
+    cells a side: the p-solve reproduces it exactly."""
     if not p > 1.0:
         raise ParameterError(f"p: must be > 1.0, got {p}")
-
-    rows = list(range(levels))
     meas = {"h": [], "error": []}
-    fitted, passed, tolerances = {}, {}, {}
+    for mesh, h in _square_levels(levels, base_n, max(2, base_n // 2)):
+        part = partition_by_tags(mesh, dirichlet=("left", "right"), neumann=("bottom", "top"))
+        f = fem.ScalarField.from_function(mesh, lambda x, y: x)
+        constraint = frozenset(int(v) for v in part.region_vertices("dirichlet"))
+        u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p))
+        meas["h"].append(h)
+        meas["error"].append(float(np.max(np.abs(u.values - f.values))))
+    return Report("convergence:plap_affine", {"levels": levels, "base_n": base_n, "p": p},
+                  list(range(levels)), meas, {"rate": "exact", "max_error": max(meas["error"])},
+                  {"exact_to_1e-6": all(e <= 1e-6 for e in meas["error"])}, {"max_error": 1e-6})
 
-    if problem_id == "manufactured_dirichlet":
-        meas["residual"] = []
-        for lev in rows:
-            n = base_n * (2**lev)
-            mesh = build_unit_square(n)
-            part = partition_by_tags(mesh, dirichlet=("left", "right", "bottom", "top"))
-            exact = fem.ScalarField.from_function(
-                mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-            )
-            g = fem.ScalarField(mesh, -2.0 * np.pi**2 * exact.values)
-            u, info = solve_mixed(MixedProblem(part, g, exact))
-            meas["h"].append(math.sqrt(2.0) / n)
-            meas["error"].append(fem.lp_norm(u - exact, 2))
-            meas["residual"].append(info["residual"])
-        rate = fit_rate(meas["h"], meas["error"])
-        fitted["rate"] = rate
-        tolerances["rate"] = "2.0 +- 0.3"
-        passed["rate_near_2"] = abs(rate - 2.0) <= 0.3
-        passed["residuals_below_1e-10"] = all(r <= 1e-10 for r in meas["residual"])
 
-    elif problem_id == "neumann_harmonic":
-        meas["defect"] = []
-        for lev in rows:
-            n = base_n * (2**lev)
-            mesh = build_unit_square(n)
-            part = partition_by_tags(
-                mesh, neumann=("left", "right", "bottom", "top")
-            )
-            # The harmonic quadratic is reproduced exactly on this
-            # structured mesh; the cubic leaves an O(h^2) error to fit.
-            w = fem.ScalarField.from_function(mesh, lambda x, y: x**3 - 3.0 * x * y**2)
-            theta = fem.flux_trace_from_function(
-                part,
-                "boundary",
-                lambda x, y, nx, ny: (3.0 * x**2 - 3.0 * y**2) * nx - 6.0 * x * y * ny,
-            )
-            g = fem.ScalarField.constant(mesh, 0.0)
-            u, info = solve_neumann(NeumannProblem(part, g, theta))
-            ones = fem.ScalarField.constant(mesh, 1.0)
-            mean_w = fem.scalar_inner(w, ones) / fem.scalar_inner(ones, ones)
-            centered = fem.ScalarField(mesh, w.values - mean_w)
-            meas["h"].append(math.sqrt(2.0) / n)
-            meas["error"].append(fem.lp_norm(u - centered, 2))
-            meas["defect"].append(info["defect"])
-        rate = fit_rate(meas["h"], meas["error"])
-        fitted["rate"] = rate
-        tolerances["rate"] = "2.0 +- 0.3"
-        passed["rate_near_2"] = abs(rate - 2.0) <= 0.3
+def ibp_smooth(levels=4, base_n=8):
+    """Integration-by-parts residual of u = x and beta = (x, 0) against
+    its analytic divergence 1: decays at rate >= 1."""
+    meas = {"h": [], "error": []}
+    for mesh, h in _square_levels(levels, base_n):
+        part = partition_by_tags(mesh, neumann=_SIDES)
+        u = fem.ScalarField.from_function(mesh, lambda x, y: x)
+        beta = fem.VectorField.from_function(mesh, lambda x, y: (x, 0.0 * y))
+        div = fem.ScalarField.constant(mesh, 1.0)
+        meas["h"].append(h)
+        meas["error"].append(abs(fem.ibp_residual(part, u, beta, div, region="boundary")))
+    rate = fit_rate(meas["h"], meas["error"])
+    return Report("convergence:ibp_smooth", {"levels": levels, "base_n": base_n},
+                  list(range(levels)), meas, {"rate": rate}, {"rate_at_least_1": rate >= 0.99},
+                  {"rate": ">= 1.0"})
 
-    elif problem_id == "plap_affine":
-        for lev in rows:
-            n = max(2, base_n // 2) * (2**lev)
-            mesh = build_unit_square(n)
-            part = partition_by_tags(mesh, dirichlet=("left", "right"),
-                                     neumann=("bottom", "top"))
-            f = fem.ScalarField.from_function(mesh, lambda x, y: x)
-            constraint = frozenset(int(v) for v in part.region_vertices("dirichlet"))
-            u, _ = solve_p_laplace(PlapProblem(mesh, constraint, f, p=p))
-            meas["h"].append(math.sqrt(2.0) / n)
-            meas["error"].append(float(np.max(np.abs(u.values - f.values))))
-        fitted["rate"] = "exact"
-        fitted["max_error"] = max(meas["error"])
-        tolerances["max_error"] = 1e-6
-        passed["exact_to_1e-6"] = all(e <= 1e-6 for e in meas["error"])
 
-    elif problem_id == "ibp_smooth":
-        for lev in rows:
-            n = base_n * (2**lev)
-            mesh = build_unit_square(n)
-            part = partition_by_tags(mesh, neumann=("left", "right", "bottom", "top"))
-            u = fem.ScalarField.from_function(mesh, lambda x, y: x)
-            beta = fem.VectorField.from_function(mesh, lambda x, y: (x, 0.0 * y))
-            div = fem.ScalarField.constant(mesh, 1.0)
-            resid = fem.ibp_residual(part, u, beta, div, region="boundary")
-            meas["h"].append(math.sqrt(2.0) / n)
-            meas["error"].append(abs(resid))
-        rate = fit_rate(meas["h"], meas["error"])
-        fitted["rate"] = rate
-        tolerances["rate"] = ">= 1.0"
-        passed["rate_at_least_1"] = rate >= 0.99
+_STUDIES = {study.__name__: study
+            for study in (manufactured_dirichlet, neumann_harmonic, plap_affine, ibp_smooth)}
 
-    return Report(
-        experiment=f"convergence:{problem_id}",
-        params={"levels": levels, "base_n": base_n, "p": p},
-        levels=rows,
-        measurements=meas,
-        fitted=fitted,
-        passed=passed,
-        tolerances=tolerances,
-    )
+
+def convergence_study(problem_id, levels=4, base_n=8, **params):
+    """Rate study for a named problem family over the levels of a refine
+    chain: _STUDIES[problem_id](levels, base_n, **params)."""
+    if problem_id not in _STUDIES:
+        raise ValueError(f"unknown study {problem_id!r}; choose from {tuple(_STUDIES)}")
+    return _STUDIES[problem_id](levels, base_n, **params)
 
 
 # Every `verify` experiment by name.  Each function's keyword parameters
 # and their defaults are the experiment's config keys and defaults.
 EXPERIMENTS = {
-    **{name: functools.partial(convergence_study, name) for name in _STUDIES},
+    **_STUDIES,
     "counterexample_punctured": counterexample_punctured,
     "poincare_2": poincare_2,
     "holder_cusp": holder_cusp,

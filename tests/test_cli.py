@@ -858,6 +858,27 @@ def test_verify_hashes_only_the_keys_its_experiment_takes(tmp_path, cfg, config_
         assert json.loads((out / "summary.json").read_text())["config_hash"] == config_hash_
 
 
+def test_each_study_reads_and_hashes_only_its_own_keys(tmp_path, capsys):
+    # plap_affine reads p; the other studies take no p, so they warn about
+    # it and hash the config without it.
+    base = CHEAP_EXPERIMENTS["ibp_smooth"]
+    hashes = {}
+    for name, cfg in [("ibp_smooth", {**base, "p": 3}), ("ibp_smooth", base),
+                      ("plap_affine", {**base, "p": 3})]:
+        out = tmp_path / f"run{len(hashes)}"
+        assert main(["verify", name, "--config", write_config(tmp_path / "v.json", cfg),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        hashes[name, "p" in cfg] = summary["config_hash"]
+        assert summary["params"] == {**base, **({"p": 3} if name == "plap_affine" else {})}
+        err = capsys.readouterr().err
+        assert ("unknown config key 'p'" in err) == (name == "ibp_smooth" and "p" in cfg)
+    assert hashes["ibp_smooth", True] == hashes["ibp_smooth", False] == config_hash(
+        {"command": "verify", "experiment": "ibp_smooth", "config": base})
+    assert hashes["plap_affine", True] == config_hash(
+        {"command": "verify", "experiment": "plap_affine", "config": {**base, "p": 3}})
+
+
 def test_verify_with_a_seed_refuses_a_rerun_with_another_seed(tmp_path):
     path = write_config(tmp_path / "v.json", CHEAP_EXPERIMENTS["holder_cusp"])
     out = tmp_path / "run"
@@ -1178,7 +1199,7 @@ def test_integer_beyond_the_float_range_is_a_usage_error(tmp_path):
     path = tmp_path / "v.json"
     path.write_text('{"levels": 3, "base_n": 4, "p": 1' + "0" * 400 + "}")
     out = tmp_path / "run"
-    assert main(["verify", "ibp_smooth", "--config", str(path), "--out", str(out)]) == 2
+    assert main(["verify", "plap_affine", "--config", str(path), "--out", str(out)]) == 2
     assert json.loads((out / "error.json").read_text())["message"] == (
         "p: must be finite, got inf")
 

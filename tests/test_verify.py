@@ -10,6 +10,7 @@ from singfem import (
     ScalarField,
     build_annulus,
     build_cusp,
+    build_rectangle,
     build_unit_square,
     convergence_study,
     counterexample_punctured,
@@ -21,7 +22,7 @@ from singfem import (
     report_csv,
     report_summary,
 )
-from singfem import laplace, verify
+from singfem import fem, laplace, verify
 from singfem.geometry import path_lengths
 from singfem.fem import mass_matrix, stiffness_matrix
 
@@ -424,3 +425,62 @@ def test_ibp_smooth_study_rate_is_exactly_linear():
     assert rep.all_passed
     # the residual is exactly h/3 on these meshes, so the fit is exact
     assert rep.fitted["rate"] == pytest.approx(1.0, abs=1e-9)
+
+
+# -- the level walk ----------------------------------------------------------------
+
+
+def _lattice(mesh, cells):
+    """The mesh's vertices as integer points of the grid with `cells` cells
+    per unit length, its undirected edges as pairs of them, and each
+    boundary edge's tag; the coordinates must lie on the grid to rounding."""
+    scaled = mesh.vertices * cells
+    points = np.rint(scaled).astype(np.int64)
+    assert np.abs(scaled - points).max() <= 1e-9
+    pts = [tuple(q) for q in points.tolist()]
+    tri = mesh.triangles
+    edges = {frozenset((pts[a], pts[b]))
+             for i in range(3) for a, b in zip(tri[:, i], tri[:, (i + 1) % 3])}
+    tags = {frozenset((pts[a], pts[b])): tag
+            for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags)}
+    return set(pts), edges, tags
+
+
+@pytest.mark.parametrize("coarse, fine, cells", [
+    *[((1.0, 1.0, n, n), (1.0, 1.0, 2 * n, 2 * n), 2 * n) for n in range(1, 9)],
+    ((2.0, 1.0, 16, 8), (2.0, 1.0, 32, 16), 16),
+], ids=[*(f"square-{n}" for n in range(1, 9)), "rectangle"])
+def test_refining_a_grid_gives_the_grid_of_twice_the_cells(coarse, fine, cells):
+    # The premise of the rate studies' refine chain: refine(build_unit_square(n))
+    # is build_unit_square(2n) up to the vertex numbering (and to the last bit
+    # of coordinates that are not dyadic).
+    refined, direct = refine(build_rectangle(*coarse)), build_rectangle(*fine)
+    assert _lattice(refined, cells) == _lattice(direct, cells)
+    if cells & (cells - 1) == 0:  # dyadic coordinates: equal to the bit
+        assert set(map(tuple, refined.vertices.tolist())) == set(
+            map(tuple, direct.vertices.tolist()))
+
+
+def test_the_level_walk_refines_each_level_from_the_one_before():
+    walked = list(verify.level_walk(build_unit_square(2), 3))
+    assert [lev for lev, _ in walked] == [0, 1, 2]
+    assert walked[0][1].parent is None
+    assert all(fine.parent is coarse for (_, coarse), (_, fine) in zip(walked, walked[1:]))
+    assert [mesh.num_vertices for _, mesh in walked] == [9, 25, 81]
+
+
+@pytest.mark.parametrize("study, module, name, mesh_of", [
+    ("manufactured_dirichlet", verify, "solve_mixed", lambda pb, *_: pb.partition.mesh),
+    ("neumann_harmonic", verify, "solve_neumann", lambda pb, *_: pb.partition.mesh),
+    ("plap_affine", verify, "solve_p_laplace", lambda pb, *_: pb.mesh),
+    ("ibp_smooth", fem, "ibp_residual", lambda part, *_: part.mesh),
+])
+def test_each_study_solves_level_l_on_the_refinement_of_level_l_minus_1(
+        monkeypatch, study, module, name, mesh_of):
+    meshes = []
+    run = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: meshes.append(
+        mesh_of(*args)) or run(*args, **kwargs))
+    assert convergence_study(study, levels=3, base_n=4).all_passed
+    assert len(meshes) == 3 and meshes[0].parent is None
+    assert all(fine.parent is coarse for coarse, fine in zip(meshes, meshes[1:]))
