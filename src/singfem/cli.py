@@ -31,6 +31,7 @@ from .geometry import (
     DOMAINS,
     MeshError,
     PartitionError,
+    _canonical_dumps,
     build_domain,
     mesh_size,
     partition_by_tags,
@@ -61,8 +62,7 @@ class ChecksFailed(Exception):
 
 def config_hash(effective):
     """sha256 over the canonical JSON form of the effective configuration."""
-    canon = json.dumps(effective, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_dumps(effective).encode("utf-8")).hexdigest()
 
 
 def _reject_constant(name):
@@ -340,14 +340,15 @@ def _flux_from_expr(partition, region, text, field):
 
 
 # The head of every JSON artifact: keys are sorted, so config_hash comes first.
-_JSON_HASH_HEAD = re.compile(r'\{"config_hash": "([0-9a-f]{64})"[,}]')
-_JSON_HASH_HEAD_CHARS = len('{"config_hash": "') + 64 + 2
+_JSON_HASH_HEAD = re.compile(r'\{"config_hash":"([0-9a-f]{64})"[,}]')
+_JSON_HASH_HEAD_CHARS = len('{"config_hash":"') + 64 + 2
 
 
 def _embedded_hash(path):
     """The configuration hash an artifact carries, or None.  A JSON
     artifact is read only as far as its head; any other file (a CSV, a
-    hand-edited JSON) is read whole."""
+    hand-edited JSON, one written with json.dumps' spaced separators) is
+    read whole."""
     try:
         with open(path) as fh:
             text = fh.read(_JSON_HASH_HEAD_CHARS)
@@ -387,18 +388,16 @@ def _claim(out_dir, cfg_hash, *names):
     return paths
 
 
-def _json_chunks(fields, mesh_json=None):
-    """json.dumps(fields, sort_keys=True) as a list of ASCII bytes pieces,
-    plus mesh_json, a mesh's spaced pieces from Mesh.json_texts(), under
-    "mesh": the mesh is not encoded again, and no piece is joined into a
-    copy of the whole."""
-    texts = {key: [json.dumps(value, sort_keys=True).encode()]
-             for key, value in fields.items()}
-    if mesh_json is not None:
-        texts["mesh"] = mesh_json
+def _json_chunks(fields, mesh_pieces=None):
+    """_canonical_dumps(fields) as a list of ASCII bytes pieces, plus
+    mesh_pieces, a mesh's Mesh.json_pieces(), under "mesh": the mesh is
+    not encoded again, and no piece is joined into a copy of the whole."""
+    texts = {key: [_canonical_dumps(value).encode()] for key, value in fields.items()}
+    if mesh_pieces is not None:
+        texts["mesh"] = mesh_pieces
     chunks = [b"{"]
     for i, key in enumerate(sorted(texts)):
-        chunks.append(f"{', ' if i else ''}{json.dumps(key)}: ".encode())
+        chunks.append(f"{',' if i else ''}{_canonical_dumps(key)}:".encode())
         chunks += texts[key]
     return chunks + [b"}"]
 
@@ -428,9 +427,9 @@ def _cmd_mesh(args, cfg, out_dir):
     mesh, dom, levels = _domain_from_config(cfg)
     h = _effective_hash(cfg, {"command": "mesh", "domain": dom, "refine": levels})
     path, = _claim(out_dir, h, "mesh.json")
-    _, mesh_json = mesh.json_texts()
+    mesh_pieces = mesh.json_pieces()
     payload = {"mesh_hash": mesh.content_hash(), "config_hash": h}
-    _write_artifact(path, _json_chunks(payload, mesh_json))
+    _write_artifact(path, _json_chunks(payload, mesh_pieces))
     print(
         f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
         f"{mesh.num_boundary_edges} boundary edges, h={mesh_size(mesh):.6g}"
@@ -475,14 +474,14 @@ def _cmd_solve_laplace(args, cfg, out_dir):
     h = _effective_hash(cfg, effective)
     path, = _claim(out_dir, h, "solution.json")
     u, info = solve_mixed(MixedProblem(partition, g, f, theta), rtol=rtol)
-    _, mesh_json = mesh.json_texts()
+    mesh_pieces = mesh.json_pieces()
     payload = {
         "solution": fem.field_json_dict(u),
         "info": {"iterations": int(info["iterations"]),
                  "residual": float(info["residual"])},
         "config_hash": h,
     }
-    _write_artifact(path, _json_chunks(payload, mesh_json))
+    _write_artifact(path, _json_chunks(payload, mesh_pieces))
     print(f"solved: {info['iterations']} iterations, "
           f"weak residual {info['residual']:.3e}")
 
@@ -509,7 +508,7 @@ def _cmd_solve_neumann(args, cfg, out_dir):
     h = _effective_hash(cfg, effective)
     path, = _claim(out_dir, h, "solution.json")
     u, info = solve_neumann(NeumannProblem(partition, g, theta), gauge=gauge, rtol=rtol)
-    _, mesh_json = mesh.json_texts()
+    mesh_pieces = mesh.json_pieces()
     payload = {
         "solution": fem.field_json_dict(u),
         "info": {"iterations": int(info["iterations"]),
@@ -518,7 +517,7 @@ def _cmd_solve_neumann(args, cfg, out_dir):
                  "gauge": gauge},
         "config_hash": h,
     }
-    _write_artifact(path, _json_chunks(payload, mesh_json))
+    _write_artifact(path, _json_chunks(payload, mesh_pieces))
     print(f"solved: {info['iterations']} iterations, weak residual "
           f"{info['residual']:.3e}, compatibility defect {info['defect']:.3e}")
 
@@ -562,9 +561,9 @@ def _cmd_solve_plap(args, cfg, out_dir):
             u, p, constraint, seed=substream_seed(seed, "plap:certificate")
         )
         info["certificate"] = cert_report.certificate
-    _, mesh_json = mesh.json_texts()
+    mesh_pieces = mesh.json_pieces()
     payload = {"solution": fem.field_json_dict(u), "info": info, "config_hash": h}
-    _write_artifact(path, _json_chunks(payload, mesh_json))
+    _write_artifact(path, _json_chunks(payload, mesh_pieces))
     line = (f"solved: p={p:g}, energy {report.energy:.12g}, "
             f"stationarity {report.stationarity:.3e}")
     if want_cert:
@@ -712,7 +711,7 @@ def _emit_error(out_dir, exc, code):
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     try:
         with open(out_dir / "error.json", "w") as fh:
-            json.dump(record, fh, sort_keys=True)
+            fh.write(_canonical_dumps(record))
     except OSError:
         pass
 

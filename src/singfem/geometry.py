@@ -71,39 +71,36 @@ def _edge_midpoint_order(triangles):
 
 
 def _canonical_dumps(json_dict):
+    """The package's one JSON text form, which every hash and artifact uses:
+    sorted keys and compact separators."""
     return json.dumps(json_dict, sort_keys=True, separators=(",", ":"))
 
 
 def _rows_json(texts):
-    """(compact, spaced): the JSON texts of an (n, k) array of numbers, with
-    json's compact "," and json.dumps' default ", " separators, as ASCII
-    bytes without the list's outer brackets: the rows and the separators
+    """The canonical JSON text of an (n, k) array of numbers, as ASCII
+    bytes without the list's outer brackets: the rows and the commas
     between them.
 
     texts, an (n, k, w) uint8 array, holds each number's ASCII text in w
     bytes; NUL bytes pad the shorter texts and are dropped by
     bytes.translate, whose output is returned as it is.
     """
-    # Row layout: "[" then k cells of w bytes + ", ", the last cell's ", "
-    # being "]," and the row's last byte " "; the final row loses its ", ".
-    # The spaces are NUL for the compact text and " " for the spaced one.
+    # Row layout: "[" then k cells of w bytes + ",", the last cell's ","
+    # being "]", then the row's ","; the final row loses its ",".
     n, k, w = texts.shape
-    buf = np.zeros((n, k * (w + 2) + 2), dtype=np.uint8)
-    cells = buf[:, 1:-1].reshape(n, k, w + 2)
+    buf = np.empty((n, k * (w + 1) + 2), dtype=np.uint8)
+    cells = buf[:, 1:-1].reshape(n, k, w + 1)
     cells[:, :, :w] = texts
     buf[:, 0] = ord("[")
     cells[:, :, w] = ord(",")
-    cells[:, -1, w], cells[:, -1, w + 1] = ord("]"), ord(",")
-    out = []
-    for space in (0, ord(" ")):
-        cells[:, :-1, w + 1] = buf[:, -1] = space
-        out.append(buf.reshape(-1)[:-2].tobytes().translate(None, b"\0"))
-    return tuple(out)
+    cells[:, -1, w] = ord("]")
+    buf[:, -1] = ord(",")
+    return buf.reshape(-1)[:-1].tobytes().translate(None, b"\0")
 
 
 def _int_rows_json(a):
-    """(compact, spaced) json.dumps(a.tolist()) bytes, less the outer
-    brackets (see _rows_json), for a 2-D array of non-negative integers,
+    """_canonical_dumps(a.tolist()) bytes, less the outer brackets (see
+    _rows_json), for a 2-D array of non-negative integers,
     written digit by digit in numpy instead of through Python ints.  Every
     value gets w digit slots, w the width of the largest; the leading zeros
     are NUL bytes.  An index array (a mesh's triangles) repeats 0..max:
@@ -132,16 +129,16 @@ def _digit_rows(x, w):
 
 
 def _float_rows_json(a):
-    """(compact, spaced) json.dumps(a.tolist()) bytes, less the outer
-    brackets, for a 2-D float64 array, by _rows_json.  float.__repr__ runs
-    once per distinct value: the values are told apart by their bit
-    patterns (so -0.0 stays apart from 0.0), printed in one json.dumps call
+    """_canonical_dumps(a.tolist()) bytes, less the outer brackets, for a
+    2-D float64 array, by _rows_json.  float.__repr__ runs once per
+    distinct value: the values are told apart by their bit patterns (so
+    -0.0 stays apart from 0.0), printed in one _canonical_dumps call
     and gathered by index from a NUL-padded table.  Meshes repeat few
     coordinates many times: the 66,049-vertex refined square holds 257
     distinct values."""
     bits, inverse = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    table = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "),
+    table = np.array(_canonical_dumps(bits.view(np.float64).tolist())[1:-1].split(","),
                      dtype=bytes)
     return _rows_json(np.take(table.view(np.uint8).reshape(-1, table.itemsize),
                               inverse.reshape(a.shape), axis=0))
@@ -365,44 +362,34 @@ class Mesh:
             "singular_vertices": sorted(self.singular_vertices),
         }
 
-    def json_texts(self):
-        """(canonical, spaced): to_json_dict() as JSON text with sorted
-        keys, once with compact separators and once with json.dumps' default
-        ones, each a list of ASCII bytes pieces (keys and brackets, then
-        each value) whose join is the text.  The number lists are encoded
-        once, in numpy, into both texts: the triangles by _int_rows_json,
+    def json_pieces(self):
+        """to_json_dict() as canonical JSON text (sorted keys, compact
+        separators): a list of ASCII bytes pieces (keys and brackets, then
+        each value) whose join is _canonical_dumps(to_json_dict()).  The
+        number lists are encoded in numpy: the triangles by _int_rows_json,
         the vertices by _float_rows_json (one float repr per distinct
         coordinate); json encodes only the boundary edges and singular
         vertices.  No piece is joined or decoded.
 
-        The canonical pieces are what content_hash hashes, fed one by one to
-        a single sha256; the spaced pieces are the bytes json.dumps(...,
-        sort_keys=True) gives, for embedding in a larger artifact.  Keeps
-        the content hash.
+        content_hash feeds the pieces one by one to a single sha256, and an
+        artifact embeds them as they are under "mesh".
         """
         edges = [[a, b, tag]
                  for (a, b), tag in zip(self.boundary_edges.tolist(), self.boundary_tags)]
-        singular = sorted(self.singular_vertices)
-        triangles = _int_rows_json(self.triangles)
-        vertices = _float_rows_json(self.vertices)
-        texts = []
-        for i, (comma, colon) in enumerate(((b",", b":"), (b", ", b": "))):
-            dumps = json.dumps if i else _canonical_dumps
-            texts.append([
-                b'{"boundary_edges"' + colon, dumps(edges).encode(),
-                comma + b'"singular_vertices"' + colon, dumps(singular).encode(),
-                comma + b'"triangles"' + colon + b"[", triangles[i],
-                b"]" + comma + b'"vertices"' + colon + b"[", vertices[i], b"]}"])
-        canonical, spaced = texts
+        pieces = [b'{"boundary_edges":', _canonical_dumps(edges).encode(),
+                  b',"singular_vertices":',
+                  _canonical_dumps(sorted(self.singular_vertices)).encode(),
+                  b',"triangles":[', _int_rows_json(self.triangles),
+                  b'],"vertices":[', _float_rows_json(self.vertices), b"]}"]
         if self._hash is None:
             digest = hashlib.sha256()
-            for piece in canonical:
+            for piece in pieces:
                 digest.update(piece)
             object.__setattr__(self, "_hash", digest.hexdigest())
-        return canonical, spaced
+        return pieces
 
     def canonical_json(self):
-        return b"".join(self.json_texts()[0]).decode("ascii")
+        return b"".join(self.json_pieces()).decode("ascii")
 
     def content_hash(self):
         """Hex digest (sha256) of canonical_json(), which identifies the
@@ -410,7 +397,7 @@ class Mesh:
         decimal representation).  Computed on the first call and kept: the
         mesh is immutable."""
         if self._hash is None:
-            self.json_texts()
+            self.json_pieces()
         return self._hash
 
     @classmethod

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -88,6 +89,11 @@ def test_solve_laplace_end_to_end(tmp_path):
     assert np.max(np.abs(values - xs)) <= 1e-9
 
 
+def _canonical(text):
+    """The sorted, compact json.dumps text of a JSON text's content."""
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+
 def _digest_of_artifact(out, command):
     """(embedded mesh_hash, content hash of the embedded mesh)."""
     if command == "mesh":
@@ -100,11 +106,11 @@ def _digest_of_artifact(out, command):
 
 
 def _record_mesh_encodes(monkeypatch):
-    """Record every Mesh.json_texts call (the meshes list) and the array each
+    """Record every Mesh.json_pieces call (the meshes list) and the array each
     numpy row kernel encodes (the ints and floats lists)."""
     meshes, ints, floats = [], [], []
-    texts = Mesh.json_texts
-    monkeypatch.setattr(Mesh, "json_texts", lambda self: meshes.append(self) or texts(self))
+    pieces = Mesh.json_pieces
+    monkeypatch.setattr(Mesh, "json_pieces", lambda self: meshes.append(self) or pieces(self))
     for name, calls in (("_int_rows_json", ints), ("_float_rows_json", floats)):
         kernel = getattr(geometry, name)
         monkeypatch.setattr(geometry, name,
@@ -152,7 +158,7 @@ def test_commands_build_the_mesh_dict_once(tmp_path, monkeypatch, command, extra
     assert bool(meshes[0].singular_vertices) == (domain == "cusp")
     for path in out.glob("*.json"):
         data = path.read_bytes()
-        assert data == json.dumps(json.loads(data), sort_keys=True).encode()
+        assert data == _canonical(data).encode()
     digest, recomputed = _digest_of_artifact(out, command)
     assert digest == recomputed
 
@@ -165,7 +171,27 @@ def test_artifact_text_is_the_sorted_json_dumps_of_its_content(tmp_path, command
                                                    ARTIFACT_CONFIGS[domain]),
                  "--out", str(out), *extra]) == 0
     text = (out / ("mesh.json" if command == "mesh" else "solution.json")).read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert text == _canonical(text)
+
+
+@pytest.mark.parametrize("command, extra, domain", _artifact_ids(ARTIFACT_CONFIGS))
+def test_artifact_mesh_text_is_the_text_its_mesh_hash_digests(tmp_path, command, extra,
+                                                               domain):
+    """The bytes under "mesh" are the embedded mesh's canonical JSON, so
+    their sha256 is the artifact's mesh_hash."""
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path / "c.json",
+                                                   ARTIFACT_CONFIGS[domain]),
+                 "--out", str(out), *extra]) == 0
+    text = (out / ("mesh.json" if command == "mesh" else "solution.json")).read_text()
+    payload = json.loads(text)
+    start = text.index(',"mesh":') + len(',"mesh":')
+    mesh_dict, end = json.JSONDecoder().raw_decode(text, start)
+    assert mesh_dict == payload["mesh"]
+    mesh_text = text[start:end]
+    assert mesh_text == Mesh.from_json_dict(mesh_dict).canonical_json()
+    digest = payload["mesh_hash"] if command == "mesh" else payload["solution"]["mesh_hash"]
+    assert hashlib.sha256(mesh_text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -496,7 +522,7 @@ def test_refined_artifact_with_five_digit_indices_round_trips(tmp_path, command)
     assert main([command, "--config", write_config(tmp_path / "c.json", cfg),
                  "--out", str(out)]) == 0
     text = (out / ("mesh.json" if command == "mesh" else "solution.json")).read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert text == _canonical(text)
     assert len(json.loads(text)["mesh"]["vertices"]) == 16641
     digest, recomputed = _digest_of_artifact(out, command)
     assert digest == recomputed
@@ -742,6 +768,32 @@ def test_embedded_hash_falls_back_to_the_full_parse(tmp_path, text, expected):
     assert cli._embedded_hash(path) == expected
 
 
+@pytest.mark.parametrize("command, artifact, cfg", [
+    (["mesh"], "mesh.json", ARTIFACT_CONFIGS["square"]),
+    (["solve-laplace"], "solution.json", ARTIFACT_CONFIGS["square"]),
+    (["verify", "ibp_smooth"], "summary.json", VERIFY_CONFIG),
+], ids=["mesh", "solve-laplace", "verify"])
+def test_a_rerun_reads_an_artifact_in_the_spaced_form(tmp_path, command, artifact, cfg):
+    """An artifact written with json.dumps' spaced separators (the form of
+    older output directories) is claimed by its config_hash: this run's
+    hash is overwritten with the compact text, another hash is refused."""
+    out = tmp_path / "run"
+    argv = [*command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]
+    assert main(argv) == 0
+    path = out / artifact
+    compact = path.read_text()
+    spaced = json.dumps(json.loads(compact), sort_keys=True)
+    path.write_text(spaced)
+    assert main(argv) == 0
+    assert path.read_text() == compact
+    h = json.loads(compact)["config_hash"]
+    other = spaced.replace(h, "0" * 64)
+    path.write_text(other)
+    assert main(argv) == 2
+    assert "refusing to overwrite" in json.loads((out / "error.json").read_text())["message"]
+    assert path.read_text() == other
+
+
 # -- verify and sweep --------------------------------------------------------------
 
 
@@ -753,7 +805,7 @@ def test_verify_experiment_writes_reports(tmp_path, capsys):
     assert "[PASS]" in stdout and "[FAIL]" not in stdout
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
-    assert text == json.dumps(summary, sort_keys=True)
+    assert text == _canonical(text)
     assert summary["pass"] is True
     data = (out / "report.csv").read_bytes()
     csv_lines = data.decode().splitlines()

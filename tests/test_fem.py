@@ -279,8 +279,8 @@ def test_mesh_arrays_and_hash_are_the_old_formulas_bit_for_bit(name, levels):
     text = json.dumps(mesh.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert mesh.content_hash() == hashlib.sha256(text.encode("utf-8")).hexdigest()
     rows = mesh.triangles.tolist()  # indices 0..max: the digit-table path
-    assert tuple(b"[" + t + b"]" for t in geometry._int_rows_json(mesh.triangles)) == (
-        json.dumps(rows, separators=(",", ":")).encode(), json.dumps(rows).encode())
+    assert b"[" + geometry._int_rows_json(mesh.triangles) + b"]" == json.dumps(
+        rows, separators=(",", ":")).encode()
 
 
 @pytest.mark.parametrize("levels", [0, 2])

@@ -259,9 +259,8 @@ DOMAINS = {
 @pytest.mark.parametrize("kind", sorted(DOMAINS))
 def test_json_texts_equal_a_direct_encode_of_the_dict(kind, levels):
     m = _refined(DOMAINS[kind], levels)
-    canonical, spaced = (b"".join(pieces).decode() for pieces in m.json_texts())
+    canonical = b"".join(m.json_pieces()).decode()
     assert canonical == _canonical_dumps(m.to_json_dict()) == m.canonical_json()
-    assert spaced == json.dumps(m.to_json_dict(), sort_keys=True)
     assert m.content_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     assert m.content_hash() == hashlib.sha256(
         _canonical_dumps(m.to_json_dict()).encode()).hexdigest()
@@ -273,9 +272,7 @@ def test_json_texts_encode_tags_with_separators_exactly():
     data["boundary_edges"] = [[a, b, f"{tag}, part: {i}"]
                               for i, (a, b, tag) in enumerate(data["boundary_edges"])]
     m = Mesh.from_json_dict(data)
-    canonical, spaced = (b"".join(pieces).decode() for pieces in m.json_texts())
-    assert canonical == _canonical_dumps(data)
-    assert spaced == json.dumps(data, sort_keys=True)
+    assert b"".join(m.json_pieces()).decode() == _canonical_dumps(data)
 
 
 # Every digit width 1-19 occurs: 0, 9, 10, 99, 100, ..., 10^j - 1, 10^j,
@@ -287,29 +284,28 @@ INT_ROWS = st.integers(1, 4).flatmap(lambda k: st.lists(
     max_size=40).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, k)))
 
 
-def _json_texts(a):
-    """(compact, spaced) json.dumps texts of a's list form, encoded: the
-    reference the numpy row kernels must match byte for byte."""
-    rows = a.tolist()
-    return json.dumps(rows, separators=(",", ":")).encode(), json.dumps(rows).encode()
+def _json_text(a):
+    """The compact json.dumps text of a's list form, encoded: the reference
+    the numpy row kernels must match byte for byte."""
+    return json.dumps(a.tolist(), separators=(",", ":")).encode()
 
 
-def _listed(texts):
-    """A row kernel's (compact, spaced) bytes inside the list's brackets."""
-    return tuple(b"[" + rows + b"]" for rows in texts)
+def _listed(rows):
+    """A row kernel's bytes inside the list's brackets."""
+    return b"[" + rows + b"]"
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(INT_ROWS)
 def test_int_rows_json_is_json_dumps_of_the_list(a):
-    assert _listed(_int_rows_json(a)) == _json_texts(a)
+    assert _listed(_int_rows_json(a)) == _json_text(a)
 
 
 def test_int_rows_json_covers_every_digit_width():
     column = np.array(WIDTH_EDGES, dtype=np.int64)
     assert {len(str(v)) for v in WIDTH_EDGES} == set(range(1, 20))
     for a in (column[:, None], np.column_stack([column, column[::-1], column % 97])):
-        assert _listed(_int_rows_json(a)) == _json_texts(a)
+        assert _listed(_int_rows_json(a)) == _json_text(a)
 
 
 # Signed zeros, the smallest subnormal and normal, and the points where
@@ -340,14 +336,14 @@ def float_rows(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(float_rows())
 def test_float_rows_json_is_json_dumps_of_the_list(a):
-    assert _listed(_float_rows_json(a)) == _json_texts(a)
+    assert _listed(_float_rows_json(a)) == _json_text(a)
 
 
 def test_float_rows_json_keeps_signed_zeros_and_repr_switch_points_apart():
     column = np.array(FLOAT_EDGES)
     a = np.column_stack([column, column[::-1]])
-    assert _listed(_float_rows_json(a)) == _json_texts(a)
-    assert _float_rows_json(np.array([[0.0, -0.0]]))[1] == b"[0.0, -0.0]"
+    assert _listed(_float_rows_json(a)) == _json_text(a)
+    assert _float_rows_json(np.array([[0.0, -0.0]])) == b"[0.0,-0.0]"
 
 
 def test_from_json_dict_rejects_a_dropped_boundary_edge():

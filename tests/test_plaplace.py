@@ -776,6 +776,18 @@ def test_newton_reaches_the_tolerance_far_from_p_2(build, p):
     assert p_stationarity(u, p, problem.constraint_vertices) == report.stationarity
 
 
+_NEAR_1_STALL = pytest.mark.xfail(strict=True, raises=PLaplaceError, reason="ROADMAP item 4")
+
+
+@pytest.mark.parametrize("p", [pytest.param(1.4, marks=_NEAR_1_STALL),
+                               pytest.param(1.5, marks=_NEAR_1_STALL), 1.6])
+def test_cusp_level_1_reaches_the_tolerance_near_p_1(p):
+    # At 1.4 and 1.5 the final stage stalls at stationarity 5.4e-7 and
+    # 4.5e-8 and the solve raises; 1.6 reaches 6.1e-9.
+    _, report = solve_p_laplace(PlapProblem(*_cusp_level_1(), p, tol=1e-8))
+    assert report.stationarity <= 1e-8
+
+
 def test_newton_steps_at_p_4_stay_few_and_are_recorded():
     _, report = solve_p_laplace(PlapProblem(*_probe_square(), 4.0))
     assert report.iterations[0] == {"stage": "warm_start", "p": 2.0, "iterations": 0}

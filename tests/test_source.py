@@ -229,3 +229,10 @@ def test_the_caller_check_names_methods_and_nested_defs_by_their_parents():
             "    return fem.mass_matrix(mesh)\n")
     assert _callers(text, _calls("stiffness_matrix")) == [("Solver.__init__", 3),
                                                           ("f.inner", 6)]
+
+
+def test_the_canonical_encoder_is_the_only_json_encode():
+    # Every hash and every artifact is the one text form geometry._canonical_dumps
+    # writes: sorted keys and compact separators.
+    assert _package_callers(_calls("dumps")) == ["geometry._canonical_dumps"]
+    assert _package_callers(_calls("dump")) == []
